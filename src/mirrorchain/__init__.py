@@ -30,6 +30,8 @@ _EXPORTS = {
     "commutes": ".pauli",
     "pauli_matrix": ".pauli",
     "word_trace": ".pauli",
+    "pauli_coefficients": ".pauli",
+    "word_exponential": ".pauli",
     "group_closure": ".pauli",
     "support_group": ".pauli",
     "maximal_subgroup": ".pauli",

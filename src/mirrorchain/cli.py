@@ -24,6 +24,7 @@ reason the numeric modules are imported inside the command functions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -57,12 +58,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
+def _finite(text: str) -> float:
+    """argparse type for float flags: a finite number, not nan or inf."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _say(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message)
 
 
-def _add_chain_source(parser: argparse.ArgumentParser) -> None:
+def _add_chain_source(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", metavar="FILE", help="chain spec JSON file")
     group.add_argument(
@@ -71,6 +80,7 @@ def _add_chain_source(parser: argparse.ArgumentParser) -> None:
         type=int,
         help="use the engineered N-site chain",
     )
+    return group
 
 
 def _load_chain(args: argparse.Namespace):
@@ -125,56 +135,44 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.closed_form:
         if args.tau is not None:
             raise ValueError("--closed-form fixes tau; do not pass --tau")
-        if spec is not None and not spec.is_engineered:
+        if not spec.is_engineered:
             raise ValueError("--closed-form only matches engineered couplings")
-        dec = closed_form(spec.n_sites)
-        fidelity = None
-        if spec.n_sites <= MAX_DENSE_SITES:
-            U = chain_propagator(spec, MIRROR_TIME)
-            fidelity = gate_fidelity(reconstruct(dec), U)
-        payload = {
-            "source": source,
-            "decomposition": dec.to_json(),
-            "trace": None,
-            "reconstruction_fidelity": fidelity,
-        }
-        _write_json(args.output, payload)
-        _say(args, f"closed form: {len(dec.factors)} factors for {spec.n_sites} sites")
-        if fidelity is not None:
-            _say(args, f"reconstruction fidelity {fidelity:.12f}")
-        _say(args, f"decomposition written to {args.output}")
-        return 0
+        dec, trace = closed_form(spec.n_sites), None
+        U = chain_propagator(spec, MIRROR_TIME) if spec.n_sites <= MAX_DENSE_SITES else None
+    else:
+        if spec is not None:
+            tau = MIRROR_TIME if args.tau is None else args.tau
+            U = chain_propagator(spec, tau)
+            source["tau"] = tau
+        try:
+            dec, trace = decompose(U)
+        except DecompositionError as exc:
+            payload = {
+                "source": source,
+                "error": str(exc),
+                "trace": exc.trace.to_json() if exc.trace is not None else None,
+            }
+            _write_json(args.output, payload)
+            _say(args, f"decomposition failed: {exc}")
+            _say(args, f"partial trace written to {args.output}")
+            return 1
 
-    if spec is not None:
-        tau = MIRROR_TIME if args.tau is None else args.tau
-        U = chain_propagator(spec, tau)
-        source["tau"] = tau
-
-    try:
-        dec, trace = decompose(U)
-    except DecompositionError as exc:
-        payload = {
-            "source": source,
-            "error": str(exc),
-            "trace": exc.trace.to_json() if exc.trace is not None else None,
-        }
-        _write_json(args.output, payload)
-        _say(args, f"decomposition failed: {exc}")
-        _say(args, f"partial trace written to {args.output}")
-        return 1
-
-    fidelity = gate_fidelity(reconstruct(dec), U)
+    fidelity = None if U is None else gate_fidelity(reconstruct(dec), U)
     payload = {
         "source": source,
         "decomposition": dec.to_json(),
-        "trace": trace.to_json(),
+        "trace": None if trace is None else trace.to_json(),
         "reconstruction_fidelity": fidelity,
     }
     _write_json(args.output, payload)
-    _say(args, f"{len(dec.factors)} factors:")
-    for word, angle in dec.factors:
-        _say(args, f"  exp(-i * {angle!r} * {word})")
-    _say(args, f"reconstruction fidelity {fidelity:.12f}")
+    if trace is None:
+        _say(args, f"closed form: {len(dec.factors)} factors for {spec.n_sites} sites")
+    else:
+        _say(args, f"{len(dec.factors)} factors:")
+        for word, angle in dec.factors:
+            _say(args, f"  exp(-i * {angle!r} * {word})")
+    if fidelity is not None:
+        _say(args, f"reconstruction fidelity {fidelity:.12f}")
     _say(args, f"decomposition written to {args.output}")
     return 0
 
@@ -225,18 +223,19 @@ def _parse_gate(text: str, n_spins: int):
     """
     import numpy as np
 
-    from .pauli import PauliString, pauli_matrix
+    from .pauli import PauliString, pauli_matrix, word_exponential
 
     if text == "identity":
         return np.eye(1 << n_spins, dtype=complex)
     if ":" in text:
         word_text, _, angle_text = text.partition(":")
         angle = float(angle_text)
+        if not math.isfinite(angle):
+            raise ValueError(f"gate angle must be finite, got {angle_text!r}")
         word = PauliString(word_text)
         if word.n_sites != n_spins:
             raise ValueError(f"gate word {word_text!r} is not {n_spins} spins")
-        d = 1 << n_spins
-        return math.cos(angle) * np.eye(d) - 1j * math.sin(angle) * pauli_matrix(word)
+        return word_exponential(word, angle)
     word = PauliString(text)
     if word.n_sites != n_spins:
         raise ValueError(f"gate word {text!r} is not {n_spins} spins")
@@ -301,6 +300,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         commutes,
         group_closure,
         pauli_matrix,
+        word_exponential,
     )
 
     rng = np.random.default_rng(args.seed)
@@ -345,15 +345,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     passed = 0
     for _ in range(trials):
         n = int(rng.integers(1, 4))
-        d = 1 << n
-        U = np.eye(d, dtype=complex)
+        U = np.eye(1 << n, dtype=complex)
         for _ in range(int(rng.integers(1, 5))):
-            w = random_word(n)
-            theta = float(rng.uniform(-1.4, 1.4))
-            U = U @ (
-                math.cos(theta) * np.eye(d)
-                - 1j * math.sin(theta) * pauli_matrix(w)
-            )
+            U = U @ word_exponential(random_word(n), float(rng.uniform(-1.4, 1.4)))
         dec, trace = decompose(U)
         ok = gate_fidelity(reconstruct(dec), U) >= 1.0 - 1e-9
         ok = ok and all(
@@ -398,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="check the mirror-inversion condition")
     add_quiet(p)
     _add_chain_source(p)
-    p.add_argument("--tau", type=float, default=None, help="evolution time (default pi/2)")
+    p.add_argument("--tau", type=_finite, default=None, help="evolution time (default pi/2)")
     p.add_argument(
         "--expect-mirror",
         action="store_true",
@@ -409,17 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor a propagator into Pauli exponentials")
     add_quiet(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spec", metavar="FILE", help="chain spec JSON file")
-    group.add_argument("--engineered", metavar="N", type=int)
-    group.add_argument("--unitary", metavar="FILE", help=".npy unitary matrix")
+    _add_chain_source(p).add_argument("--unitary", metavar="FILE", help=".npy unitary matrix")
     p.add_argument("--closed-form", action="store_true", help="emit the closed-form product")
     p.add_argument(
         "--auto-chain",
         action="store_true",
         help="peel along the automatically built subgroup chain (the default)",
     )
-    p.add_argument("--tau", type=float, default=None, help="evolution time (default pi/2)")
+    p.add_argument("--tau", type=_finite, default=None, help="evolution time (default pi/2)")
     p.add_argument("-o", "--output", default="decomposition.json", metavar="FILE")
     p.set_defaults(func=cmd_decompose)
 
@@ -437,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pure", "deviation"), default="pure")
     p.add_argument(
         "--min-fidelity",
-        type=float,
+        type=_finite,
         default=1.0 - 1e-9,
         help="exit 1 below this fidelity (default 1-1e-9)",
     )
@@ -457,16 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--target-decomposition", metavar="FILE", help="decomposition JSON file"
     )
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--dt", type=float, default=1e-3, help="step duration in seconds")
-    p.add_argument("--amp-max", type=float, default=1000.0, help="amplitude cap in Hz")
+    p.add_argument("--dt", type=_finite, default=1e-3, help="step duration in seconds")
+    p.add_argument("--amp-max", type=_finite, default=1000.0, help="amplitude cap in Hz")
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--rf-scales", default="0.95,1.0,1.05", metavar="S1,S2,...")
-    p.add_argument("--stop-fidelity", type=float, default=0.99)
+    p.add_argument("--stop-fidelity", type=_finite, default=0.99)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", choices=("random", "zero"), default="random")
     p.add_argument(
         "--min-fidelity",
-        type=float,
+        type=_finite,
         default=0.99,
         help="exit 1 below this fidelity (default 0.99)",
     )

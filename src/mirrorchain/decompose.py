@@ -26,24 +26,30 @@ ranked by the weight they can reach instead (the objective is a sinusoid,
 so evaluating its exact stationary point per candidate dominates any
 angle grid).  That fallback handles residuals that are already a phase
 times a single coset word.
+
+All weights are slices of one array per residual, ``pauli_coefficients(U) / 2^n``,
+indexed ``[x, z]`` by a word's bit masks with site 1 at the most significant bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .pauli import (
+    _I_POW,
+    UNITARITY_TOL,
     PauliGroup,
     PauliString,
     SubgroupChain,
     _pack,
-    pauli_matrix,
-    pauli_mul,
+    _popcount,
+    pauli_coefficients,
     support_group,
-    word_trace,
+    word_exponential,
 )
 
 __all__ = [
@@ -72,8 +78,6 @@ STALL_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-9
 #: Factors with |angle| at or below this are dropped from the output.
 ZERO_ANGLE_TOL = 1e-12
-
-UNITARITY_TOL = 1e-10
 
 
 class DecompositionError(RuntimeError):
@@ -176,22 +180,31 @@ class PeelTrace:
         return {"steps": [s.to_json() for s in self.steps]}
 
 
-def _check_square(U: np.ndarray, n_sites: int) -> int:
-    d = 1 << n_sites
-    if U.shape != (d, d):
+def _coefficients(U: np.ndarray, n_sites: int) -> np.ndarray:
+    """Normalized coefficient array c[x, z] = Tr(w U) / 2^n of U."""
+    if U.shape != (1 << n_sites,) * 2:
         raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
-    return d
+    return pauli_coefficients(U) / (1 << n_sites)
+
+
+def _masks(words: Sequence[PauliString]) -> tuple[np.ndarray, ...]:
+    """The words' x and z masks as index arrays into a coefficient array."""
+    return tuple(np.array([w.masks for w in words]).T)
+
+
+def _weight(c: np.ndarray, group: PauliGroup) -> float:
+    return float(np.sum(np.abs(c[_masks(group.sorted_elements)]) ** 2))
 
 
 def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
     """Pauli coefficients c_w = Tr(w U) / 2^n for every word in the group."""
-    d = _check_square(U, group.n_sites)
-    return {w: word_trace(U, w) / d for w in group}
+    c = _coefficients(U, group.n_sites)
+    return {w: complex(c[w.masks]) for w in group}
 
 
 def group_norm(U: np.ndarray, group: PauliGroup) -> float:
     """Total squared coefficient weight of U inside the group."""
-    return float(sum(abs(c) ** 2 for c in expand(U, group).values()))
+    return _weight(_coefficients(U, group.n_sites), group)
 
 
 def w_value(U: np.ndarray, D: PauliString, child: PauliGroup) -> float:
@@ -200,30 +213,34 @@ def w_value(U: np.ndarray, D: PauliString, child: PauliGroup) -> float:
     This is the coefficient of sin(2 theta) in the child-group weight of
     U exp(+i theta D); in particular d(weight)/d(theta) at 0 equals 2 W.
     """
-    d = _check_square(U, child.n_sites)
     if D.n_sites != child.n_sites:
         raise ValueError("word and group site counts differ")
-    total = 0.0
-    for w in child:
-        prod = pauli_mul(D, w)
-        c_w = word_trace(U, w) / d
-        c_m = word_trace(U, prod.word) / d
-        total += (prod.phase.conjugate() * c_w * c_m.conjugate()).imag
-    return total
+    _, W = _weight_terms(_coefficients(U, child.n_sites), [D], child)
+    return float(W[0])
 
 
 def _weight_terms(
-    coeffs: dict[PauliString, complex], D: PauliString, child: PauliGroup
-) -> tuple[float, float]:
-    """(B, W) for candidate word D, from precomputed parent coefficients."""
-    B = 0.0
-    W = 0.0
-    for w in child:
-        prod = pauli_mul(D, w)
-        c_w = coeffs[w]
-        c_m = coeffs[prod.word]
-        B += abs(c_m) ** 2
-        W += (prod.phase.conjugate() * c_w * c_m.conjugate()).imag
+    c: np.ndarray, candidates: Sequence[PauliString], child: PauliGroup
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, W) for every candidate word D, from a normalized coefficient array.
+
+    With D w = i^k m for child words w, B sums |c_m|^2 (the weight of the
+    coset D*child) and W sums Im(i^-k c_w conj(c_m)).  Candidates are taken
+    in blocks of about 2^16 candidate-child pairs, so memory stays bounded.
+    """
+    cx, cz = _masks(child.sorted_elements)
+    c_w = c[cx, cz]
+    dx, dz = _masks(candidates)
+    B, W = np.empty(len(dx)), np.empty(len(dx))
+    rows = max(1, (1 << 16) // len(cx))
+    for lo in range(0, len(dx), rows):
+        x1, z1 = dx[lo:lo + rows, None], dz[lo:lo + rows, None]
+        mx, mz = x1 ^ cx, z1 ^ cz
+        k = (_popcount(x1 & z1) + _popcount(cx & cz) - _popcount(mx & mz)
+             + 2 * _popcount(z1 & cx))
+        c_m = c[mx, mz]
+        B[lo:lo + rows] = np.sum(np.abs(c_m) ** 2, axis=1)
+        W[lo:lo + rows] = np.sum((np.take(_I_POW, -k % 4) * c_w * c_m.conj()).imag, axis=1)
     return B, W
 
 
@@ -266,32 +283,16 @@ def optimal_angle(U: np.ndarray, D: PauliString, child: PauliGroup) -> AngleChoi
     Raises :class:`StallError` when both W and delta vanish, i.e. the
     weight does not depend on the angle at all.
     """
-    d = _check_square(U, child.n_sites)
     if D in child:
         raise ValueError(f"word {D} lies inside the child group")
-    A = 0.0
-    B = 0.0
-    W = 0.0
-    for w in child:
-        prod = pauli_mul(D, w)
-        c_w = word_trace(U, w) / d
-        c_m = word_trace(U, prod.word) / d
-        A += abs(c_w) ** 2
-        B += abs(c_m) ** 2
-        W += (prod.phase.conjugate() * c_w * c_m.conjugate()).imag
+    c = _coefficients(U, child.n_sites)
+    A = _weight(c, child)
+    B, W = (float(v[0]) for v in _weight_terms(c, [D], child))
     delta = 0.5 * (A - B)
     if math.hypot(delta, W) < STALL_TOL:
-        raise StallError(
-            f"flat weight objective for {D}: W and delta both vanish"
-        )
+        raise StallError(f"flat weight objective for {D}: W and delta both vanish")
     theta, best = _stationary_angle(A, B, W)
-    return AngleChoice(
-        theta=theta,
-        w_value=W,
-        delta=delta,
-        norm_before=A,
-        predicted_norm=best,
-    )
+    return AngleChoice(theta, w_value=W, delta=delta, norm_before=A, predicted_norm=best)
 
 
 def peel_level(
@@ -312,33 +313,29 @@ def peel_level(
     """
     if not child.is_subgroup_of(parent) or len(child) >= len(parent):
         raise ValueError("child must be a strictly smaller subgroup of parent")
-    d = _check_square(U, parent.n_sites)
     candidates = [e for e in parent.sorted_elements if e not in child.elements]
     steps: list[PeelStep] = []
     max_passes = 4 * len(parent)
+    c = _coefficients(U, parent.n_sites)
+    A = _weight(c, child)
 
     for _ in range(max_passes):
-        coeffs = expand(U, parent)
-        A = float(sum(abs(coeffs[w]) ** 2 for w in child))
         if 1.0 - A <= PEEL_TOL:
             return U, tuple(steps)
 
-        best_word: PauliString | None = None
-        best_B = best_W = 0.0
-        for D in candidates:
-            B, W = _weight_terms(coeffs, D, child)
-            if best_word is None or abs(W) > abs(best_W) + STALL_TOL:
-                best_word, best_B, best_W = D, B, W
+        Bs, Ws = _weight_terms(c, candidates, child)
+        best = 0
+        for k in range(1, len(Ws)):
+            if abs(Ws[k]) > abs(Ws[best]) + STALL_TOL:
+                best = k
 
-        if abs(best_W) <= STALL_TOL:
+        if abs(Ws[best]) <= STALL_TOL:
             # No informative cross term: rank by reachable weight instead.
             best_gain = -1.0
-            for D in candidates:
-                B, W = _weight_terms(coeffs, D, child)
-                _, reachable = _stationary_angle(A, B, W)
+            for k in range(len(Ws)):
+                _, reachable = _stationary_angle(A, Bs[k], Ws[k])
                 if reachable > best_gain + STALL_TOL:
-                    best_word, best_B, best_W = D, B, W
-                    best_gain = reachable
+                    best, best_gain = k, reachable
             if best_gain <= A + STALL_TOL:
                 raise DecompositionError(
                     f"peel stalled at level {level}: no single factor improves "
@@ -346,15 +343,11 @@ def peel_level(
                     PeelTrace(tuple(steps)),
                 )
 
+        best_word, best_B, best_W = candidates[best], float(Bs[best]), float(Ws[best])
         theta, predicted = _stationary_angle(A, best_B, best_W)
-        rot = (
-            math.cos(theta) * np.eye(d)
-            + 1j * math.sin(theta) * pauli_matrix(best_word)
-        )
-        U = U @ rot
-        norm_after = float(
-            sum(abs(word_trace(U, w)) ** 2 for w in child) / d**2
-        )
+        U = U @ word_exponential(best_word, -theta)
+        c = _coefficients(U, parent.n_sites)
+        norm_after = _weight(c, child)
         if norm_after < A - 1e-9 or abs(norm_after - predicted) > 1e-8:
             raise DecompositionError(
                 f"level {level} weight bookkeeping diverged: before={A:.12f} "
@@ -372,6 +365,7 @@ def peel_level(
                 norm_after=norm_after,
             )
         )
+        A = norm_after
 
     raise DecompositionError(
         f"level {level} did not converge within {max_passes} factors",
@@ -409,7 +403,7 @@ def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
             rank += 1
         coords.append(m)
 
-    weights = [abs(word_trace(U, e)) ** 2 for e in elems]
+    weights = (np.abs(pauli_coefficients(U)[_masks(elems)]) ** 2).tolist()
     scale = 1.0 / (1 << (2 * n))
     best_mask = 0
     best_weight = -1.0
@@ -427,15 +421,20 @@ def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
     )
 
 
-def _adaptive_peel(
-    U: np.ndarray, top: PauliGroup
+def _peel_tower(
+    U: np.ndarray,
+    top: PauliGroup,
+    choose_child: Callable[[np.ndarray, PauliGroup], PauliGroup],
 ) -> tuple[np.ndarray, list[PeelStep]]:
-    """Peel with children re-chosen per level to hug the residual's weight."""
+    """Peel from `top` down to the identity, each child named by choose_child(U, parent).
+
+    A failing level re-raises with every step taken so far.
+    """
     steps: list[PeelStep] = []
     parent = top
     level = 1
     while len(parent) > 1:
-        child = _heaviest_maximal_subgroup(U, parent)
+        child = choose_child(U, parent)
         try:
             U, level_steps = peel_level(U, parent, child, level=level)
         except DecompositionError as exc:
@@ -484,23 +483,14 @@ def decompose(
         )
 
     U0 = U
-    steps: list[PeelStep] = []
+    children = iter(chain.levels[1:])
     try:
-        for level, (parent, child) in enumerate(
-            zip(chain.levels, chain.levels[1:]), 1
-        ):
-            try:
-                U, level_steps = peel_level(U, parent, child, level=level)
-            except DecompositionError as exc:
-                partial = exc.trace.steps if exc.trace is not None else ()
-                raise DecompositionError(
-                    str(exc), PeelTrace(tuple(steps) + tuple(partial))
-                ) from None
-            steps.extend(level_steps)
+        U, steps = _peel_tower(U0, chain.levels[0], lambda _U, _parent: next(children))
     except DecompositionError:
         if top is None:
             raise
-        U, steps = _adaptive_peel(U0, top)
+        # Re-choose each child to keep the most of the residual's weight.
+        U, steps = _peel_tower(U0, top, _heaviest_maximal_subgroup)
 
     phase = complex(np.trace(U)) / d
     phase /= abs(phase)
@@ -523,10 +513,7 @@ def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:
     d = 1 << decomposition.n_sites
     out = decomposition.global_phase * np.eye(d, dtype=complex)
     for word, angle in decomposition.factors:
-        out = out @ (
-            math.cos(angle) * np.eye(d)
-            - 1j * math.sin(angle) * pauli_matrix(word)
-        )
+        out = out @ word_exponential(word, angle)
     return out
 
 

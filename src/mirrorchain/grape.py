@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import embed_operator
+from .decompose import gate_fidelity as fidelity_hs
+from .pauli import PauliString, pauli_matrix
 
 __all__ = [
     "NmrSystemSpec",
@@ -44,10 +45,6 @@ __all__ = [
     "mean_fidelity_and_gradient",
     "grape_optimize",
 ]
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class NmrSystemSpec:
@@ -77,6 +74,10 @@ class NmrSystemSpec:
         n = len(shifts)
         if n < 1:
             raise ValueError("need at least one spin")
+        for name, values in (("shifts_hz", shifts), ("couplings_hz", sum(coup, ())),
+                             ("weights", weights)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         if len(coup) != n or any(len(row) != n for row in coup):
             raise ValueError(f"coupling matrix must be {n} x {n}")
         for i in range(n):
@@ -156,11 +157,8 @@ def control_operators(spec: NmrSystemSpec) -> list[tuple[np.ndarray, np.ndarray]
     n = spec.n_spins
     ops = []
     for ch, w in zip(spec.channels, spec.weights):
-        cx = np.zeros((1 << n, 1 << n), dtype=complex)
-        cy = np.zeros_like(cx)
-        for s in ch:
-            cx += embed_operator(_SIGMA_X, (s,), n)
-            cy += embed_operator(_SIGMA_Y, (s,), n)
+        cx, cy = (sum(pauli_matrix(PauliString("I" * (s - 1) + p + "I" * (n - s))) for s in ch)
+                  for p in "XY")
         ops.append((math.pi * w * cx, math.pi * w * cy))
     return ops
 
@@ -233,13 +231,6 @@ def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
         evals, Q = np.linalg.eigh(H)
         U = (Q * np.exp(-1j * pulse.dt * evals)) @ Q.conj().T @ U
     return U
-
-
-def fidelity_hs(U: np.ndarray, V: np.ndarray) -> float:
-    """|Tr(U^dag V)| / 2^n, invariant under global phases."""
-    if U.shape != V.shape:
-        raise ValueError("shape mismatch")
-    return float(abs(np.trace(U.conj().T @ V))) / U.shape[0]
 
 
 def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -340,15 +331,18 @@ class GrapeConfig:
     init_amplitude_hz: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rf_scales", tuple(float(s) for s in self.rf_scales))
         if self.steps < 1:
             raise ValueError("need at least one step")
+        for name in ("dt", "amp_max_hz", "stop_fidelity", "init_amplitude_hz"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0 or self.amp_max_hz <= 0.0:
             raise ValueError("dt and amp_max_hz must be positive")
         if self.init not in ("random", "zero"):
             raise ValueError("init must be 'random' or 'zero'")
-        if not self.rf_scales:
-            raise ValueError("rf_scales must be nonempty")
-        object.__setattr__(self, "rf_scales", tuple(float(s) for s in self.rf_scales))
+        if not self.rf_scales or not all(map(math.isfinite, self.rf_scales)):
+            raise ValueError(f"rf_scales must be nonempty and finite, got {self.rf_scales!r}")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,15 @@ at the most significant bit, so that phase-free multiplication is XOR and
 every group generated by words is an F2-linear span.  That makes group
 closures, cardinalities (always powers of two) and maximal subgroups cheap
 and exact.
+
+:func:`pauli_coefficients` gives every word trace Tr(U M) of a matrix U as
+one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -31,7 +35,9 @@ __all__ = [
     "SubgroupChain",
     "pauli_mul",
     "pauli_matrix",
+    "word_exponential",
     "word_trace",
+    "pauli_coefficients",
     "group_closure",
     "support_group",
     "maximal_subgroup",
@@ -58,11 +64,11 @@ _PAULI_1Q = {
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def _normalize_phase(value: complex) -> complex:
-    for ph in _PHASES:
+    for ph in _I_POW:
         if abs(value - ph) < 1e-9:
             return ph
     raise ValueError(f"phase {value!r} is not a fourth root of unity")
@@ -166,9 +172,6 @@ def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
     return x3, z3, k % 4
 
 
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
 def pauli_mul(a: PauliString, b: PauliString) -> PhasedPauli:
     """Product of two words as (phase, word), e.g. XI * YI -> (+i, ZI)."""
     if a.n_sites != b.n_sites:
@@ -201,11 +204,18 @@ def pauli_matrix(p: PhasedPauli | PauliString) -> np.ndarray:
     return out
 
 
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.astype(np.int64, copy=True)
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+def word_exponential(word: PauliString, angle: float) -> np.ndarray:
+    """Dense exp(-i angle M) = cos(angle) I - i sin(angle) M for the word's matrix M."""
+    d = 1 << word.n_sites
+    return math.cos(angle) * np.eye(d) - 1j * math.sin(angle) * pauli_matrix(word)
+
+
+def _popcount(v: np.ndarray) -> np.ndarray:
+    """Number of set bits in each entry of a non-negative integer array."""
+    out = np.zeros_like(v)
+    while v.any():
+        out, v = out + (v & 1), v >> 1
+    return out
 
 
 def word_trace(U: np.ndarray, word: PauliString) -> complex:
@@ -215,9 +225,33 @@ def word_trace(U: np.ndarray, word: PauliString) -> complex:
     if d != 2**word.n_sites:
         raise ValueError(f"matrix of dimension {d} does not match {word.n_sites} sites")
     idx = np.arange(d)
-    signs = 1.0 - 2.0 * _parity(idx & z)
+    signs = 1.0 - 2.0 * (_popcount(idx & z) & 1)
     pref = _I_POW[(x & z).bit_count() % 4]
     return pref * complex(np.dot(U[idx, idx ^ x], signs))
+
+
+def pauli_coefficients(U: np.ndarray) -> np.ndarray:
+    """All 4^n word traces: ``c[x, z] = Tr(U @ M)`` for the word M with masks (x, z).
+
+    M = i^{|x & z|} X^x Z^z, so row x gathers U[i, i ^ x], an in-place
+    Walsh-Hadamard butterfly over i applies the signs (-1)^{|i & z|}, and
+    each stage multiplies the entries whose x and z share its bit by i:
+    O(n 4^n) work in one array (Hantzko, Binkowski, Gupta, arXiv:2310.13421).
+    """
+    U = np.asarray(U, dtype=complex)
+    d = U.shape[0] if U.ndim == 2 else 0
+    if U.shape != (d, d) or d < 1 or d & (d - 1):
+        raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
+    idx = np.arange(d)
+    c = U[idx, idx[:, None] ^ idx]
+    for h in (1 << bit for bit in range(d.bit_length() - 1)):
+        v = c.reshape(d // (2 * h), 2, h, d // (2 * h), 2, h)
+        a, b = v[..., 0, :], v[..., 1, :]  # (a, b) -> (a + b, a - b) in place
+        a += b
+        b *= -2.0
+        b += a
+        v[:, 1, :, :, 1, :] *= 1j
+    return c
 
 
 def _pack(word: PauliString, n: int) -> int:
@@ -334,12 +368,8 @@ def support_group(U: np.ndarray, tolerance: float | None = None) -> PauliGroup:
         raise ValueError("input matrix is not unitary")
     if tolerance is None:
         tolerance = 1e-10 * d
-    found = []
-    for t in itertools.product(LETTERS, repeat=n):
-        w = PauliString("".join(t))
-        if abs(word_trace(U, w)) > tolerance:
-            found.append(w)
-    return group_closure(found, n)
+    found = np.argwhere(np.abs(pauli_coefficients(U)) > tolerance).tolist()
+    return group_closure((PauliString.from_masks(x, z, n) for x, z in found), n)
 
 
 def maximal_subgroup(

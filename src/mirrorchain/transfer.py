@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MIRROR_TIME, ChainSpec, chain_propagator
+from .pauli import PauliString, pauli_matrix
 from .states import (
     BELL_KINDS,
     QuantumState,
@@ -155,14 +156,9 @@ def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
 
 def six_state_design() -> dict[str, np.ndarray]:
     """The +-X, +-Y, +-Z eigenstate kets, keyed by axis and sign."""
-    paulis = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
     design: dict[str, np.ndarray] = {}
-    for axis, mat in paulis.items():
-        evals, evecs = np.linalg.eigh(mat)
+    for axis in "xyz":
+        evals, evecs = np.linalg.eigh(pauli_matrix(PauliString(axis.upper())))
         for val, vec in zip(evals, evecs.T):
             design[f"{'+' if val > 0 else '-'}{axis}"] = vec.astype(complex)
     return design

@@ -19,6 +19,7 @@ from mirrorchain.decompose import DecompositionError, PeelTrace
 from mirrorchain.pauli import PauliString, pauli_matrix
 
 ENGINEERED_4 = [math.sqrt(i * (4 - i)) for i in range(1, 4)]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_json(path, payload):
@@ -34,6 +35,10 @@ def load(path):
 def run_module(*args, env=None, cwd=None):
     full_env = dict(os.environ)
     full_env.pop("MIRRORCHAIN_THREADS", None)
+    # The child may run in another directory, where a relative path would not resolve.
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, full_env.get("PYTHONPATH")) if p
+    )
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -402,6 +407,37 @@ def test_grape_rejects_bad_scale_list(tmp_path, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+GRAPE_X = ["grape", "--system", "{system}", "--target-gate", "X", "--pulse-csv", "{csv}"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (GRAPE_X + ["--dt", "nan"], "--dt"),
+        (GRAPE_X + ["--stop-fidelity", "nan"], "--stop-fidelity"),
+        (GRAPE_X + ["--min-fidelity", "inf"], "--min-fidelity"),
+        (GRAPE_X + ["--amp-max", "nan"], "--amp-max"),
+        (GRAPE_X + ["--rf-scales", "1.0,nan"], "rf_scales"),
+        (GRAPE_X + ["--target-gate", "X:nan"], "angle"),
+        (GRAPE_X + ["--system", "{nan_system}"], "shifts_hz"),
+        (["transfer", "--engineered", "3", "--site", "1", "--min-fidelity", "nan"],
+         "--min-fidelity"),
+        (["spectrum", "--engineered", "3", "--tau", "nan"], "--tau"),
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
+    paths = {
+        "system": write_json(tmp_path / "sys.json", ONE_SPIN),
+        "nan_system": write_json(tmp_path / "nan.json", {**ONE_SPIN, "shifts_hz": [math.nan]}),
+        "csv": str(tmp_path / "p.csv"),
+    }
+    argv = [a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "did not converge" not in err
 
 
 def test_grape_rejects_word_size_mismatch(tmp_path, capsys):

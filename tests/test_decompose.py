@@ -26,13 +26,17 @@ from mirrorchain.decompose import (
     reconstruct,
     w_value,
 )
+from mirrorchain.grape import fidelity_hs
 from mirrorchain.pauli import (
     PauliGroup,
     PauliString,
     SubgroupChain,
     group_closure,
+    maximal_subgroup,
     pauli_matrix,
+    pauli_mul,
     support_group,
+    word_trace,
 )
 
 P = PauliString
@@ -159,6 +163,50 @@ class TestOptimalAngle:
     def test_rejects_word_inside_child(self, mirror4, hand_tower4):
         with pytest.raises(ValueError):
             optimal_angle(mirror4, P("IXXI"), hand_tower4.levels[1])
+
+
+def expand_oracle(U, group):
+    """expand() one word_trace at a time: the reference for the array slices."""
+    return {w: word_trace(U, w) / U.shape[0] for w in group}
+
+
+def weight_terms_oracle(U, D, child):
+    """(A, B, W) of optimal_angle(), summed one child word at a time."""
+    d = U.shape[0]
+    A = B = W = 0.0
+    for w in child:
+        prod = pauli_mul(D, w)
+        c_w = word_trace(U, w) / d
+        c_m = word_trace(U, prod.word) / d
+        A += abs(c_w) ** 2
+        B += abs(c_m) ** 2
+        W += (prod.phase.conjugate() * c_w * c_m.conjugate()).imag
+    return A, B, W
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_coefficient_slices_match_the_per_word_oracle(n):
+    rng = np.random.default_rng(50 + n)
+    for _ in range(4):
+        U = random_unitary(rng, 1 << n)
+        seeds = ["".join("IXYZ"[k] for k in rng.integers(0, 4, n)) for _ in range(n + 1)]
+        parent = group_closure([P(w) for w in seeds] + [P("X" * n)])
+        child = maximal_subgroup(parent)
+        want = expand_oracle(U, parent)
+        got = expand(U, parent)
+        assert got.keys() == want.keys()
+        assert all(abs(got[w] - want[w]) <= 1e-12 for w in want)
+        assert group_norm(U, parent) == pytest.approx(
+            sum(abs(c) ** 2 for c in want.values()), abs=1e-12)
+        for D in parent:
+            if D in child:
+                continue
+            A, B, W = weight_terms_oracle(U, D, child)
+            assert w_value(U, D, child) == pytest.approx(W, abs=1e-12)
+            choice = optimal_angle(U, D, child)
+            assert choice.norm_before == pytest.approx(A, abs=1e-12)
+            assert choice.delta == pytest.approx(0.5 * (A - B), abs=1e-12)
+            assert choice.w_value == pytest.approx(W, abs=1e-12)
 
 
 class TestPeelLevel:
@@ -432,6 +480,78 @@ class TestClosedForm:
             closed_form(1)
 
 
+# Factors of the automatic-chain peel, as the per-word implementation of the
+# coefficients produced them: the words, their order and the angles hold.
+PINNED_FACTORS = {
+    "engineered_4": [
+        ("IXXI", -0.7853981633974482),
+        ("IYYI", -0.7853981633974483),
+        ("XZZX", -0.7853981633974484),
+        ("YZZY", -0.7853981633974484),
+    ],
+    "engineered_5": [
+        ("IIIZZ", -1.5707963267948966),
+        ("IXZYI", -0.7853981633974485),
+        ("IYZXI", 0.7853981633974484),
+        ("XZZZY", -0.7853981633974483),
+        ("YZZZX", 0.7853981633974483),
+    ],
+    "engineered_6": [
+        ("IIXXII", 0.7853981633974478),
+        ("IIYYII", 0.7853981633974476),
+        ("IXZZXI", 0.7853981633974482),
+        ("IYZZYI", 0.7853981633974482),
+        ("XZZZZX", 0.785398163397448),
+        ("YZZZZY", 0.7853981633974481),
+    ],
+    "engineered_7": [
+        ("IIIZZZZ", -1.5707963267948966),
+        ("IIXZYII", 0.7853981633974483),
+        ("IIYZXII", -0.7853981633974483),
+        ("IXZZZYI", 0.7853981633974483),
+        ("IYZZZXI", -0.7853981633974483),
+        ("XZZZZZY", 0.7853981633974484),
+        ("YZZZZZX", -0.7853981633974484),
+    ],
+    "uniform_5": [
+        ("IIIXX", 1.0107766405821907),
+        ("IIIYY", 1.0107766405821907),
+        ("IIXXI", 0.2979271205062097),
+        ("IIXZY", 0.508051573799123),
+        ("IIYYI", 0.2979271205062097),
+        ("IIYZX", -0.5080515737991229),
+        ("IXZZX", -0.19949398342278635),
+        ("IXZYI", 0.3030638435377062),
+        ("IXXII", 1.043144642716296),
+        ("IYZZY", -0.19949398342278615),
+        ("IYZXI", -0.3030638435377061),
+        ("IYYII", 1.043144642716296),
+        ("XZZZY", -0.09110967979075946),
+        ("XZZXI", -0.1994939834227863),
+        ("XXIII", 0.3751851283179713),
+        ("XZYII", 0.6469385314761568),
+        ("YZZZX", 0.09110967979075947),
+        ("YZZYI", -0.1994939834227861),
+        ("YYIII", 0.3751851283179714),
+        ("YZXII", -0.6469385314761564),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FACTORS))
+def test_factor_sequence_is_pinned(name):
+    kind, n = name.split("_")
+    n = int(n)
+    if kind == "engineered":
+        spec = ChainSpec.engineered(n)
+    else:
+        spec = ChainSpec((1.0,) * (n - 1), (0.0,) * n)
+    dec, _ = decompose(chain_propagator(spec, MIRROR_TIME))
+    assert [w.letters for w in dec.words] == [w for w, _ in PINNED_FACTORS[name]]
+    for (_, got), (_, want) in zip(dec.factors, PINNED_FACTORS[name]):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_gate_fidelity_properties():
     rng = np.random.default_rng(45)
     U = random_unitary(rng, 8)
@@ -442,3 +562,4 @@ def test_gate_fidelity_properties():
     assert 0.0 <= f <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         gate_fidelity(U, np.eye(4))
+    assert fidelity_hs is gate_fidelity

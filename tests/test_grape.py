@@ -55,6 +55,13 @@ class TestSystemSpec:
             NmrSystemSpec((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), ((1,),), (1.0,))
         with pytest.raises(ValueError):  # weight count
             NmrSystemSpec((0.0,), ((0.0,),), ((1,),), (1.0, 2.0))
+        for spec in (
+            ((math.nan,), ((0.0,),), ((1,),), (1.0,)),
+            ((0.0, 0.0), ((0.0, math.inf), (math.inf, 0.0)), ((1, 2),), (1.0,)),
+            ((0.0,), ((0.0,),), ((1,),), (math.nan,)),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                NmrSystemSpec(*spec)
 
     def test_json_round_trip(self):
         again = NmrSystemSpec.from_json(THREE_SPIN.to_json())
@@ -234,6 +241,16 @@ class TestOptimizer:
             GrapeConfig(steps=5, dt=1e-4, amp_max_hz=100.0, init="warm")
         with pytest.raises(ValueError):
             GrapeConfig(steps=5, dt=1e-4, amp_max_hz=100.0, rf_scales=())
+        for bad in (
+            dict(dt=math.nan),
+            dict(amp_max_hz=math.inf),
+            dict(stop_fidelity=math.nan),
+            dict(init_amplitude_hz=math.nan),
+            dict(rf_scales=(1.0, math.nan)),
+        ):
+            kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be .*finite"):
+                GrapeConfig(**kwargs)
 
     def test_identity_target_zero_init(self):
         cfg = GrapeConfig(steps=4, dt=1e-4, amp_max_hz=500.0, init="zero",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mirrorchain.pauli import (
     LETTERS,
@@ -15,9 +16,11 @@ from mirrorchain.pauli import (
     commutes,
     group_closure,
     maximal_subgroup,
+    pauli_coefficients,
     pauli_matrix,
     pauli_mul,
     support_group,
+    word_exponential,
     word_trace,
 )
 
@@ -150,6 +153,14 @@ class TestPauliMatrix:
         with pytest.raises(ValueError):
             pauli_matrix(PauliString.identity(13))
 
+    def test_word_exponential(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            w = random_word(rng, int(rng.integers(1, 4)))
+            theta = float(rng.uniform(-3, 3))
+            want = expm(-1j * theta * kron_word(w.letters))
+            assert np.allclose(word_exponential(w, theta), want, atol=1e-12)
+
 
 class TestWordTrace:
     def test_against_dense_trace(self):
@@ -172,6 +183,23 @@ class TestWordTrace:
             t = word_trace(pauli_matrix(a), b)
             want = float(1 << n) if a == b else 0.0
             assert t == pytest.approx(want, abs=1e-9)
+
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coefficient_array_matches_every_word_trace(self, n):
+        rng = np.random.default_rng(60 + n)
+        d = 1 << n
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        c = pauli_coefficients(M)
+        assert c.shape == (d, d)
+        for t in itertools.product(LETTERS, repeat=n):
+            w = PauliString("".join(t))
+            assert abs(c[w.masks] - word_trace(M, w)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,), (0, 0), (2, 2, 2)])
+    def test_coefficient_array_rejects_non_power_of_two_squares(self, shape):
+        with pytest.raises(ValueError):
+            pauli_coefficients(np.zeros(shape))
 
 
 class TestGroups:
