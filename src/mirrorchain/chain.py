@@ -247,6 +247,8 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     2 pi lattice.  phi0 carries the only phase freedom and is fixed by the
     bottom level, then reduced to (-pi, pi].
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     if not spec.mirror_symmetric:
         raise ValueError("mirror condition requires a mirror-symmetric chain")
     if any(j <= 0.0 for j in spec.couplings):

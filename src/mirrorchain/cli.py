@@ -119,9 +119,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     )
     from .pauli import MAX_DENSE_SITES
 
-    if args.closed_form and args.auto_chain:
-        raise ValueError("--closed-form and --auto-chain are mutually exclusive")
-
     spec = None
     if args.unitary is not None:
         if args.closed_form:
@@ -405,11 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_quiet(p)
     _add_chain_source(p).add_argument("--unitary", metavar="FILE", help=".npy unitary matrix")
     p.add_argument("--closed-form", action="store_true", help="emit the closed-form product")
-    p.add_argument(
-        "--auto-chain",
-        action="store_true",
-        help="peel along the automatically built subgroup chain (the default)",
-    )
     p.add_argument("--tau", type=_finite, default=None, help="evolution time (default pi/2)")
     p.add_argument("-o", "--output", default="decomposition.json", metavar="FILE")
     p.set_defaults(func=cmd_decompose)

@@ -465,8 +465,8 @@ def decompose(
     n = int(d).bit_length() - 1
     if U.shape != (d, d) or d != 1 << n:
         raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
-    if np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
-        raise ValueError("input matrix is not unitary")
+    if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
+        raise ValueError("input matrix is not a finite unitary")
 
     top = None
     if chain is None:

@@ -12,12 +12,17 @@ gyromagnetic ratio.
 
 The objective is the Hilbert-Schmidt gate fidelity |Tr(V^dag U)| / 2^n,
 averaged over a set of RF scale factors that multiply all control
-amplitudes (robustness to coil inhomogeneity).  Gradients are exact: each
-step exponential is diagonalized, and the derivative of exp(-i dt H) in a
-control direction E is Q (Gamma o (Q^dag E Q)) Q^dag with the divided
-differences Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b).
-Ascent uses backtracking line search with amplitude clipping, so accepted
-fidelities never decrease.
+amplitudes (robustness to coil inhomogeneity).  Per pulse and scale, one
+batched eigh diagonalizes all T step Hamiltonians, H_t = Q diag(l) Q^dag;
+`propagate` and the objective share it and the forward products
+F_t = U_{t-1} ... U_0.  Gradients are exact (Khaneja et al., J. Magn.
+Reson. 172, 296, 2005): with the divided differences
+Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), the backward
+products B_t = U_{T-1} ... U_{t+1} and M_t = Q^dag F_t V^dag B_t Q, the
+derivative of Tr(V^dag U) along control E of step t is Tr(Y_t E) with
+Y_t = Q (M_t o Gamma) Q^dag (Gamma is symmetric), so one contraction gives
+every component.  Ascent uses backtracking line search with amplitude
+clipping, so accepted fidelities never decrease.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,15 +158,14 @@ def drift_hamiltonian(spec: NmrSystemSpec) -> np.ndarray:
     return np.diag(diag.astype(complex))
 
 
-def control_operators(spec: NmrSystemSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per channel: (x, y) control generators pi * weight * sum_spins sigma."""
+def control_operators(spec: NmrSystemSpec) -> np.ndarray:
+    """ops[c, k]: generator pi * weight_c * sum_{s in channel c} sigma_s (k=0 x, k=1 y)."""
     n = spec.n_spins
-    ops = []
-    for ch, w in zip(spec.channels, spec.weights):
-        cx, cy = (sum(pauli_matrix(PauliString("I" * (s - 1) + p + "I" * (n - s))) for s in ch)
-                  for p in "XY")
-        ops.append((math.pi * w * cx, math.pi * w * cy))
-    return ops
+    return np.array([
+        [math.pi * w * sum(pauli_matrix(PauliString("I" * (s - 1) + p + "I" * (n - s)))
+                           for s in ch) for p in "XY"]
+        for ch, w in zip(spec.channels, spec.weights)
+    ])
 
 
 def equilibrium_deviation(spec: NmrSystemSpec) -> np.ndarray:
@@ -187,8 +192,8 @@ class PulseSequence:
             raise ValueError("amplitudes must have shape (steps, channels, 2)")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        if self.dt <= 0.0:
-            raise ValueError("step duration must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -214,6 +219,22 @@ class PulseSequence:
                     writer.writerow([t, c, repr(float(x)), repr(float(y))])
 
 
+def _steps(Hd: np.ndarray, ops: np.ndarray, u: np.ndarray, dt: float,
+           scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(l, Q, exp(-i dt H_t)) for every step, H_t = Hd + scale * sum u[t,c,k] ops[c,k]."""
+    evals, Q = np.linalg.eigh(Hd + scale * np.einsum("tck,ckij->tij", u, ops))
+    return evals, Q, (Q * np.exp(-1j * dt * evals)[:, None, :]) @ Q.conj().transpose(0, 2, 1)
+
+
+def _forward(Us: np.ndarray) -> np.ndarray:
+    """F[t] = U_{t-1} ... U_0, the product of the first t steps (F[0] = I)."""
+    F = np.empty((len(Us) + 1,) + Us.shape[1:], dtype=complex)
+    F[0] = np.eye(Us.shape[1])
+    for t, U in enumerate(Us):
+        F[t + 1] = U @ F[t]
+    return F
+
+
 def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
     """Time-ordered product of the per-step exponentials (step 0 first)."""
     if pulse.n_channels != spec.n_channels:
@@ -221,26 +242,17 @@ def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
             f"pulse drives {pulse.n_channels} channels, system has {spec.n_channels}"
         )
     Hd = drift_hamiltonian(spec)
-    ops = control_operators(spec)
-    d = Hd.shape[0]
-    U = np.eye(d, dtype=complex)
-    for t in range(pulse.n_steps):
-        H = Hd.copy()
-        for c, (cx, cy) in enumerate(ops):
-            H += pulse.amplitudes[t, c, 0] * cx + pulse.amplitudes[t, c, 1] * cy
-        evals, Q = np.linalg.eigh(H)
-        U = (Q * np.exp(-1j * pulse.dt * evals)) @ Q.conj().T @ U
-    return U
+    _, _, Us = _steps(Hd, control_operators(spec), pulse.amplitudes, pulse.dt, 1.0)
+    return _forward(Us)[-1]
 
 
 def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of x -> exp(-i dt x) on the eigenvalue grid."""
+    """Divided differences of x -> exp(-i dt x) on each step's eigenvalue grid."""
     ph = np.exp(-1j * dt * evals)
-    num = np.subtract.outer(ph, ph)
-    den = np.subtract.outer(evals, evals)
+    num = ph[..., :, None] - ph[..., None, :]
+    den = evals[..., :, None] - evals[..., None, :]
     small = np.abs(den) < 1e-12
-    out = np.where(small, -1j * dt * ph[:, None], num / np.where(small, 1.0, den))
-    return out
+    return np.where(small, -1j * dt * ph[..., :, None], num / np.where(small, 1.0, den))
 
 
 def mean_fidelity_and_gradient(
@@ -262,7 +274,7 @@ def mean_fidelity_and_gradient(
 
 def _phi_and_grad(
     Hd: np.ndarray,
-    ops: list[tuple[np.ndarray, np.ndarray]],
+    ops: np.ndarray,
     target: np.ndarray,
     u: np.ndarray,
     dt: float,
@@ -279,41 +291,22 @@ def _phi_and_grad(
     grad_total = np.zeros_like(u)
 
     for s in scales:
-        eigs = []
-        Us = []
-        for t in range(T):
-            H = Hd.copy()
-            for c, (cx, cy) in enumerate(ops):
-                H += s * (u[t, c, 0] * cx + u[t, c, 1] * cy)
-            evals, Q = np.linalg.eigh(H)
-            eigs.append((evals, Q))
-            Us.append((Q * np.exp(-1j * dt * evals)) @ Q.conj().T)
-
-        F = [np.eye(d, dtype=complex)]
-        for t in range(T):
-            F.append(Us[t] @ F[-1])
-        B = [np.eye(d, dtype=complex) for _ in range(T + 2)]
-        for t in range(T, 0, -1):
-            B[t] = B[t + 1] @ Us[t - 1]
-
+        evals, Q, Us = _steps(Hd, ops, u, dt, s)
+        F = _forward(Us)
         z = complex(np.trace(Vh @ F[T]))
         phi_total += abs(z) / d
-
         if abs(z) > 1e-15:
-            zbar = z.conjugate()
-            for t in range(T):
-                evals, Q = eigs[t]
-                Qh = Q.conj().T
-                gamma = _gamma(evals, dt)
-                P = (Qh @ (F[t] @ Vh @ B[t + 2]) @ Q).T
-                for c, (cx, cy) in enumerate(ops):
-                    for xy, E in ((0, cx), (1, cy)):
-                        G = Qh @ E @ Q
-                        dz = s * complex(np.sum(P * (gamma * G)))
-                        grad_total[t, c, xy] += (zbar * dz).real / (abs(z) * d)
+            # B[t] = U_{T-1} ... U_{t+1}, the steps after step t.
+            B, after = np.empty_like(Us), np.eye(d)
+            for t in range(T - 1, -1, -1):
+                B[t], after = after, after @ Us[t]
+            Qh = Q.conj().transpose(0, 2, 1)
+            M = Qh @ (F[:T] @ Vh @ B) @ Q
+            Y = Q @ (M * _gamma(evals, dt)) @ Qh
+            dz = s * np.einsum("tji,ckij->tck", Y, ops)
+            grad_total += (z.conjugate() * dz).real / (abs(z) * d)
 
-    k = float(len(scales))
-    return phi_total / k, grad_total / k
+    return phi_total / len(scales), grad_total / len(scales)
 
 
 @dataclass(frozen=True)
@@ -332,8 +325,10 @@ class GrapeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rf_scales", tuple(float(s) for s in self.rf_scales))
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        for name, low in (("steps", 1), ("max_iterations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("dt", "amp_max_hz", "stop_fidelity", "init_amplitude_hz"):
             if not math.isfinite(getattr(self, name) or 0.0):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

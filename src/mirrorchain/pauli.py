@@ -364,8 +364,8 @@ def support_group(U: np.ndarray, tolerance: float | None = None) -> PauliGroup:
         raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
     if n > MAX_SUPPORT_SITES:
         raise ValueError(f"support scan beyond {MAX_SUPPORT_SITES} sites is not supported")
-    if np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
-        raise ValueError("input matrix is not unitary")
+    if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
+        raise ValueError("input matrix is not a finite unitary")
     if tolerance is None:
         tolerance = 1e-10 * d
     found = np.argwhere(np.abs(pauli_coefficients(U)) > tolerance).tolist()

@@ -185,6 +185,9 @@ class TestMirrorCondition:
             check_mirror_condition(ChainSpec((1.0, 2.0), (0.0,) * 3), MIRROR_TIME)
         with pytest.raises(ValueError):
             check_mirror_condition(ChainSpec((-1.0,), (0.0, 0.0)), MIRROR_TIME)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                check_mirror_condition(ChainSpec.engineered(3), tau)
 
     def test_report_round_trips_to_json(self):
         rep = check_mirror_condition(ChainSpec.engineered(3), MIRROR_TIME)

@@ -425,14 +425,17 @@ GRAPE_X = ["grape", "--system", "{system}", "--target-gate", "X", "--pulse-csv",
         (["transfer", "--engineered", "3", "--site", "1", "--min-fidelity", "nan"],
          "--min-fidelity"),
         (["spectrum", "--engineered", "3", "--tau", "nan"], "--tau"),
+        (["decompose", "--unitary", "{nan_unitary}"], "unitary"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
     paths = {
         "system": write_json(tmp_path / "sys.json", ONE_SPIN),
         "nan_system": write_json(tmp_path / "nan.json", {**ONE_SPIN, "shifts_hz": [math.nan]}),
+        "nan_unitary": str(tmp_path / "nan.npy"),
         "csv": str(tmp_path / "p.csv"),
     }
+    np.save(paths["nan_unitary"], np.full((4, 4), np.nan))
     argv = [a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -494,10 +497,8 @@ def test_module_entry_outputs_are_byte_identical(tmp_path):
     first, second = (p.read_bytes() for p in paths)
     assert first == second
     assert first.endswith(b"\n")
-    # The flag naming the default chain strategy changes nothing.
-    out = tmp_path / "auto.json"
-    assert main(["decompose", "--engineered", "4", "--auto-chain", "-o", str(out)]) == 0
-    assert out.read_bytes() == first
+    # The automatic chain is the only strategy; there is no flag to name it.
+    assert main(["decompose", "--engineered", "4", "--auto-chain"]) == 2
 
 
 def test_thread_count_override(tmp_path):

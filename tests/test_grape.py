@@ -4,7 +4,9 @@ The slow full-size optimizations live in the acceptance suite; here the
 instances are kept small enough to run in seconds.
 """
 
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -41,6 +43,83 @@ THREE_SPIN = NmrSystemSpec(
     channels=((1, 2), (3,)),
     weights=(1.0, 0.94),
 )
+
+SPECS = (SINGLE_SPIN, TWO_SPIN_10HZ, THREE_SPIN)
+SCALES = ((1.0,), (0.9, 1.0, 1.1))
+
+DEMO_THREE_SPIN = pathlib.Path(__file__).resolve().parents[1] / "demos/specs/nmr_three_spin.json"
+
+
+def random_unitary(rng, d):
+    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(M)[0]
+
+
+# Reference: one eigh and one Python loop per step, and a sum over every
+# (step, channel, x/y) gradient component, as the package computed them
+# before the batched kernel.
+
+def reference_gamma(evals, dt):
+    ph = np.exp(-1j * dt * evals)
+    num = np.subtract.outer(ph, ph)
+    den = np.subtract.outer(evals, evals)
+    small = np.abs(den) < 1e-12
+    return np.where(small, -1j * dt * ph[:, None], num / np.where(small, 1.0, den))
+
+
+def reference_propagate(spec, pulse):
+    Hd = drift_hamiltonian(spec)
+    ops = control_operators(spec)
+    U = np.eye(Hd.shape[0], dtype=complex)
+    for t in range(pulse.n_steps):
+        H = Hd.copy()
+        for c, (cx, cy) in enumerate(ops):
+            H += pulse.amplitudes[t, c, 0] * cx + pulse.amplitudes[t, c, 1] * cy
+        evals, Q = np.linalg.eigh(H)
+        U = (Q * np.exp(-1j * pulse.dt * evals)) @ Q.conj().T @ U
+    return U
+
+
+def reference_phi_and_grad(spec, target, u, dt, scales):
+    Hd = drift_hamiltonian(spec)
+    ops = control_operators(spec)
+    d = Hd.shape[0]
+    T = u.shape[0]
+    Vh = target.conj().T
+    phi_total = 0.0
+    grad_total = np.zeros_like(u)
+    for s in scales:
+        eigs = []
+        Us = []
+        for t in range(T):
+            H = Hd.copy()
+            for c, (cx, cy) in enumerate(ops):
+                H += s * (u[t, c, 0] * cx + u[t, c, 1] * cy)
+            evals, Q = np.linalg.eigh(H)
+            eigs.append((evals, Q))
+            Us.append((Q * np.exp(-1j * dt * evals)) @ Q.conj().T)
+        F = [np.eye(d, dtype=complex)]
+        for t in range(T):
+            F.append(Us[t] @ F[-1])
+        B = [np.eye(d, dtype=complex) for _ in range(T + 2)]
+        for t in range(T, 0, -1):
+            B[t] = B[t + 1] @ Us[t - 1]
+        z = complex(np.trace(Vh @ F[T]))
+        phi_total += abs(z) / d
+        if abs(z) > 1e-15:
+            zbar = z.conjugate()
+            for t in range(T):
+                evals, Q = eigs[t]
+                Qh = Q.conj().T
+                gamma = reference_gamma(evals, dt)
+                P = (Qh @ (F[t] @ Vh @ B[t + 2]) @ Q).T
+                for c, (cx, cy) in enumerate(ops):
+                    for xy, E in ((0, cx), (1, cy)):
+                        G = Qh @ E @ Q
+                        dz = s * complex(np.sum(P * (gamma * G)))
+                        grad_total[t, c, xy] += (zbar * dz).real / (abs(z) * d)
+    k = float(len(scales))
+    return phi_total / k, grad_total / k
 
 
 class TestSystemSpec:
@@ -114,6 +193,9 @@ class TestPulseSequence:
             PulseSequence(1e-4, np.zeros((3, 1)))
         with pytest.raises(ValueError):
             PulseSequence(1e-4, np.full((3, 1, 2), np.nan))
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be"):
+                PulseSequence(dt, np.zeros((3, 1, 2)))
 
     def test_properties(self):
         pulse = PulseSequence(2e-3, np.zeros((25, 2, 2)))
@@ -185,50 +267,68 @@ class TestFidelityAndGradient:
 
     def test_gradient_matches_finite_differences(self):
         # exact divided-difference gradient vs central differences
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        V, _ = np.linalg.qr(M)
-        u = rng.standard_normal((4, 2, 2)) * 200.0
-        dt = 2e-4
-        h = 1e-4
-        phi, grad = mean_fidelity_and_gradient(THREE_SPIN, V, u, dt, (1.0,))
-        assert 0.0 < phi < 1.0
-        worst = 0.0
-        for t in range(4):
-            for c in range(2):
-                for xy in range(2):
-                    up = u.copy()
-                    up[t, c, xy] += h
-                    um = u.copy()
-                    um[t, c, xy] -= h
-                    fp, _ = mean_fidelity_and_gradient(THREE_SPIN, V, up, dt, (1.0,))
-                    fm, _ = mean_fidelity_and_gradient(THREE_SPIN, V, um, dt, (1.0,))
-                    fd = (fp - fm) / (2 * h)
-                    denom = max(abs(fd), abs(grad[t, c, xy]), 1e-12)
-                    worst = max(worst, abs(fd - grad[t, c, xy]) / denom)
-        assert worst <= 1e-5
+        for spec, scales in itertools.product(SPECS, SCALES):
+            rng = np.random.default_rng(3)
+            V = random_unitary(rng, 2 ** spec.n_spins)
+            u = rng.standard_normal((4, spec.n_channels, 2)) * 200.0
+            dt = 2e-4
+            h = 1e-4
+            phi, grad = mean_fidelity_and_gradient(spec, V, u, dt, scales)
+            assert 0.0 < phi < 1.0
+            worst = 0.0
+            for t in range(4):
+                for c in range(spec.n_channels):
+                    for xy in range(2):
+                        up = u.copy()
+                        up[t, c, xy] += h
+                        um = u.copy()
+                        um[t, c, xy] -= h
+                        fp, _ = mean_fidelity_and_gradient(spec, V, up, dt, scales)
+                        fm, _ = mean_fidelity_and_gradient(spec, V, um, dt, scales)
+                        fd = (fp - fm) / (2 * h)
+                        denom = max(abs(fd), abs(grad[t, c, xy]), 1e-12)
+                        worst = max(worst, abs(fd - grad[t, c, xy]) / denom)
+            assert worst <= 1e-5, (spec, scales)
 
     def test_gradient_with_rf_scales_is_the_scale_average(self):
-        rng = np.random.default_rng(53)
-        M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        V, _ = np.linalg.qr(M)
-        u = rng.standard_normal((3, 2, 2)) * 150.0
-        dt = 2e-4
-        scales = (0.9, 1.0, 1.1)
-        phi, grad = mean_fidelity_and_gradient(THREE_SPIN, V, u, dt, scales)
-        phis, grads = zip(
-            *(mean_fidelity_and_gradient(THREE_SPIN, V, u * 1.0, dt, (s,))
-              for s in scales)
-        )
-        # each scale-s term equals the plain objective at scaled amplitudes
-        for s, p in zip(scales, phis):
-            Us = propagate(THREE_SPIN, PulseSequence(dt, s * u))
-            assert p == pytest.approx(fidelity_hs(V, Us), abs=1e-12)
-        assert phi == pytest.approx(sum(phis) / 3.0, abs=1e-12)
-        # chain rule: d/du of the scale-s term carries a factor s handled
-        # inside; the average must match
-        avg = sum(np.asarray(g) for g in grads) / 3.0
-        assert np.abs(grad - avg).max() < 1e-12
+        for spec in SPECS:
+            rng = np.random.default_rng(53)
+            V = random_unitary(rng, 2 ** spec.n_spins)
+            u = rng.standard_normal((3, spec.n_channels, 2)) * 150.0
+            dt = 2e-4
+            scales = (0.9, 1.0, 1.1)
+            phi, grad = mean_fidelity_and_gradient(spec, V, u, dt, scales)
+            phis, grads = zip(
+                *(mean_fidelity_and_gradient(spec, V, u * 1.0, dt, (s,))
+                  for s in scales)
+            )
+            # each scale-s term equals the plain objective at scaled amplitudes
+            for s, p in zip(scales, phis):
+                Us = propagate(spec, PulseSequence(dt, s * u))
+                assert p == pytest.approx(fidelity_hs(V, Us), abs=1e-12)
+            assert phi == pytest.approx(sum(phis) / 3.0, abs=1e-12)
+            # chain rule: d/du of the scale-s term carries a factor s handled
+            # inside; the average must match
+            avg = sum(np.asarray(g) for g in grads) / 3.0
+            assert np.abs(grad - avg).max() < 1e-12
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["one", "two", "three"])
+    @pytest.mark.parametrize("scales", SCALES, ids=["plain", "robust"])
+    def test_batched_kernel_matches_per_step_reference(self, spec, scales):
+        rng = np.random.default_rng(54)
+        V = random_unitary(rng, 2 ** spec.n_spins)
+        u = rng.uniform(-300.0, 300.0, (7, spec.n_channels, 2))
+        u[2] = 0.0  # a drift-only step has degenerate eigenvalues
+        dt = 1e-3
+        for s in scales:
+            pulse = PulseSequence(dt, s * u)
+            want = reference_propagate(spec, pulse)
+            assert np.abs(propagate(spec, pulse) - want).max() <= 1e-12
+        phi, grad = mean_fidelity_and_gradient(spec, V, u, dt, scales)
+        phi_ref, grad_ref = reference_phi_and_grad(spec, V, u, dt, scales)
+        assert 0.0 < phi < 1.0
+        assert abs(phi - phi_ref) <= 1e-12
+        assert np.abs(grad - grad_ref).max() <= 1e-12
 
 
 class TestOptimizer:
@@ -251,6 +351,25 @@ class TestOptimizer:
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be .*finite"):
                 GrapeConfig(**kwargs)
+        for bad in (dict(steps=2.5), dict(max_iterations=-3)):
+            kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+                GrapeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "scales, iterations, fidelity",
+        [((1.0,), 66, 0.9950200784844977), ((0.95, 1.0, 1.05), 127, 0.9950048758627309)],
+    )
+    def test_demo_three_spin_runs_are_pinned(self, scales, iterations, fidelity):
+        # iteration counts and fidelities of the per-step reference on the
+        # exp(-i 0.47 YXZ) compile of demo 04
+        system = NmrSystemSpec.load(str(DEMO_THREE_SPIN))
+        target = math.cos(0.47) * np.eye(8) - 1j * math.sin(0.47) * pauli_matrix(P("YXZ"))
+        cfg = GrapeConfig(steps=50, dt=1e-3, amp_max_hz=500.0, stop_fidelity=0.995,
+                          seed=3, rf_scales=scales)
+        res = grape_optimize(system, target, cfg)
+        assert res.iterations == iterations
+        assert abs(res.fidelity - fidelity) <= 1e-12
 
     def test_identity_target_zero_init(self):
         cfg = GrapeConfig(steps=4, dt=1e-4, amp_max_hz=500.0, init="zero",

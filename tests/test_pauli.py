@@ -251,8 +251,9 @@ class TestSupportGroup:
         assert set(support_group(U)) == {PauliString("II"), PauliString("ZZ")}
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            support_group(np.ones((4, 4), dtype=complex))
+        for bad in (np.ones((4, 4)), np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
+            with pytest.raises(ValueError, match="not a finite unitary"):
+                support_group(bad.astype(complex))
 
     def test_random_products(self):
         rng = np.random.default_rng(9)
