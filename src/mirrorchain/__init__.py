@@ -40,6 +40,7 @@ _EXPORTS = {
     "BELL_KINDS": ".states",
     "basis_index": ".states",
     "bit_label": ".states",
+    "excitation_numbers": ".states",
     "basis_ket": ".states",
     "bell_state": ".states",
     "mirror_permutation": ".states",
@@ -52,9 +53,12 @@ _EXPORTS = {
     "SpectralReport": ".chain",
     "MIRROR_TIME": ".chain",
     "engineered_couplings": ".chain",
+    "excitation_sectors": ".chain",
+    "sector_hamiltonians": ".chain",
     "build_hamiltonian": ".chain",
     "single_excitation_matrix": ".chain",
     "propagator": ".chain",
+    "SectorPropagator": ".chain",
     "chain_propagator": ".chain",
     "evolve": ".chain",
     "check_mirror_condition": ".chain",

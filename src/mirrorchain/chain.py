@@ -5,13 +5,24 @@ The chain Hamiltonian is
     H = (1/2) sum_i J_i (X_i X_{i+1} + Y_i Y_{i+1})
       + (1/2) sum_i h_i (Z_i + 1),
 
-which conserves the number of '1' labels.  Its one-excitation block, in the
-basis |i> = '0...010...0' with the 1 at site i, is the real tridiagonal
-matrix with diagonal h and off-diagonal J.  For the engineered couplings
-J_i = sqrt(i (N - i)) and h = 0 that block is twice the angular-momentum
-operator Jx of a spin (N-1)/2, so its spectrum is the integer ladder
--(N-1), -(N-3), ..., N-1, and evolution for time tau = pi/2 swaps site i
-with site N+1-i in every excitation sector at once.
+which conserves the number k of '1' labels, so it is block diagonal over
+the N+1 excitation sectors, sector k holding the C(N, k) basis states
+with k excitations.  Each block is built by bit-flip indexing: the hopping
+term maps a basis state to the one with sites i and i+1 exchanged, with
+amplitude J_i, wherever the two sites differ, and the field adds h_i on
+every excited site.  `chain_propagator` exponentiates each block on its
+own, so its cost is sum_k C(N, k)^3 rather than (2^N)^3, and returns a
+:class:`SectorPropagator` that evolves kets and matrices block by block,
+skipping the blocks of the input that are all zero.  Dense 2^N matrices
+are assembled from the blocks only on request.
+
+The one-excitation block, in the basis |i> = '0...010...0' with the 1 at
+site i, is the real tridiagonal matrix with diagonal h and off-diagonal J.
+For the engineered couplings J_i = sqrt(i (N - i)) and h = 0 that block is
+twice the angular-momentum operator Jx of a spin (N-1)/2, so its spectrum
+is the integer ladder -(N-1), -(N-3), ..., N-1, and evolution for time
+tau = pi/2 swaps site i with site N+1-i in every excitation sector at
+once, each sector with its own phase.
 
 The mirror condition is checked spectrally: with R the site-reversal
 permutation, exp(-i H1 tau) = e^{i phi0} R exactly when every
@@ -28,15 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES, PauliString, pauli_matrix
-from .states import QuantumState
+from .pauli import MAX_DENSE_SITES
+from .states import QuantumState, excitation_numbers
 
 __all__ = [
     "ChainSpec",
     "engineered_couplings",
+    "excitation_sectors",
+    "sector_hamiltonians",
     "build_hamiltonian",
     "single_excitation_matrix",
     "propagator",
+    "SectorPropagator",
     "chain_propagator",
     "evolve",
     "SpectralReport",
@@ -140,34 +154,48 @@ class ChainSpec:
             return cls.from_json(json.load(fh))
 
 
-def _two_site_word(n: int, i: int, letter: str) -> PauliString:
-    letters = ["I"] * n
-    letters[i - 1] = letter
-    letters[i] = letter
-    return PauliString("".join(letters))
+def excitation_sectors(n_sites: int) -> tuple[np.ndarray, ...]:
+    """The basis indices of each excitation sector k = 0 .. N, ascending."""
+    k = excitation_numbers(n_sites)
+    return tuple(np.flatnonzero(k == m) for m in range(n_sites + 1))
+
+
+def sector_hamiltonians(spec: ChainSpec) -> tuple[np.ndarray, ...]:
+    """The real symmetric block of H on each excitation sector.
+
+    Block k is indexed by `excitation_sectors(N)[k]`.  Site i sits at bit
+    N-i of a basis index, and a 0 bit is an excited ('1') site.  A hop
+    keeps the sector, so its target is found in the same sorted indices.
+    """
+    n = spec.n_sites
+    if n > MAX_DENSE_SITES:
+        raise ValueError(f"{n} sites exceeds the dense cap of {MAX_DENSE_SITES}")
+    blocks = []
+    for idx in excitation_sectors(n):
+        H = np.zeros((len(idx), len(idx)))
+        cols = np.arange(len(idx))
+        for i, J in enumerate(spec.couplings, start=1):
+            hop = ((idx >> (n - i)) ^ (idx >> (n - i - 1))) & 1 == 1
+            H[np.searchsorted(idx, idx[hop] ^ (3 << (n - i - 1))), cols[hop]] += J
+        for i, h in enumerate(spec.fields, start=1):
+            excited = cols[(idx >> (n - i)) & 1 == 0]
+            H[excited, excited] += h
+        blocks.append(H)
+    return tuple(blocks)
+
+
+def _assemble(sectors: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The dense 2^N matrix with the given block on each sector."""
+    d = sum(len(idx) for idx in sectors)
+    M = np.zeros((d, d), dtype=np.result_type(*blocks))
+    for idx, B in zip(sectors, blocks):
+        M[np.ix_(idx, idx)] = B
+    return M
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense 2^N x 2^N chain Hamiltonian (real, symmetric)."""
-    n = spec.n_sites
-    if n > MAX_DENSE_SITES:
-        raise ValueError(f"{n} sites exceeds the dense cap of {MAX_DENSE_SITES}")
-    d = 1 << n
-    H = np.zeros((d, d), dtype=complex)
-    for i, J in enumerate(spec.couplings, start=1):
-        if J == 0.0:
-            continue
-        H += (0.5 * J) * (
-            pauli_matrix(_two_site_word(n, i, "X"))
-            + pauli_matrix(_two_site_word(n, i, "Y"))
-        )
-    for i, h in enumerate(spec.fields, start=1):
-        if h == 0.0:
-            continue
-        letters = ["I"] * n
-        letters[i - 1] = "Z"
-        H += (0.5 * h) * (pauli_matrix(PauliString("".join(letters))) + np.eye(d))
-    return H.real
+    return _assemble(excitation_sectors(spec.n_sites), sector_hamiltonians(spec))
 
 
 def single_excitation_matrix(spec: ChainSpec) -> np.ndarray:
@@ -189,14 +217,68 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
     return (evecs * phases) @ evecs.conj().T
 
 
-def chain_propagator(spec: ChainSpec, tau: float) -> np.ndarray:
-    """Full-register propagator exp(-i H tau) of the chain."""
-    return propagator(build_hamiltonian(spec), tau)
+@dataclass(frozen=True, eq=False)
+class SectorPropagator:
+    """A chain propagator as one unitary block per excitation sector.
+
+    blocks[k] acts on the basis indices sectors[k], k = 0 .. N.
+    """
+
+    sectors: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.sectors) - 1
+
+    def dense(self) -> np.ndarray:
+        """The full 2^N x 2^N unitary."""
+        return _assemble(self.sectors, self.blocks)
+
+    def entries(self, rows: np.ndarray) -> np.ndarray:
+        """U[rows[j], j] for every basis index j; rows must keep sectors."""
+        out = np.empty(len(rows), dtype=complex)
+        for idx, U in zip(self.sectors, self.blocks):
+            out[idx] = U[np.searchsorted(idx, rows[idx]), np.arange(len(idx))]
+        return out
+
+    def evolve(self, data: np.ndarray) -> np.ndarray:
+        """U psi for a ket, U rho U^dag for a matrix, block by block.
+
+        Sector blocks of the input that are all zero are skipped: a ket
+        touches only the sectors it occupies, and a matrix only its
+        nonzero (k, l) blocks, each mapped to U_k rho_kl U_l^dag.
+        """
+        data = np.asarray(data, dtype=complex)
+        d = 1 << self.n_sites
+        out = np.zeros_like(data)
+        if data.shape == (d,):
+            for idx, U in zip(self.sectors, self.blocks):
+                if (v := data[idx]).any():
+                    out[idx] = U @ v
+            return out
+        if data.shape != (d, d):
+            raise ValueError(f"state shape {data.shape} does not match {self.n_sites} sites")
+        daggers = [U.conj().T for U in self.blocks]
+        for rows, U in zip(self.sectors, self.blocks):
+            band = data[rows]
+            for cols, V in zip(self.sectors, daggers):
+                if (block := band[:, cols]).any():
+                    out[np.ix_(rows, cols)] = U @ block @ V
+        return out
 
 
-def evolve(state: QuantumState, U: np.ndarray) -> QuantumState:
+def chain_propagator(spec: ChainSpec, tau: float) -> SectorPropagator:
+    """exp(-i H tau) of the chain, one `propagator` call per sector."""
+    return SectorPropagator(
+        excitation_sectors(spec.n_sites),
+        tuple(propagator(H, tau) for H in sector_hamiltonians(spec)),
+    )
+
+
+def evolve(state: QuantumState, U: np.ndarray | SectorPropagator) -> QuantumState:
     """Apply a unitary: kets map to U|psi>, matrices to U rho U^dag."""
-    if U.shape[0] != state.data.shape[0]:
+    if isinstance(U, np.ndarray) and U.shape[0] != state.data.shape[0]:
         raise ValueError(
             f"unitary dimension {U.shape[0]} does not match state "
             f"dimension {state.data.shape[0]}"

@@ -135,11 +135,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if not spec.is_engineered:
             raise ValueError("--closed-form only matches engineered couplings")
         dec, trace = closed_form(spec.n_sites), None
-        U = chain_propagator(spec, MIRROR_TIME) if spec.n_sites <= MAX_DENSE_SITES else None
+        U = chain_propagator(spec, MIRROR_TIME).dense() if spec.n_sites <= MAX_DENSE_SITES else None
     else:
         if spec is not None:
             tau = MIRROR_TIME if args.tau is None else args.tau
-            U = chain_propagator(spec, tau)
+            U = chain_propagator(spec, tau).dense()
             source["tau"] = tau
         try:
             dec, trace = decompose(U)

@@ -33,6 +33,7 @@ indexed ``[x, z]`` by a word's bit masks with site 1 at the most significant bit
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -110,12 +111,16 @@ class ProductDecomposition:
             "factors",
             tuple((w, float(a)) for w, a in self.factors),
         )
-        for word, _ in self.factors:
+        for word, angle in self.factors:
             if word.n_sites != self.n_sites:
                 raise ValueError(f"factor word {word} does not have {self.n_sites} sites")
             if word.is_identity:
                 raise ValueError("factor words must be non-identity")
+            if not math.isfinite(angle):
+                raise ValueError(f"factor {word} angle must be finite, got {angle!r}")
         phase = complex(self.global_phase)
+        if not cmath.isfinite(phase):
+            raise ValueError(f"global_phase must be finite, got {phase!r}")
         if abs(abs(phase) - 1.0) > 1e-9:
             raise ValueError("global phase must have unit modulus")
         object.__setattr__(self, "global_phase", phase / abs(phase))
@@ -249,13 +254,18 @@ def _sinusoid(A: float, B: float, W: float, t: float) -> float:
 
 
 def _stationary_angle(A: float, B: float, W: float) -> tuple[float, float]:
-    """Best angle in (-pi/2, pi/2] for A cos^2 + B sin^2 + W sin(2 theta).
+    """Best angle in [-pi/2, pi/2) for A cos^2 + B sin^2 + W sin(2 theta).
 
     Returns (theta, value).  Both stationary branches are compared on the
-    realized value; exact ties go to the smaller |theta|.
+    realized value; exact ties go to the smaller |theta|.  A W within
+    STALL_TOL of zero counts as zero, so a half turn is always -pi/2:
+    +-pi/2 give the same factor up to a global sign, and the sign of a W
+    at rounding level must not choose between them.
     """
     if math.hypot(0.5 * (A - B), W) < STALL_TOL:
         return 0.0, _sinusoid(A, B, W, 0.0)
+    if abs(W) <= STALL_TOL and A < B:
+        return -math.pi / 2.0, _sinusoid(A, B, W, -math.pi / 2.0)
     theta = 0.5 * math.atan2(W, 0.5 * (A - B))
     other = theta - math.pi / 2.0 if theta > 0.0 else theta + math.pi / 2.0
     cands = [
@@ -461,10 +471,10 @@ def decompose(
     the top group or every descent stalls.
     """
     U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.size == 0 or U.shape[0] & (U.shape[0] - 1):
+        raise ValueError(f"unitary must be a non-empty 2^n x 2^n matrix, got shape {U.shape}")
     d = U.shape[0]
-    n = int(d).bit_length() - 1
-    if U.shape != (d, d) or d != 1 << n:
-        raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
+    n = d.bit_length() - 1
     if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
         raise ValueError("input matrix is not a finite unitary")
 

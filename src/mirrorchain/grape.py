@@ -336,8 +336,10 @@ class GrapeConfig:
             raise ValueError("dt and amp_max_hz must be positive")
         if self.init not in ("random", "zero"):
             raise ValueError("init must be 'random' or 'zero'")
-        if not self.rf_scales or not all(map(math.isfinite, self.rf_scales)):
-            raise ValueError(f"rf_scales must be nonempty and finite, got {self.rf_scales!r}")
+        if not self.rf_scales or not all(math.isfinite(s) and s > 0.0 for s in self.rf_scales):
+            raise ValueError(
+                f"rf_scales must be nonempty, positive and finite, got {self.rf_scales!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ __all__ = [
     "basis_index",
     "basis_ket",
     "bit_label",
+    "excitation_numbers",
     "mirror_permutation",
     "bell_state",
     "BELL_KINDS",
@@ -64,13 +65,20 @@ def basis_ket(bits: str) -> np.ndarray:
     return ket
 
 
+def excitation_numbers(n_sites: int) -> np.ndarray:
+    """k[j] = number of '1' sites in the label of basis index j."""
+    j = np.arange(1 << n_sites)
+    return n_sites - sum((j >> b) & 1 for b in range(n_sites))
+
+
 def mirror_permutation(n_sites: int) -> np.ndarray:
-    """perm[j] = index whose bit label is the site-reversal of label j."""
-    d = 1 << n_sites
-    perm = np.empty(d, dtype=np.int64)
-    for j in range(d):
-        perm[j] = basis_index(bit_label(j, n_sites)[::-1])
-    return perm
+    """perm[j] = index whose bit label is the site-reversal of label j.
+
+    Site i sits at bit N-i of the index, so reversing the sites reverses
+    the bits of the index.
+    """
+    j = np.arange(1 << n_sites, dtype=np.int64)
+    return sum(((j >> b) & 1) << (n_sites - 1 - b) for b in range(n_sites))
 
 
 def single_qubit_state(a0: complex, a1: complex) -> np.ndarray:
@@ -144,19 +152,28 @@ def embed_operator(
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_sites: int) -> np.ndarray:
-    """Reduced matrix on the (1-based, ascending) `keep` sites."""
+    """Reduced matrix on the (1-based, ascending) `keep` sites.
+
+    `rho` is a density matrix, or a ket psi standing for |psi><psi|; a ket
+    is reduced from its amplitudes without forming the projector.
+    """
     d = 1 << n_sites
-    if rho.shape != (d, d):
+    if rho.shape not in ((d,), (d, d)):
         raise ValueError(f"density matrix shape {rho.shape} does not match {n_sites} sites")
     if sorted(set(keep)) != list(keep) or not all(1 <= s <= n_sites for s in keep):
         raise ValueError(f"keep sites {keep!r} must be distinct, ascending, within 1..{n_sites}")
+    dk = 1 << len(keep)
+    if rho.ndim == 1:
+        # Kept sites become rows, the rest columns: rho_keep = M M^dag.
+        M = np.moveaxis(rho.reshape((2,) * n_sites), [s - 1 for s in keep],
+                        range(len(keep))).reshape((dk, -1))
+        return M @ M.conj().T
     tensor = rho.reshape((2,) * (2 * n_sites))
     drop = [s for s in range(1, n_sites + 1) if s not in keep]
     # Trace out highest-numbered sites first so remaining axis numbers stay valid.
     for s in sorted(drop, reverse=True):
         ax = s - 1
         tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
-    dk = 1 << len(keep)
     return tensor.reshape((dk, dk))
 
 
@@ -207,7 +224,20 @@ class QuantumState:
             return np.outer(self.data, self.data.conj())
         return self.data
 
-    def evolved(self, U: np.ndarray) -> "QuantumState":
-        if self.kind == "pure":
-            return QuantumState("pure", U @ self.data)
-        return QuantumState(self.kind, U @ self.data @ U.conj().T)
+    def evolved(self, U) -> "QuantumState":
+        """The state after the unitary U: a dense matrix, or a propagator
+        with an `evolve(data)` method such as a chain's SectorPropagator.
+
+        Not validated again: unitary evolution preserves the norm, trace,
+        Hermiticity and spectrum that construction checked.
+        """
+        if hasattr(U, "evolve"):
+            data = U.evolve(self.data)
+        elif self.kind == "pure":
+            data = U @ self.data
+        else:
+            data = U @ self.data @ U.conj().T
+        out = object.__new__(QuantumState)
+        object.__setattr__(out, "kind", self.kind)
+        object.__setattr__(out, "data", data)
+        return out

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MIRROR_TIME, ChainSpec, chain_propagator
+from .chain import (
+    MIRROR_TIME,
+    ChainSpec,
+    SectorPropagator,
+    chain_propagator,
+    excitation_sectors,
+)
 from .pauli import PauliString, pauli_matrix
 from .states import (
     BELL_KINDS,
@@ -35,6 +41,7 @@ from .states import (
     bit_label,
     embed_at,
     embed_operator,
+    excitation_numbers,
     mirror_permutation,
     partial_trace,
 )
@@ -86,19 +93,27 @@ class SectorPhaseTable:
         }
 
 
-def sector_phases(U: np.ndarray, n_sites: int) -> SectorPhaseTable:
+def sector_phases(
+    U: np.ndarray | SectorPropagator, n_sites: int
+) -> SectorPhaseTable:
     """Measure the per-sector phases of a mirror propagator.
 
+    `U` is a dense 2^N unitary or a chain's :class:`SectorPropagator`.
     Validates that every computational basis state maps to its site
     reversal up to a unit phase and that all states with the same
     excitation count share that phase; offenders are listed in the error.
     """
     d = 1 << n_sites
-    if U.shape != (d, d):
-        raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
     perm = mirror_permutation(n_sites)
-    amps = U[perm, np.arange(d)]
-    bad = [bit_label(j, n_sites) for j in range(d) if abs(abs(amps[j]) - 1.0) > SECTOR_TOL]
+    if isinstance(U, SectorPropagator):
+        if U.n_sites != n_sites:
+            raise ValueError(f"propagator over {U.n_sites} sites does not match {n_sites} sites")
+        amps = U.entries(perm)
+    elif U.shape != (d, d):
+        raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
+    else:
+        amps = U[perm, np.arange(d)]
+    bad = [bit_label(j, n_sites) for j in np.flatnonzero(np.abs(np.abs(amps) - 1.0) > SECTOR_TOL)]
     if bad:
         raise ValueError(
             "not a mirror propagator; basis states not mapped to their "
@@ -106,18 +121,17 @@ def sector_phases(U: np.ndarray, n_sites: int) -> SectorPhaseTable:
             + ("..." if len(bad) > 8 else "")
         )
 
-    refs: list[complex | None] = [None] * (n_sites + 1)
-    for j in range(d):
-        k = bit_label(j, n_sites).count("1")
-        p = complex(amps[j])
-        if refs[k] is None:
-            refs[k] = p / abs(p)
-        elif abs(p - refs[k]) > SECTOR_TOL:
-            raise ValueError(
-                f"excitation sector k={k} has inconsistent phases: basis state "
-                f"{bit_label(j, n_sites)} disagrees with the sector reference"
-            )
-    return SectorPhaseTable(n_sites, tuple(refs))  # type: ignore[arg-type]
+    # Each sector's reference is the phase of its lowest basis index.
+    refs = np.array([amps[idx[0]] / abs(amps[idx[0]]) for idx in excitation_sectors(n_sites)])
+    k = excitation_numbers(n_sites)
+    off = np.flatnonzero(np.abs(amps - refs[k]) > SECTOR_TOL)
+    if len(off):
+        j = int(off[0])
+        raise ValueError(
+            f"excitation sector k={k[j]} has inconsistent phases: basis state "
+            f"{bit_label(j, n_sites)} disagrees with the sector reference"
+        )
+    return SectorPhaseTable(n_sites, tuple(refs))
 
 
 def fidelity_metric(rho_th: np.ndarray, rho_ex: np.ndarray) -> float:
@@ -148,9 +162,10 @@ def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     for m in (a, b):
         if np.abs(m - m.conj().T).max() > 1e-8:
             raise ValueError("metric inputs must be Hermitian")
-    t = float(np.trace(a @ b).real)
-    na = float(np.trace(a @ a).real)
-    nb = float(np.trace(b @ b).real)
+    # Tr(a b) = sum_ij conj(a_ij) b_ij for Hermitian a: O(d^2), no product.
+    t = float(np.vdot(a, b).real)
+    na = float(np.vdot(a, a).real)
+    nb = float(np.vdot(b, b).real)
     return t, na, nb
 
 
@@ -213,7 +228,7 @@ def _engineered_reference_phases(n_sites: int) -> tuple[complex, ...]:
 
 def _resolve_chain(
     n_sites: int, spec: ChainSpec | None
-) -> tuple[ChainSpec, np.ndarray]:
+) -> tuple[ChainSpec, SectorPropagator]:
     if spec is None:
         spec = ChainSpec.engineered(n_sites)
     elif spec.n_sites != n_sites:
@@ -221,7 +236,7 @@ def _resolve_chain(
     return spec, chain_propagator(spec, MIRROR_TIME)
 
 
-def _phase_table(U: np.ndarray, n_sites: int) -> SectorPhaseTable | None:
+def _phase_table(U: SectorPropagator, n_sites: int) -> SectorPhaseTable | None:
     try:
         return sector_phases(U, n_sites)
     except ValueError:
@@ -251,9 +266,8 @@ def transfer_single(
     if mode == "pure":
         ket = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
         local = QuantumState("pure", ket / np.linalg.norm(ket))
-        full = QuantumState("pure", embed_at(local.data, (site,), n_sites))
-        out = full.evolved(U)
-        rho_out = partial_trace(out.density(), (mirror,), n_sites)
+        out = U.evolve(embed_at(local.data, (site,), n_sites))
+        rho_out = partial_trace(out, (mirror,), n_sites)
         ratio = (
             table.ratio(1)
             if table is not None
@@ -266,12 +280,16 @@ def transfer_single(
     else:
         dev = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
         local = QuantumState("deviation", dev)
-        full = QuantumState("deviation", embed_operator(local.data, (site,), n_sites))
-        out = full.evolved(U)
-        ref_spec = ChainSpec.engineered(n_sites)
-        U_ref = U if spec.is_engineered else chain_propagator(ref_spec, MIRROR_TIME)
-        rho_th = U_ref @ full.data @ U_ref.conj().T
-        rho_out = partial_trace(out.data, (mirror,), n_sites)
+        full = embed_operator(local.data, (site,), n_sites)
+        out = U.evolve(full)
+        # The reference evolution is the engineered chain's; an engineered
+        # chain is its own reference.
+        rho_th = (
+            out
+            if spec.is_engineered
+            else chain_propagator(ChainSpec.engineered(n_sites), MIRROR_TIME).evolve(full)
+        )
+        rho_out = partial_trace(out, (mirror,), n_sites)
         rho_in = local.data
         # Fidelity on the full register: the transferred coherence carries
         # Z strings over the other spins, invisible to the reduced matrix.
@@ -281,8 +299,8 @@ def transfer_single(
             destination_sites=(mirror,),
             input_matrix=rho_in,
             output_matrix=rho_out,
-            fidelity=fidelity_metric(rho_th, out.data),
-            attenuated_correlation=attenuated_correlation(rho_th, out.data),
+            fidelity=fidelity_metric(rho_th, out),
+            attenuated_correlation=attenuated_correlation(rho_th, out),
             sector_phases=table,
             bell_label=None,
         )
@@ -328,13 +346,10 @@ def transfer_entangled(
     bell = bell_state(bell_kind)
     projector = np.outer(bell, bell.conj())
     if mode == "pure":
-        full = QuantumState("pure", embed_at(bell, (i, j), n_sites))
-        out = full.evolved(U)
-        rho_out = partial_trace(out.density(), dest, n_sites)
+        out = U.evolve(embed_at(bell, (i, j), n_sites))
     else:
-        rho_full = embed_operator(projector, (i, j), n_sites) / (1 << (n_sites - 2))
-        out = QuantumState("mixed", rho_full).evolved(U)
-        rho_out = partial_trace(out.data, dest, n_sites)
+        out = U.evolve(embed_operator(projector, (i, j), n_sites) / (1 << (n_sites - 2)))
+    rho_out = partial_trace(out, dest, n_sites)
 
     rho_th = _expected_bell_output(bell, bell_kind, n_sites, table)
     label = _classify_bell(rho_out)

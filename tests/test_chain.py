@@ -13,10 +13,50 @@ from mirrorchain.chain import (
     chain_propagator,
     check_mirror_condition,
     engineered_couplings,
+    evolve,
     propagator,
     single_excitation_matrix,
 )
-from mirrorchain.states import basis_index, basis_ket, bit_label, mirror_permutation
+from mirrorchain.pauli import PauliString, pauli_matrix
+from mirrorchain.states import (
+    QuantumState,
+    basis_index,
+    basis_ket,
+    bell_state,
+    bit_label,
+    embed_at,
+    embed_operator,
+    mirror_permutation,
+)
+
+
+def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Reference dense Hamiltonian, summed from kron-built Pauli words."""
+    n = spec.n_sites
+    d = 1 << n
+    H = np.zeros((d, d), dtype=complex)
+
+    def word(letters_at: dict) -> np.ndarray:
+        return pauli_matrix(PauliString("".join(letters_at.get(s, "I") for s in range(1, n + 1))))
+
+    for i, J in enumerate(spec.couplings, start=1):
+        H += (0.5 * J) * (word({i: "X", i + 1: "X"}) + word({i: "Y", i + 1: "Y"}))
+    for i, h in enumerate(spec.fields, start=1):
+        H += (0.5 * h) * (word({i: "Z"}) + np.eye(d))
+    return H.real
+
+
+def oracle_chains(n: int, rng: np.random.Generator) -> list:
+    """The engineered chain and a seeded chain with nonzero fields."""
+    return [
+        ChainSpec.engineered(n),
+        ChainSpec(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)),
+    ]
+
+
+def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A + A.conj().T
 
 
 def test_engineered_couplings_values():
@@ -90,6 +130,62 @@ def test_single_excitation_block_matches_dense():
         assert np.allclose(got, single_excitation_matrix(spec), atol=1e-12)
 
 
+def test_sector_hamiltonians_match_kron_oracle():
+    rng = np.random.default_rng(34)
+    for n in range(2, 9):
+        for spec in oracle_chains(n, rng):
+            assert np.abs(build_hamiltonian(spec) - kron_hamiltonian(spec)).max() <= 1e-12
+
+
+def test_sector_propagator_matches_dense_oracle():
+    # blocks, dense assembly and block-wise evolution of kets, deviation
+    # matrices and mixed matrices, at the mirror time and off it
+    rng = np.random.default_rng(35)
+    for n in range(2, 9):
+        d = 1 << n
+        for spec in oracle_chains(n, rng):
+            for tau in (MIRROR_TIME, 0.37):
+                U = propagator(kron_hamiltonian(spec), tau)
+                prop = chain_propagator(spec, tau)
+                assert np.abs(prop.dense() - U).max() <= 1e-12, (n, spec, tau)
+                ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+                for psi in (ket / np.linalg.norm(ket), embed_at(plus, (1,), n)):
+                    assert np.abs(prop.evolve(psi) - U @ psi).max() <= 1e-12
+                traceless = random_hermitian(rng, d)
+                traceless -= np.trace(traceless) / d * np.eye(d)
+                projector = np.outer(bell_state("phi+"), bell_state("phi+").conj())
+                A = random_hermitian(rng, d)
+                mixed = A @ A / np.trace(A @ A).real
+                for rho in (
+                    embed_operator(pauli_matrix(PauliString("X")), (1,), n),
+                    traceless,
+                    embed_operator(projector, (1, 2), n) / (1 << (n - 2)),
+                    mixed,
+                ):
+                    want = U @ rho @ U.conj().T
+                    assert np.abs(prop.evolve(rho) - want).max() <= 1e-12, (n, tau)
+
+
+def test_evolve_takes_sector_and_dense_propagators():
+    spec = ChainSpec((1.0, 0.5, 0.8), (0.2, -0.1, 0.0, 0.4))
+    prop = chain_propagator(spec, 0.37)
+    sx = embed_operator(pauli_matrix(PauliString("X")), (2,), 4)
+    for state in (QuantumState("pure", basis_ket("0100")), QuantumState("deviation", sx)):
+        got = evolve(state, prop)
+        assert got.kind == state.kind
+        assert np.abs(got.data - evolve(state, prop.dense()).data).max() <= 1e-12
+    with pytest.raises(ValueError):
+        evolve(QuantumState("pure", basis_ket("010")), prop)
+
+
+def test_sector_propagator_rejects_mismatched_states():
+    prop = chain_propagator(ChainSpec.engineered(3), MIRROR_TIME)
+    for bad in (np.zeros(4), np.zeros((8, 4)), np.zeros((16, 16))):
+        with pytest.raises(ValueError, match="does not match 3 sites"):
+            prop.evolve(bad)
+
+
 def test_field_offset_keeps_vacuum_static():
     # the (Z_i + 1)/2 form makes the all-'0' label an exact zero mode
     spec = ChainSpec((1.0, 1.0), (0.7, -0.3, 0.7))
@@ -112,7 +208,7 @@ def test_propagator_against_expm():
 
 def test_chain_propagator_is_unitary():
     spec = ChainSpec.engineered(4)
-    U = chain_propagator(spec, 0.37)
+    U = chain_propagator(spec, 0.37).dense()
     assert np.allclose(U @ U.conj().T, np.eye(16), atol=1e-12)
 
 
@@ -128,7 +224,7 @@ def test_engineered_propagator_is_mirror_times_sector_phases():
     # phase that depends only on the excitation number k of the label:
     # p_k = w^k (-1)^(k(k-1)/2) with w = (-i)^(N-1)
     for n in range(2, 7):
-        U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
+        U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
         perm = mirror_permutation(n)
         w = (-1j) ** (n - 1)
         want = np.zeros_like(U)

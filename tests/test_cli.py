@@ -410,6 +410,7 @@ def test_grape_rejects_bad_scale_list(tmp_path, capsys):
 
 
 GRAPE_X = ["grape", "--system", "{system}", "--target-gate", "X", "--pulse-csv", "{csv}"]
+GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
 
 
 @pytest.mark.parametrize(
@@ -426,6 +427,11 @@ GRAPE_X = ["grape", "--system", "{system}", "--target-gate", "X", "--pulse-csv",
          "--min-fidelity"),
         (["spectrum", "--engineered", "3", "--tau", "nan"], "--tau"),
         (["decompose", "--unitary", "{nan_unitary}"], "unitary"),
+        (GRAPE_X + ["--rf-scales", "0"], "rf_scales"),
+        (GRAPE_DEC + ["--target-decomposition", "{nan_angle}"], "angle"),
+        (GRAPE_DEC + ["--target-decomposition", "{inf_phase}"], "global_phase"),
+        (["decompose", "--unitary", "{scalar_unitary}"], "unitary"),
+        (["decompose", "--unitary", "{empty_unitary}"], "unitary"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
@@ -433,9 +439,17 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
         "system": write_json(tmp_path / "sys.json", ONE_SPIN),
         "nan_system": write_json(tmp_path / "nan.json", {**ONE_SPIN, "shifts_hz": [math.nan]}),
         "nan_unitary": str(tmp_path / "nan.npy"),
+        "scalar_unitary": str(tmp_path / "scalar.npy"),
+        "empty_unitary": str(tmp_path / "empty.npy"),
+        "nan_angle": write_json(tmp_path / "nan_angle.json", {
+            "n": 1, "global_phase": [1.0, 0.0], "factors": [{"word": "X", "angle": math.nan}]}),
+        "inf_phase": write_json(tmp_path / "inf_phase.json", {
+            "n": 1, "global_phase": [math.inf, 0.0], "factors": [{"word": "X", "angle": 0.5}]}),
         "csv": str(tmp_path / "p.csv"),
     }
     np.save(paths["nan_unitary"], np.full((4, 4), np.nan))
+    np.save(paths["scalar_unitary"], np.array(1.0))
+    np.save(paths["empty_unitary"], np.zeros((0, 0)))
     argv = [a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err

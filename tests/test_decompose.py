@@ -55,7 +55,7 @@ def random_unitary(rng, d: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def mirror4():
-    return chain_propagator(ChainSpec.engineered(4), MIRROR_TIME)
+    return chain_propagator(ChainSpec.engineered(4), MIRROR_TIME).dense()
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +293,7 @@ class TestDecomposeMirror4:
 
 @pytest.fixture(scope="module")
 def mirror5():
-    return chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
+    return chain_propagator(ChainSpec.engineered(5), MIRROR_TIME).dense()
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +329,7 @@ class TestDecomposeMirror5:
 
 class TestDecomposeGeneral:
     def test_two_site_mirror(self):
-        U2 = chain_propagator(ChainSpec.engineered(2), MIRROR_TIME)
+        U2 = chain_propagator(ChainSpec.engineered(2), MIRROR_TIME).dense()
         dec, _ = decompose(U2)
         assert {w.letters for w in dec.words} == {"XX", "YY"}
         for _, a in dec.factors:
@@ -432,7 +432,7 @@ class TestClosedForm:
 
     def test_matches_propagator_exactly(self):
         for n in range(2, 7):
-            U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
+            U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
             R = reconstruct(closed_form(n))
             assert np.abs(R - U).max() < 1e-7, f"N={n}"
 
@@ -546,7 +546,7 @@ def test_factor_sequence_is_pinned(name):
         spec = ChainSpec.engineered(n)
     else:
         spec = ChainSpec((1.0,) * (n - 1), (0.0,) * n)
-    dec, _ = decompose(chain_propagator(spec, MIRROR_TIME))
+    dec, _ = decompose(chain_propagator(spec, MIRROR_TIME).dense())
     assert [w.letters for w in dec.words] == [w for w, _ in PINNED_FACTORS[name]]
     for (_, got), (_, want) in zip(dec.factors, PINNED_FACTORS[name]):
         assert got == pytest.approx(want, abs=1e-12)

@@ -351,6 +351,9 @@ class TestOptimizer:
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be .*finite"):
                 GrapeConfig(**kwargs)
+        for scales in ((0.0,), (1.0, -0.5)):
+            with pytest.raises(ValueError, match="rf_scales must be .*positive"):
+                GrapeConfig(steps=5, dt=1e-4, amp_max_hz=100.0, rf_scales=scales)
         for bad in (dict(steps=2.5), dict(max_iterations=-3)):
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):

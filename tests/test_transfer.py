@@ -1,21 +1,36 @@
 """Mirror transfer of single-site states and Bell pairs, sector phases,
 and the ensemble fidelity metrics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from mirrorchain.chain import MIRROR_TIME, ChainSpec, chain_propagator
+from mirrorchain.chain import (
+    MIRROR_TIME,
+    ChainSpec,
+    SectorPropagator,
+    chain_propagator,
+    engineered_couplings,
+    excitation_sectors,
+    propagator,
+)
 from mirrorchain.pauli import PauliString, pauli_matrix
 from mirrorchain.states import (
     BELL_KINDS,
     bell_state,
+    bit_label,
+    embed_at,
     embed_operator,
+    excitation_numbers,
+    mirror_permutation,
+    partial_trace,
     single_qubit_state,
 )
 from mirrorchain.transfer import (
     SectorPhaseTable,
+    _expected_bell_output,
     attenuated_correlation,
     fidelity_metric,
     sector_phases,
@@ -23,8 +38,141 @@ from mirrorchain.transfer import (
     transfer_entangled,
     transfer_single,
 )
+from test_chain import kron_hamiltonian, oracle_chains
 
 P = PauliString
+
+
+# ---------------------------------------------------------------------------
+# dense reference: kron-built propagators and full 2^N products
+
+
+@functools.lru_cache(maxsize=None)
+def dense_propagator(spec, tau=MIRROR_TIME):
+    return propagator(kron_hamiltonian(spec), tau)
+
+
+def reference_sector_phases(U, n):
+    """Per-index loop over the dense propagator; None when not a mirror."""
+    perm = mirror_permutation(n)
+    refs = [None] * (n + 1)
+    for j in range(1 << n):
+        p = complex(U[perm[j], j])
+        k = bit_label(j, n).count("1")
+        if abs(abs(p) - 1.0) > 1e-9:
+            return None
+        if refs[k] is None:
+            refs[k] = p / abs(p)
+        elif abs(p - refs[k]) > 1e-9:
+            return None
+    return SectorPhaseTable(n, tuple(refs))
+
+
+def reference_scores(rho_th, rho_ex):
+    """(fidelity metric, attenuated correlation) from trace products."""
+    t = np.trace(rho_th @ rho_ex).real
+    na = np.trace(rho_th @ rho_th).real
+    nb = np.trace(rho_ex @ rho_ex).real
+    return t / math.sqrt(na * nb), t / na
+
+
+def reference_single(n, site, state, mode, spec):
+    U = dense_propagator(spec)
+    table = reference_sector_phases(U, n)
+    mirror = n + 1 - site
+    if mode == "pure":
+        ket = state / np.linalg.norm(state)
+        out = U @ embed_at(ket, (site,), n)
+        rho_out = partial_trace(np.outer(out, out.conj()), (mirror,), n)
+        ratio = table.ratio(1) if table is not None else (-1j) ** (n - 1)
+        ket_th = np.array([ratio * ket[0], ket[1]])
+        return table, rho_out, reference_scores(np.outer(ket_th, ket_th.conj()), rho_out)
+    full = embed_operator(state, (site,), n)
+    out = U @ full @ U.conj().T
+    U_ref = dense_propagator(ChainSpec.engineered(n))
+    rho_th = U_ref @ full @ U_ref.conj().T
+    return table, partial_trace(out, (mirror,), n), reference_scores(rho_th, out)
+
+
+def reference_bell(n, sites, kind, mode, spec):
+    U = dense_propagator(spec)
+    table = reference_sector_phases(U, n)
+    dest = (n + 1 - sites[1], n + 1 - sites[0])
+    bell = bell_state(kind)
+    if mode == "pure":
+        out = U @ embed_at(bell, sites, n)
+        rho_out = partial_trace(np.outer(out, out.conj()), dest, n)
+    else:
+        rho = embed_operator(np.outer(bell, bell.conj()), sites, n) / (1 << (n - 2))
+        rho_out = partial_trace(U @ rho @ U.conj().T, dest, n)
+    rho_th = _expected_bell_output(bell, kind, n, table)
+    return table, rho_out, reference_scores(rho_th, rho_out)
+
+
+def perturbed_chain(n, rng):
+    """Engineered couplings times (1 + 0.05 g), kept palindromic: not a mirror."""
+    g = rng.standard_normal(n)
+    scale = [1.0 + 0.05 * g[min(i, n - 2 - i)] for i in range(n - 1)]
+    return ChainSpec([J * s for J, s in zip(engineered_couplings(n), scale)], (0.0,) * n)
+
+
+def assert_report_matches(rep, reference):
+    table, rho_out, (fidelity, attenuated) = reference
+    assert (rep.sector_phases is None) == (table is None)
+    if table is not None:
+        assert np.abs(np.array(rep.sector_phases.phases) - table.phases).max() <= 1e-12
+    assert np.abs(rep.output_matrix - rho_out).max() <= 1e-12
+    assert abs(rep.fidelity - fidelity) <= 1e-12
+    assert abs(rep.attenuated_correlation - attenuated) <= 1e-12
+
+
+def test_sector_phases_match_dense_oracle():
+    # mirror chains give the loop's table from the sector blocks and from
+    # the dense matrix; every other chain or time is rejected by both
+    rng = np.random.default_rng(36)
+    for n in range(2, 9):
+        for spec in oracle_chains(n, rng) + [perturbed_chain(n, rng)]:
+            for tau in (MIRROR_TIME, 0.37):
+                U = dense_propagator(spec, tau)
+                want = reference_sector_phases(U, n)
+                check_sector_phases(chain_propagator(spec, tau), U, n)
+        # Site reversal times unit phases: one phase per sector is a
+        # mirror, a phase that varies inside a sector is not.
+        R = np.eye(1 << n)[mirror_permutation(n)]
+        k = excitation_numbers(n)
+        sectors = excitation_sectors(n)
+        for phases in (np.exp(1j * rng.uniform(-3, 3, n + 1))[k],
+                       np.exp(1j * rng.uniform(-3, 3, 1 << n))):
+            U = R * phases
+            blocks = tuple(U[np.ix_(idx, idx)] for idx in sectors)
+            check_sector_phases(SectorPropagator(sectors, blocks), U, n)
+
+
+def check_sector_phases(prop, U, n):
+    want = reference_sector_phases(U, n)
+    for given in (prop, U):
+        if want is None:
+            with pytest.raises(ValueError):
+                sector_phases(given, n)
+        else:
+            got = sector_phases(given, n).phases
+            assert np.abs(np.array(got) - want.phases).max() <= 1e-12
+
+
+def test_transfer_reports_match_dense_oracle():
+    # engineered chains, seeded chains with fields (no phase table), and
+    # perturbed chains, whose deviation reference is the engineered chain
+    rng = np.random.default_rng(37)
+    ket = single_qubit_state(0.6, 0.8j)
+    sx = pauli_matrix(P("X"))
+    for n in range(2, 9):
+        for spec in oracle_chains(n, rng) + [perturbed_chain(n, rng)]:
+            for mode, state in (("pure", ket), ("deviation", sx)):
+                rep = transfer_single(n, 1, state, mode=mode, spec=spec)
+                assert_report_matches(rep, reference_single(n, 1, state, mode, spec))
+                for kind in ("phi+", "psi-"):
+                    rep = transfer_entangled(n, (1, 2), kind, mode=mode, spec=spec)
+                    assert_report_matches(rep, reference_bell(n, (1, 2), kind, mode, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +321,7 @@ def test_deviation_transfer_site_one():
 
 def test_deviation_heisenberg_x_to_anti_phase_string():
     # sigma_x on site 1 evolves to Z Z Z Z sigma_x under the 5-site mirror
-    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
+    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME).dense()
     sx_full = embed_operator(pauli_matrix(P("X")), (1,), 5)
     evolved = U @ sx_full @ U.conj().T
     want = pauli_matrix(P("ZZZZX"))
