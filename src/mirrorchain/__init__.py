@@ -31,7 +31,10 @@ _EXPORTS = {
     "pauli_matrix": ".pauli",
     "word_trace": ".pauli",
     "pauli_coefficients": ".pauli",
+    "xz_traces": ".pauli",
+    "update_xz_traces": ".pauli",
     "word_exponential": ".pauli",
+    "apply_word_exponential": ".pauli",
     "group_closure": ".pauli",
     "support_group": ".pauli",
     "maximal_subgroup": ".pauli",

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES
+from .pauli import MAX_DENSE_SITES, _json_int
 from .states import QuantumState, excitation_numbers
 
 __all__ = [
@@ -103,7 +103,8 @@ class ChainSpec:
 
     @property
     def is_engineered(self) -> bool:
-        if any(abs(h) > SYMMETRY_TOL for h in self.fields):
+        """Engineered couplings and zero fields; a single site never is."""
+        if self.n_sites < 2 or any(abs(h) > SYMMETRY_TOL for h in self.fields):
             return False
         ref = engineered_couplings(self.n_sites)
         return all(abs(a - b) <= SYMMETRY_TOL for a, b in zip(self.couplings, ref))
@@ -130,18 +131,19 @@ class ChainSpec:
     def from_json(cls, data: dict) -> "ChainSpec":
         """Parse the chain record; engineered records may omit the arrays."""
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "n")
+            engineered = data.get("engineered", False)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed chain record: {exc}") from exc
-        engineered = bool(data.get("engineered", False))
+        if not isinstance(engineered, bool):
+            raise ValueError(f"malformed chain record: engineered must be true or false, "
+                             f"got {engineered!r}")
         if engineered and "couplings" not in data and "fields" not in data:
             return cls.engineered(n)
         try:
-            couplings = tuple(data["couplings"])
-            fields = tuple(data["fields"])
+            spec = cls(tuple(data["couplings"]), tuple(data["fields"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed chain record: {exc}") from exc
-        spec = cls(couplings, fields)
         if spec.n_sites != n:
             raise ValueError(f"record claims {n} sites but lists {spec.n_sites} fields")
         if engineered and not spec.is_engineered:

@@ -294,10 +294,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         LETTERS,
         PauliGroup,
         PauliString,
+        apply_word_exponential,
         commutes,
         group_closure,
         pauli_matrix,
-        word_exponential,
     )
 
     rng = np.random.default_rng(args.seed)
@@ -344,7 +344,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         n = int(rng.integers(1, 4))
         U = np.eye(1 << n, dtype=complex)
         for _ in range(int(rng.integers(1, 5))):
-            U = U @ word_exponential(random_word(n), float(rng.uniform(-1.4, 1.4)))
+            apply_word_exponential(U, random_word(n), float(rng.uniform(-1.4, 1.4)))
         dec, trace = decompose(U)
         ok = gate_fidelity(reconstruct(dec), U) >= 1.0 - 1e-9
         ok = ok and all(

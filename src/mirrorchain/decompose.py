@@ -27,8 +27,16 @@ so evaluating its exact stationary point per candidate dominates any
 angle grid).  That fallback handles residuals that are already a phase
 times a single coset word.
 
-All weights are slices of one array per residual, ``pauli_coefficients(U) / 2^n``,
-indexed ``[x, z]`` by a word's bit masks with site 1 at the most significant bit.
+All weights are slices of one array per residual, the phase-free traces
+``a[x, z] = Tr(U X^x Z^z) / 2^n`` (``xz_traces(U) / 2^n``), indexed by a
+word's bit masks with site 1 at the most significant bit; a word's
+coefficient differs from its entry only by the phase i^{|x & z|}.  The
+array is transformed once per decomposition and then follows the residual
+factor by factor: ``U exp(+i theta D)`` is a signed column permutation of U
+(``apply_word_exponential``) and the same factor moves ``a`` by one row and
+one column gather (``update_xz_traces``), both in place, so no word matrix
+is built and no dense product runs.  Only the adaptive fallback, which restarts from
+the input, transforms it again.
 """
 
 from __future__ import annotations
@@ -46,11 +54,13 @@ from .pauli import (
     PauliGroup,
     PauliString,
     SubgroupChain,
+    _json_int,
     _pack,
     _popcount,
-    pauli_coefficients,
+    apply_word_exponential,
     support_group,
-    word_exponential,
+    update_xz_traces,
+    xz_traces,
 )
 
 __all__ = [
@@ -111,6 +121,8 @@ class ProductDecomposition:
             "factors",
             tuple((w, float(a)) for w, a in self.factors),
         )
+        if self.n_sites < 1:
+            raise ValueError(f"n must be at least 1, got {self.n_sites!r}")
         for word, angle in self.factors:
             if word.n_sites != self.n_sites:
                 raise ValueError(f"factor word {word} does not have {self.n_sites} sites")
@@ -141,14 +153,15 @@ class ProductDecomposition:
     @classmethod
     def from_json(cls, data: dict) -> "ProductDecomposition":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "n")
             re, im = data["global_phase"]
+            phase = complex(float(re), float(im))
             factors = tuple(
                 (PauliString(f["word"]), float(f["angle"])) for f in data["factors"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed decomposition record: {exc}") from exc
-        return cls(n, factors, complex(re, im))
+        return cls(n, factors, phase)
 
 
 @dataclass(frozen=True)
@@ -185,11 +198,11 @@ class PeelTrace:
         return {"steps": [s.to_json() for s in self.steps]}
 
 
-def _coefficients(U: np.ndarray, n_sites: int) -> np.ndarray:
-    """Normalized coefficient array c[x, z] = Tr(w U) / 2^n of U."""
+def _traces(U: np.ndarray, n_sites: int) -> np.ndarray:
+    """Normalized phase-free trace array a[x, z] = Tr(U X^x Z^z) / 2^n of U."""
     if U.shape != (1 << n_sites,) * 2:
         raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
-    return pauli_coefficients(U) / (1 << n_sites)
+    return xz_traces(U) / (1 << n_sites)
 
 
 def _masks(words: Sequence[PauliString]) -> tuple[np.ndarray, ...]:
@@ -197,19 +210,20 @@ def _masks(words: Sequence[PauliString]) -> tuple[np.ndarray, ...]:
     return tuple(np.array([w.masks for w in words]).T)
 
 
-def _weight(c: np.ndarray, group: PauliGroup) -> float:
-    return float(np.sum(np.abs(c[_masks(group.sorted_elements)]) ** 2))
+def _weight(a: np.ndarray, group: PauliGroup) -> float:
+    return float(np.sum(np.abs(a[_masks(group.sorted_elements)]) ** 2))
 
 
 def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
     """Pauli coefficients c_w = Tr(w U) / 2^n for every word in the group."""
-    c = _coefficients(U, group.n_sites)
-    return {w: complex(c[w.masks]) for w in group}
+    a = _traces(U, group.n_sites)
+    return {w: complex(a[w.masks] * _I_POW[(w.masks[0] & w.masks[1]).bit_count() % 4])
+            for w in group}
 
 
 def group_norm(U: np.ndarray, group: PauliGroup) -> float:
     """Total squared coefficient weight of U inside the group."""
-    return _weight(_coefficients(U, group.n_sites), group)
+    return _weight(_traces(U, group.n_sites), group)
 
 
 def w_value(U: np.ndarray, D: PauliString, child: PauliGroup) -> float:
@@ -220,32 +234,33 @@ def w_value(U: np.ndarray, D: PauliString, child: PauliGroup) -> float:
     """
     if D.n_sites != child.n_sites:
         raise ValueError("word and group site counts differ")
-    _, W = _weight_terms(_coefficients(U, child.n_sites), [D], child)
+    _, W = _weight_terms(_traces(U, child.n_sites), [D], child)
     return float(W[0])
 
 
 def _weight_terms(
-    c: np.ndarray, candidates: Sequence[PauliString], child: PauliGroup
+    a: np.ndarray, candidates: Sequence[PauliString], child: PauliGroup
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(B, W) for every candidate word D, from a normalized coefficient array.
+    """(B, W) for every candidate word D, from a normalized phase-free trace array.
 
-    With D w = i^k m for child words w, B sums |c_m|^2 (the weight of the
-    coset D*child) and W sums Im(i^-k c_w conj(c_m)).  Candidates are taken
-    in blocks of about 2^16 candidate-child pairs, so memory stays bounded.
+    With D = (x1, z1) and child words w = (cx, cz), m = D w has masks
+    (x1 ^ cx, z1 ^ cz).  B sums |a_m|^2 (the weight of the coset D*child)
+    and W sums Im(i^{-|x1 & z1|} (-1)^{|z1 & cx|} a_w conj(a_m)), which is
+    the coefficient form Im(i^-k c_w conj(c_m)) for D w = i^k m with the
+    word phases cancelled.  Candidates are taken in blocks of about 2^16
+    candidate-child pairs, so memory stays bounded.
     """
     cx, cz = _masks(child.sorted_elements)
-    c_w = c[cx, cz]
+    a_w = a[cx, cz]
     dx, dz = _masks(candidates)
     B, W = np.empty(len(dx)), np.empty(len(dx))
     rows = max(1, (1 << 16) // len(cx))
     for lo in range(0, len(dx), rows):
         x1, z1 = dx[lo:lo + rows, None], dz[lo:lo + rows, None]
-        mx, mz = x1 ^ cx, z1 ^ cz
-        k = (_popcount(x1 & z1) + _popcount(cx & cz) - _popcount(mx & mz)
-             + 2 * _popcount(z1 & cx))
-        c_m = c[mx, mz]
-        B[lo:lo + rows] = np.sum(np.abs(c_m) ** 2, axis=1)
-        W[lo:lo + rows] = np.sum((np.take(_I_POW, -k % 4) * c_w * c_m.conj()).imag, axis=1)
+        a_m = a[x1 ^ cx, z1 ^ cz]
+        phase = np.take(_I_POW, -_popcount(x1 & z1) % 4) * (1 - 2 * (_popcount(z1 & cx) & 1))
+        B[lo:lo + rows] = np.sum(np.abs(a_m) ** 2, axis=1)
+        W[lo:lo + rows] = np.sum((phase * a_w * a_m.conj()).imag, axis=1)
     return B, W
 
 
@@ -295,9 +310,9 @@ def optimal_angle(U: np.ndarray, D: PauliString, child: PauliGroup) -> AngleChoi
     """
     if D in child:
         raise ValueError(f"word {D} lies inside the child group")
-    c = _coefficients(U, child.n_sites)
-    A = _weight(c, child)
-    B, W = (float(v[0]) for v in _weight_terms(c, [D], child))
+    a = _traces(U, child.n_sites)
+    A = _weight(a, child)
+    B, W = (float(v[0]) for v in _weight_terms(a, [D], child))
     delta = 0.5 * (A - B)
     if math.hypot(delta, W) < STALL_TOL:
         raise StallError(f"flat weight objective for {D}: W and delta both vanish")
@@ -321,19 +336,30 @@ def peel_level(
     Returns the residual and the steps taken (empty when U already lies
     in the child's span).
     """
+    U = np.array(U, dtype=complex)
+    return _peel_level(U, _traces(U, parent.n_sites), parent, child, level)
+
+
+def _peel_level(
+    U: np.ndarray, a: np.ndarray, parent: PauliGroup, child: PauliGroup, level: int
+) -> tuple[np.ndarray, tuple[PeelStep, ...]]:
+    """:func:`peel_level` on U and its normalized trace array a, both updated in place.
+
+    Each factor moves U and a in O(d^2), so a keeps matching the residual
+    and is never re-transformed.
+    """
     if not child.is_subgroup_of(parent) or len(child) >= len(parent):
         raise ValueError("child must be a strictly smaller subgroup of parent")
     candidates = [e for e in parent.sorted_elements if e not in child.elements]
     steps: list[PeelStep] = []
     max_passes = 4 * len(parent)
-    c = _coefficients(U, parent.n_sites)
-    A = _weight(c, child)
+    A = _weight(a, child)
 
     for _ in range(max_passes):
         if 1.0 - A <= PEEL_TOL:
             return U, tuple(steps)
 
-        Bs, Ws = _weight_terms(c, candidates, child)
+        Bs, Ws = _weight_terms(a, candidates, child)
         best = 0
         for k in range(1, len(Ws)):
             if abs(Ws[k]) > abs(Ws[best]) + STALL_TOL:
@@ -355,9 +381,9 @@ def peel_level(
 
         best_word, best_B, best_W = candidates[best], float(Bs[best]), float(Ws[best])
         theta, predicted = _stationary_angle(A, best_B, best_W)
-        U = U @ word_exponential(best_word, -theta)
-        c = _coefficients(U, parent.n_sites)
-        norm_after = _weight(c, child)
+        apply_word_exponential(U, best_word, -theta)
+        update_xz_traces(a, best_word, -theta)
+        norm_after = _weight(a, child)
         if norm_after < A - 1e-9 or abs(norm_after - predicted) > 1e-8:
             raise DecompositionError(
                 f"level {level} weight bookkeeping diverged: before={A:.12f} "
@@ -383,8 +409,8 @@ def peel_level(
     )
 
 
-def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
-    """The index-two subgroup retaining the largest coefficient weight of U.
+def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
+    """The index-two subgroup retaining the largest weight of the trace array a.
 
     Every maximal subgroup is the kernel of a nonzero F2 functional on the
     group; with rank r there are only 2^r - 1 of them, so they are scanned
@@ -413,8 +439,7 @@ def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
             rank += 1
         coords.append(m)
 
-    weights = (np.abs(pauli_coefficients(U)[_masks(elems)]) ** 2).tolist()
-    scale = 1.0 / (1 << (2 * n))
+    weights = (np.abs(a[_masks(elems)]) ** 2).tolist()
     best_mask = 0
     best_weight = -1.0
     for mask in range(1, 1 << rank):
@@ -422,7 +447,7 @@ def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
             w for w, c in zip(weights, coords) if not (mask & c).bit_count() & 1
         )
         if kept > best_weight:
-            best_mask, best_weight = mask, kept * scale
+            best_mask, best_weight = mask, kept
     return PauliGroup(
         n,
         frozenset(
@@ -433,20 +458,22 @@ def _heaviest_maximal_subgroup(U: np.ndarray, group: PauliGroup) -> PauliGroup:
 
 def _peel_tower(
     U: np.ndarray,
+    a: np.ndarray,
     top: PauliGroup,
     choose_child: Callable[[np.ndarray, PauliGroup], PauliGroup],
 ) -> tuple[np.ndarray, list[PeelStep]]:
-    """Peel from `top` down to the identity, each child named by choose_child(U, parent).
+    """Peel U from `top` to the identity; each child is choose_child(a, parent).
 
-    A failing level re-raises with every step taken so far.
+    U and its trace array a follow the residual in place.  A failing level
+    re-raises with every step taken so far.
     """
     steps: list[PeelStep] = []
     parent = top
     level = 1
     while len(parent) > 1:
-        child = choose_child(U, parent)
+        child = choose_child(a, parent)
         try:
-            U, level_steps = peel_level(U, parent, child, level=level)
+            U, level_steps = _peel_level(U, a, parent, child, level)
         except DecompositionError as exc:
             partial = exc.trace.steps if exc.trace is not None else ()
             raise DecompositionError(
@@ -485,7 +512,8 @@ def decompose(
     elif chain.n_sites != n:
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
-    top_weight = group_norm(U, chain.levels[0])
+    a = _traces(U, n)
+    top_weight = _weight(a, chain.levels[0])
     if 1.0 - top_weight > PEEL_TOL:
         raise DecompositionError(
             f"input carries weight {1.0 - top_weight:.3e} outside the top group",
@@ -495,12 +523,12 @@ def decompose(
     U0 = U
     children = iter(chain.levels[1:])
     try:
-        U, steps = _peel_tower(U0, chain.levels[0], lambda _U, _parent: next(children))
+        U, steps = _peel_tower(U0.copy(), a, chain.levels[0], lambda _a, _parent: next(children))
     except DecompositionError:
         if top is None:
             raise
         # Re-choose each child to keep the most of the residual's weight.
-        U, steps = _peel_tower(U0, top, _heaviest_maximal_subgroup)
+        U, steps = _peel_tower(U0.copy(), _traces(U0, n), top, _heaviest_maximal_subgroup)
 
     phase = complex(np.trace(U)) / d
     phase /= abs(phase)
@@ -509,7 +537,7 @@ def decompose(
     )
     result = ProductDecomposition(n_sites=n, factors=factors, global_phase=phase)
 
-    overlap = complex(np.trace(reconstruct(result).conj().T @ U0)) / d
+    overlap = complex(np.vdot(reconstruct(result), U0)) / d
     if abs(overlap - 1.0) > RECONSTRUCTION_TOL:
         raise DecompositionError(
             f"reconstruction overlap {overlap!r} deviates from unity",
@@ -523,7 +551,7 @@ def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:
     d = 1 << decomposition.n_sites
     out = decomposition.global_phase * np.eye(d, dtype=complex)
     for word, angle in decomposition.factors:
-        out = out @ word_exponential(word, angle)
+        apply_word_exponential(out, word, angle)
     return out
 
 
@@ -531,7 +559,8 @@ def gate_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """|Tr(U^dag V)| / d, the phase-insensitive overlap of two unitaries."""
     if U.shape != V.shape:
         raise ValueError("shape mismatch")
-    return float(abs(np.trace(U.conj().T @ V))) / U.shape[0]
+    # Tr(U^dag V) = sum_ij conj(U_ij) V_ij: O(d^2), no product.
+    return float(abs(np.vdot(U, V))) / U.shape[0]
 
 
 def closed_form(n_sites: int) -> ProductDecomposition:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import gate_fidelity as fidelity_hs
-from .pauli import PauliString, pauli_matrix
+from .pauli import PauliString, _json_int, pauli_matrix
 
 __all__ = [
     "NmrSystemSpec",
@@ -71,7 +71,7 @@ class NmrSystemSpec:
     def __post_init__(self) -> None:
         shifts = tuple(float(v) for v in self.shifts_hz)
         coup = tuple(tuple(float(v) for v in row) for row in self.couplings_hz)
-        chans = tuple(tuple(int(s) for s in ch) for ch in self.channels)
+        chans = tuple(tuple(_json_int(s, "channel spin") for s in ch) for ch in self.channels)
         weights = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "shifts_hz", shifts)
         object.__setattr__(self, "couplings_hz", coup)
@@ -118,7 +118,7 @@ class NmrSystemSpec:
     @classmethod
     def from_json(cls, data: dict) -> "NmrSystemSpec":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "n")
             spec = cls(
                 tuple(data["shifts_hz"]),
                 tuple(tuple(row) for row in data["couplings_hz"]),

@@ -13,13 +13,23 @@ closures, cardinalities (always powers of two) and maximal subgroups cheap
 and exact.
 
 :func:`pauli_coefficients` gives every word trace Tr(U M) of a matrix U as
-one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``.
+one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``;
+:func:`xz_traces` is the same transform without the word phases i^{|x & z|},
+i.e. the traces Tr(U X^x Z^z).
+
+A word matrix is a signed permutation, so word exponentials are applied,
+never built densely or multiplied: :func:`apply_word_exponential` turns U
+into U exp(-i angle M) = cos(angle) U - i sin(angle) U M in place, from one
+column gather of U and one phase per column, and :func:`update_xz_traces`
+moves the traces of U to those of the product in place, by one row
+gather, one column gather and one phase per row.  Both are O(d^2).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -36,8 +46,11 @@ __all__ = [
     "pauli_mul",
     "pauli_matrix",
     "word_exponential",
+    "apply_word_exponential",
     "word_trace",
     "pauli_coefficients",
+    "xz_traces",
+    "update_xz_traces",
     "group_closure",
     "support_group",
     "maximal_subgroup",
@@ -65,6 +78,13 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def _json_int(value: object, name: str) -> int:
+    """An integer record field; bools, floats and strings are malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _normalize_phase(value: complex) -> complex:
@@ -206,8 +226,32 @@ def pauli_matrix(p: PhasedPauli | PauliString) -> np.ndarray:
 
 def word_exponential(word: PauliString, angle: float) -> np.ndarray:
     """Dense exp(-i angle M) = cos(angle) I - i sin(angle) M for the word's matrix M."""
+    out = np.eye(1 << word.n_sites, dtype=complex)
+    apply_word_exponential(out, word, angle)
+    return out
+
+
+def _factor_phases(word: PauliString, angle: float) -> np.ndarray:
+    """-i sin(angle) i^{|x & z|} (-1)^{|j & z|} for every basis index j."""
+    x, z = word.masks
+    j = np.arange(1 << word.n_sites)
+    scale = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
+    return scale * (1.0 - 2.0 * (_popcount(j & z) & 1))
+
+
+def apply_word_exponential(U: np.ndarray, word: PauliString, angle: float) -> None:
+    """Turn the complex array U into U @ exp(-i angle M) in place, in O(d^2).
+
+    Column j of U M is i^{|x & z|} (-1)^{|j & z|} U[:, j ^ x]: one column
+    gather of U and one phase per column, and M is never formed.
+    """
     d = 1 << word.n_sites
-    return math.cos(angle) * np.eye(d) - 1j * math.sin(angle) * pauli_matrix(word)
+    if U.ndim != 2 or U.shape[1] != d:
+        raise ValueError(f"matrix shape {U.shape} does not match {word.n_sites} sites")
+    moved = U[:, np.arange(d) ^ word.masks[0]]
+    moved *= _factor_phases(word, angle)
+    U *= math.cos(angle)
+    U += moved
 
 
 def _popcount(v: np.ndarray) -> np.ndarray:
@@ -230,28 +274,65 @@ def word_trace(U: np.ndarray, word: PauliString) -> complex:
     return pref * complex(np.dot(U[idx, idx ^ x], signs))
 
 
-def pauli_coefficients(U: np.ndarray) -> np.ndarray:
-    """All 4^n word traces: ``c[x, z] = Tr(U @ M)`` for the word M with masks (x, z).
+def xz_traces(U: np.ndarray) -> np.ndarray:
+    """Phase-free word traces: ``a[x, z] = Tr(U @ X^x Z^z)`` over all 4^n mask pairs.
 
-    M = i^{|x & z|} X^x Z^z, so row x gathers U[i, i ^ x], an in-place
-    Walsh-Hadamard butterfly over i applies the signs (-1)^{|i & z|}, and
-    each stage multiplies the entries whose x and z share its bit by i:
-    O(n 4^n) work in one array (Hantzko, Binkowski, Gupta, arXiv:2310.13421).
+    Row x gathers U[i, i ^ x], and an in-place Walsh-Hadamard butterfly
+    over i applies the signs (-1)^{|i & z|}: O(n 4^n) work in one array
+    (Hantzko, Binkowski, Gupta, arXiv:2310.13421).
     """
     U = np.asarray(U, dtype=complex)
     d = U.shape[0] if U.ndim == 2 else 0
     if U.shape != (d, d) or d < 1 or d & (d - 1):
         raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
     idx = np.arange(d)
-    c = U[idx, idx[:, None] ^ idx]
-    for h in (1 << bit for bit in range(d.bit_length() - 1)):
-        v = c.reshape(d // (2 * h), 2, h, d // (2 * h), 2, h)
-        a, b = v[..., 0, :], v[..., 1, :]  # (a, b) -> (a + b, a - b) in place
-        a += b
-        b *= -2.0
-        b += a
+    a = U[idx, idx[:, None] ^ idx]
+    for v in _bit_views(a):
+        lo, hi = v[..., 0, :], v[..., 1, :]  # (lo, hi) -> (lo + hi, lo - hi) in place
+        lo += hi
+        hi *= -2.0
+        hi += lo
+    return a
+
+
+def pauli_coefficients(U: np.ndarray) -> np.ndarray:
+    """All 4^n word traces: ``c[x, z] = Tr(U @ M)`` for the word M with masks (x, z).
+
+    M = i^{|x & z|} X^x Z^z, so this is :func:`xz_traces` with the entries
+    whose x and z share a bit multiplied by i once per shared bit.
+    """
+    c = xz_traces(U)
+    for v in _bit_views(c):
         v[:, 1, :, :, 1, :] *= 1j
     return c
+
+
+def update_xz_traces(a: np.ndarray, word: PauliString, angle: float) -> None:
+    """Turn a = xz_traces(U) into xz_traces(U @ exp(-i angle M)) in place, in O(d^2).
+
+    For the word's masks (x, z), Z^z X^X = (-1)^{|z & X|} X^X Z^z gives
+
+        a'[X, Z] = cos(angle) a[X, Z]
+                   - i sin(angle) i^{|x & z|} (-1)^{|z & X|} a[X ^ x, Z ^ z];
+
+    a is a complex array and may be scaled by any constant.
+    """
+    d = 1 << word.n_sites
+    if a.shape != (d, d):
+        raise ValueError(f"trace array shape {a.shape} does not match {word.n_sites} sites")
+    x, z = word.masks
+    j = np.arange(d)
+    moved = a[np.ix_(j ^ x, j ^ z)]
+    moved *= _factor_phases(word, angle)[:, None]
+    a *= math.cos(angle)
+    a += moved
+
+
+def _bit_views(a: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of a d x d array splitting both indices at each bit, lowest first."""
+    d = a.shape[0]
+    for h in (1 << bit for bit in range(d.bit_length() - 1)):
+        yield a.reshape(d // (2 * h), 2, h, d // (2 * h), 2, h)
 
 
 def _pack(word: PauliString, n: int) -> int:
@@ -368,7 +449,7 @@ def support_group(U: np.ndarray, tolerance: float | None = None) -> PauliGroup:
         raise ValueError("input matrix is not a finite unitary")
     if tolerance is None:
         tolerance = 1e-10 * d
-    found = np.argwhere(np.abs(pauli_coefficients(U)) > tolerance).tolist()
+    found = np.argwhere(np.abs(xz_traces(U)) > tolerance).tolist()
     return group_closure((PauliString.from_masks(x, z, n) for x, z in found), n)
 
 

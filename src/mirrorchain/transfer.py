@@ -140,33 +140,47 @@ def fidelity_metric(rho_th: np.ndarray, rho_ex: np.ndarray) -> float:
     Scale-invariant in both arguments; accepts deviation (traceless)
     matrices.  Zero-norm input is undefined and rejected.
     """
-    t, na, nb = _metric_terms(rho_th, rho_ex)
+    return _fidelity(*_metric_terms(rho_th, rho_ex))
+
+
+def attenuated_correlation(rho_th: np.ndarray, rho_ex: np.ndarray) -> float:
+    """Tr(rho_th rho_ex) / Tr(rho_th^2); covariant in the rho_ex scale."""
+    return _attenuated(*_metric_terms(rho_th, rho_ex))
+
+
+def _fidelity(t: float, na: float, nb: float) -> float:
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("fidelity metric is undefined for zero-norm input")
     return t / math.sqrt(na * nb)
 
 
-def attenuated_correlation(rho_th: np.ndarray, rho_ex: np.ndarray) -> float:
-    """Tr(rho_th rho_ex) / Tr(rho_th^2); covariant in the rho_ex scale."""
-    t, na, _ = _metric_terms(rho_th, rho_ex)
+def _attenuated(t: float, na: float, nb: float) -> float:
     if na <= 0.0:
         raise ValueError("attenuated correlation is undefined for zero-norm reference")
     return t / na
 
 
 def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """(Tr(ab), Tr(a^2), Tr(b^2)) of Hermitian a and b, each checked once."""
+    same = a is b
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    b = a if same else np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} vs {b.shape}")
-    for m in (a, b):
+    for m in (a,) if same else (a, b):
         if np.abs(m - m.conj().T).max() > 1e-8:
             raise ValueError("metric inputs must be Hermitian")
     # Tr(a b) = sum_ij conj(a_ij) b_ij for Hermitian a: O(d^2), no product.
-    t = float(np.vdot(a, b).real)
     na = float(np.vdot(a, a).real)
-    nb = float(np.vdot(b, b).real)
-    return t, na, nb
+    if same:
+        return na, na, na
+    return float(np.vdot(a, b).real), na, float(np.vdot(b, b).real)
+
+
+def _report_metrics(rho_th: np.ndarray, rho_ex: np.ndarray) -> dict[str, float]:
+    """A report's fidelity and attenuated correlation from one set of terms."""
+    terms = _metric_terms(rho_th, rho_ex)
+    return {"fidelity": _fidelity(*terms), "attenuated_correlation": _attenuated(*terms)}
 
 
 def six_state_design() -> dict[str, np.ndarray]:
@@ -299,8 +313,7 @@ def transfer_single(
             destination_sites=(mirror,),
             input_matrix=rho_in,
             output_matrix=rho_out,
-            fidelity=fidelity_metric(rho_th, out),
-            attenuated_correlation=attenuated_correlation(rho_th, out),
+            **_report_metrics(rho_th, out),
             sector_phases=table,
             bell_label=None,
         )
@@ -311,8 +324,7 @@ def transfer_single(
         destination_sites=(mirror,),
         input_matrix=rho_in,
         output_matrix=rho_out,
-        fidelity=fidelity_metric(rho_th, rho_out),
-        attenuated_correlation=attenuated_correlation(rho_th, rho_out),
+        **_report_metrics(rho_th, rho_out),
         sector_phases=table,
         bell_label=None,
     )
@@ -360,8 +372,7 @@ def transfer_entangled(
         destination_sites=dest,
         input_matrix=projector,
         output_matrix=rho_out,
-        fidelity=fidelity_metric(rho_th, rho_out),
-        attenuated_correlation=attenuated_correlation(rho_th, rho_out),
+        **_report_metrics(rho_th, rho_out),
         sector_phases=table,
         bell_label=label,
     )

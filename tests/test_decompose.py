@@ -16,6 +16,7 @@ from mirrorchain.decompose import (
     DecompositionError,
     ProductDecomposition,
     StallError,
+    _heaviest_maximal_subgroup,
     closed_form,
     decompose,
     expand,
@@ -37,6 +38,7 @@ from mirrorchain.pauli import (
     pauli_mul,
     support_group,
     word_trace,
+    xz_traces,
 )
 
 P = PauliString
@@ -381,6 +383,89 @@ class TestDecomposeGeneral:
         dec, _ = decompose(np.exp(0.25j) * np.eye(4, dtype=complex))
         assert dec.factors == ()
         assert dec.global_phase == pytest.approx(np.exp(0.25j), abs=1e-12)
+
+
+def kron_product(dec: ProductDecomposition) -> np.ndarray:
+    """reconstruct() as dense products of kron-built exponentials: the oracle."""
+    out = dec.global_phase * np.eye(1 << dec.n_sites, dtype=complex)
+    for word, angle in dec.factors:
+        out = out @ rotation(word.letters, angle)
+    return out
+
+
+def test_reconstruct_matches_kron_product_oracle():
+    # every non-identity word on 1..4 sites in a shuffled product, then
+    # 30-factor random products on 5 and 6 sites
+    rng = np.random.default_rng(46)
+    cases = []
+    for n in range(1, 5):
+        words = [w for w in PauliGroup.complete(n) if not w.is_identity]
+        cases.append([words[k] for k in rng.permutation(len(words))])
+    for n in (5, 5, 6, 6):
+        cases.append([P("".join("XYZ"[k] for k in rng.integers(0, 3, n))) for _ in range(30)])
+    for words in cases:
+        angles = rng.uniform(-math.pi, math.pi, len(words))
+        phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
+        dec = ProductDecomposition(words[0].n_sites, tuple(zip(words, angles)), phase)
+        assert np.abs(reconstruct(dec) - kron_product(dec)).max() <= 1e-12
+
+
+# A random 5-factor product on which the canonical tower stalls, so decompose()
+# re-peels with each child chosen as the heaviest maximal subgroup of the residual.
+FALLBACK_PRODUCT = [
+    ("ZXIXX", -1.1426353620217287),
+    ("ZXYZY", -0.8738769945735103),
+    ("ZIYXI", 0.1743438557851984),
+    ("YXIYX", 0.47403243600865674),
+    ("ZXIYZ", 0.5125815024669507),
+]
+# Its factors once the heaviest subgroup is chosen by its kept weight.  Comparing
+# that weight against the best one scaled by 4^-n instead gave 12 factors here.
+FALLBACK_FACTORS = [
+    ("IIYYZ", -1.5707963267948966),
+    ("ZXIXX", 0.4281609647731679),
+    ("ZXYZY", 0.6969193322213864),
+    ("ZXIYZ", 0.5261457517862386),
+    ("YXIYX", 0.47403243600865663),
+    ("ZIYXI", 0.08912633701875071),
+    ("IXYZZ", 0.15064730793044903),
+]
+
+
+def test_fallback_peel_factors_are_pinned():
+    U = np.eye(32, dtype=complex)
+    for word, angle in FALLBACK_PRODUCT:
+        U = U @ rotation(word, angle)
+    with pytest.raises(DecompositionError):
+        decompose(U, SubgroupChain.automatic(support_group(U)))
+    dec, _ = decompose(U)
+    assert [w.letters for w in dec.words] == [w for w, _ in FALLBACK_FACTORS]
+    for (_, got), (_, want) in zip(dec.factors, FALLBACK_FACTORS):
+        assert got == pytest.approx(want, abs=1e-12)
+    assert gate_fidelity(reconstruct(dec), U) >= 1 - 1e-9
+
+
+def test_heaviest_maximal_subgroup_against_every_functional():
+    # each index-two subgroup of G is the kernel of g -> parity(g & v) for
+    # some packed mask v, so scanning all 4^n masks finds the heaviest one
+    rng = np.random.default_rng(47)
+    for _ in range(12):
+        n = int(rng.integers(2, 4))
+        d = 1 << n
+        U = random_unitary(rng, d)
+        G = group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
+                           for _ in range(int(rng.integers(2, 5)))], n)
+        if len(G) < 4:
+            continue
+        weight = {w: abs(word_trace(U, w) / d) ** 2 for w in G}
+        best = 0.0
+        for v in range(1, 1 << (2 * n)):
+            kernel = [w for w in G if not ((w.masks[0] << n | w.masks[1]) & v).bit_count() & 1]
+            if len(kernel) < len(G):
+                best = max(best, sum(weight[w] for w in kernel))
+        chosen = _heaviest_maximal_subgroup(xz_traces(U) / d, G)
+        assert chosen.is_subgroup_of(G) and 2 * len(chosen) == len(G)
+        assert sum(weight[w] for w in chosen) == pytest.approx(best, abs=1e-12)
 
 
 class TestProductDecomposition:

@@ -13,6 +13,7 @@ from mirrorchain.pauli import (
     PauliString,
     PhasedPauli,
     SubgroupChain,
+    apply_word_exponential,
     commutes,
     group_closure,
     maximal_subgroup,
@@ -20,8 +21,10 @@ from mirrorchain.pauli import (
     pauli_matrix,
     pauli_mul,
     support_group,
+    update_xz_traces,
     word_exponential,
     word_trace,
+    xz_traces,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -43,6 +46,31 @@ def random_word(rng, n, allow_identity=True) -> PauliString:
         w = PauliString("".join(LETTERS[k] for k in rng.integers(0, 4, n)))
         if allow_identity or not w.is_identity:
             return w
+
+
+def kron_exponential(word: PauliString, angle: float) -> np.ndarray:
+    """cos(angle) I - i sin(angle) M with M built from np.kron: the dense oracle."""
+    M = kron_word(word.letters)
+    return math.cos(angle) * np.eye(M.shape[0]) - 1j * math.sin(angle) * M
+
+
+def kernel_words():
+    """Every word on 1..4 sites, then 40 random words on 5..6 sites."""
+    for n in range(1, 5):
+        for t in itertools.product(LETTERS, repeat=n):
+            yield PauliString("".join(t))
+    rng = np.random.default_rng(70)
+    for _ in range(40):
+        yield random_word(rng, int(rng.integers(5, 7)))
+
+
+def random_matrix(rng, d: int) -> np.ndarray:
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def word_phases(d: int) -> np.ndarray:
+    """i^{|x & z|} at [x, z]: the word phase between xz_traces and pauli_coefficients."""
+    return np.array([[1j ** ((x & z).bit_count() % 4) for z in range(d)] for x in range(d)])
 
 
 class TestPauliString:
@@ -200,6 +228,39 @@ class TestWordTrace:
     def test_coefficient_array_rejects_non_power_of_two_squares(self, shape):
         with pytest.raises(ValueError):
             pauli_coefficients(np.zeros(shape))
+
+
+class TestWordExponentialKernel:
+    """The O(d^2) signed-permutation kernels against kron-built exponentials."""
+
+    def test_kernel_matches_kron_oracle(self):
+        rng = np.random.default_rng(71)
+        for w in kernel_words():
+            theta = float(rng.uniform(-math.pi, math.pi))
+            U = random_matrix(rng, 1 << w.n_sites)
+            want = U @ kron_exponential(w, theta)
+            apply_word_exponential(U, w, theta)
+            assert np.abs(U - want).max() <= 1e-12, w
+            assert np.abs(word_exponential(w, theta) - kron_exponential(w, theta)).max() <= 1e-12
+
+    def test_trace_update_matches_transform_of_the_product(self):
+        rng = np.random.default_rng(72)
+        phases = {n: word_phases(1 << n) for n in range(1, 7)}
+        for w in kernel_words():
+            theta = float(rng.uniform(-math.pi, math.pi))
+            U = random_matrix(rng, 1 << w.n_sites)
+            a = xz_traces(U)
+            update_xz_traces(a, w, theta)
+            want = pauli_coefficients(U @ kron_exponential(w, theta))
+            assert np.abs(a * phases[w.n_sites] - want).max() <= 1e-12, w
+
+    def test_kernels_reject_mismatched_sizes(self):
+        w = PauliString("XZ")
+        for bad in (np.eye(8), np.eye(2), np.ones(4)):
+            with pytest.raises(ValueError):
+                apply_word_exponential(bad, w, 0.3)
+            with pytest.raises(ValueError):
+                update_xz_traces(bad, w, 0.3)
 
 
 class TestGroups:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from mirrorchain import transfer
 from mirrorchain.chain import (
     MIRROR_TIME,
     ChainSpec,
@@ -31,6 +32,7 @@ from mirrorchain.states import (
 from mirrorchain.transfer import (
     SectorPhaseTable,
     _expected_bell_output,
+    _report_metrics,
     attenuated_correlation,
     fidelity_metric,
     sector_phases,
@@ -227,6 +229,41 @@ def test_phase_table_validation():
 
 # ---------------------------------------------------------------------------
 # fidelity metrics
+
+
+def test_report_metrics_equal_the_public_metrics():
+    rng = np.random.default_rng(12)
+    A, B = (M + M.conj().T for M in (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+                                     for _ in range(2)))
+    for a, b in ((A, B), (A, A), (A, A.copy())):
+        assert _report_metrics(a, b) == {
+            "fidelity": fidelity_metric(a, b.copy()),
+            "attenuated_correlation": attenuated_correlation(a, b.copy()),
+        }
+
+
+def test_each_report_computes_its_metric_terms_once(monkeypatch):
+    # the engineered deviation report compares the evolved register with itself
+    calls = []
+    original = transfer._metric_terms
+
+    def counted(a, b):
+        calls.append(a is b)
+        return original(a, b)
+
+    monkeypatch.setattr(transfer, "_metric_terms", counted)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    perturbed = perturbed_chain(5, np.random.default_rng(13))
+    runs = [
+        (lambda: transfer_single(5, 2, np.array([1.0, 1j]), "pure"), [False]),
+        (lambda: transfer_single(5, 2, x, "deviation"), [True]),
+        (lambda: transfer_single(5, 2, x, "deviation", perturbed), [False]),
+        (lambda: transfer_entangled(5, (1, 2), "phi+", "deviation"), [False]),
+    ]
+    for run, want in runs:
+        calls.clear()
+        run()
+        assert calls == want
 
 
 def test_metric_on_identical_states_is_one():
