@@ -23,10 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # pauli
     "PauliString": ".pauli",
-    "PhasedPauli": ".pauli",
     "PauliGroup": ".pauli",
     "SubgroupChain": ".pauli",
-    "pauli_mul": ".pauli",
     "commutes": ".pauli",
     "pauli_matrix": ".pauli",
     "word_trace": ".pauli",
@@ -70,12 +68,7 @@ _EXPORTS = {
     "PeelStep": ".decompose",
     "PeelTrace": ".decompose",
     "DecompositionError": ".decompose",
-    "StallError": ".decompose",
-    "AngleChoice": ".decompose",
     "expand": ".decompose",
-    "group_norm": ".decompose",
-    "w_value": ".decompose",
-    "optimal_angle": ".decompose",
     "peel_level": ".decompose",
     "reconstruct": ".decompose",
     "gate_fidelity": ".decompose",

@@ -50,30 +50,26 @@ import numpy as np
 
 from .pauli import (
     _I_POW,
-    UNITARITY_TOL,
     PauliGroup,
     PauliString,
     SubgroupChain,
+    _as_unitary,
+    _check_support_sites,
     _json_int,
     _pack,
     _popcount,
+    _support,
     apply_word_exponential,
-    support_group,
     update_xz_traces,
     xz_traces,
 )
 
 __all__ = [
     "DecompositionError",
-    "StallError",
     "ProductDecomposition",
     "PeelStep",
     "PeelTrace",
-    "AngleChoice",
     "expand",
-    "group_norm",
-    "w_value",
-    "optimal_angle",
     "peel_level",
     "decompose",
     "reconstruct",
@@ -97,10 +93,6 @@ class DecompositionError(RuntimeError):
     def __init__(self, message: str, trace: "PeelTrace | None" = None) -> None:
         super().__init__(message)
         self.trace = trace
-
-
-class StallError(DecompositionError):
-    """The weight objective is flat in the requested direction (W = delta = 0)."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,9 @@ def _traces(U: np.ndarray, n_sites: int) -> np.ndarray:
     """Normalized phase-free trace array a[x, z] = Tr(U X^x Z^z) / 2^n of U."""
     if U.shape != (1 << n_sites,) * 2:
         raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
-    return xz_traces(U) / (1 << n_sites)
+    a = xz_traces(U)
+    a /= 1 << n_sites
+    return a
 
 
 def _masks(words: Sequence[PauliString]) -> tuple[np.ndarray, ...]:
@@ -219,23 +213,6 @@ def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
     a = _traces(U, group.n_sites)
     return {w: complex(a[w.masks] * _I_POW[(w.masks[0] & w.masks[1]).bit_count() % 4])
             for w in group}
-
-
-def group_norm(U: np.ndarray, group: PauliGroup) -> float:
-    """Total squared coefficient weight of U inside the group."""
-    return _weight(_traces(U, group.n_sites), group)
-
-
-def w_value(U: np.ndarray, D: PauliString, child: PauliGroup) -> float:
-    """Cross weight W between the child group and the coset D*child.
-
-    This is the coefficient of sin(2 theta) in the child-group weight of
-    U exp(+i theta D); in particular d(weight)/d(theta) at 0 equals 2 W.
-    """
-    if D.n_sites != child.n_sites:
-        raise ValueError("word and group site counts differ")
-    _, W = _weight_terms(_traces(U, child.n_sites), [D], child)
-    return float(W[0])
 
 
 def _weight_terms(
@@ -289,35 +266,6 @@ def _stationary_angle(A: float, B: float, W: float) -> tuple[float, float]:
     ]
     cands.sort(key=lambda tv: (-tv[1], abs(tv[0])))
     return cands[0]
-
-
-@dataclass(frozen=True)
-class AngleChoice:
-    """Closed-form angle solution for one candidate word."""
-
-    theta: float
-    w_value: float
-    delta: float
-    norm_before: float
-    predicted_norm: float
-
-
-def optimal_angle(U: np.ndarray, D: PauliString, child: PauliGroup) -> AngleChoice:
-    """Angle maximizing the child-group weight of U exp(+i theta D).
-
-    Raises :class:`StallError` when both W and delta vanish, i.e. the
-    weight does not depend on the angle at all.
-    """
-    if D in child:
-        raise ValueError(f"word {D} lies inside the child group")
-    a = _traces(U, child.n_sites)
-    A = _weight(a, child)
-    B, W = (float(v[0]) for v in _weight_terms(a, [D], child))
-    delta = 0.5 * (A - B)
-    if math.hypot(delta, W) < STALL_TOL:
-        raise StallError(f"flat weight objective for {D}: W and delta both vanish")
-    theta, best = _stationary_angle(A, B, W)
-    return AngleChoice(theta, w_value=W, delta=delta, norm_before=A, predicted_norm=best)
 
 
 def peel_level(
@@ -497,22 +445,20 @@ def decompose(
     (with the partial trace attached) when the input is not supported in
     the top group or every descent stalls.
     """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.size == 0 or U.shape[0] & (U.shape[0] - 1):
-        raise ValueError(f"unitary must be a non-empty 2^n x 2^n matrix, got shape {U.shape}")
-    d = U.shape[0]
-    n = d.bit_length() - 1
-    if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
-        raise ValueError("input matrix is not a finite unitary")
-
-    top = None
+    U, n = _as_unitary(U)
+    d = 1 << n
     if chain is None:
-        top = support_group(U)
-        chain = SubgroupChain.automatic(top)
+        _check_support_sites(n)
     elif chain.n_sites != n:
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
-    a = _traces(U, n)
+    # One transform serves the support scan and the peel.
+    a = xz_traces(U)
+    top = None
+    if chain is None:
+        top = _support(a, n)
+        chain = SubgroupChain.automatic(top)
+    a /= d
     top_weight = _weight(a, chain.levels[0])
     if 1.0 - top_weight > PEEL_TOL:
         raise DecompositionError(

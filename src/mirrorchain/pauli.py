@@ -3,8 +3,8 @@
 A word is a string over {I, X, Y, Z}; the letter for site 1 comes first and
 acts on the most significant qubit of the matrix realization, i.e. the
 matrix of "XZ" is kron(X, Z).  Words are kept phase-free: a product of two
-words is another word times a phase in {+1, -1, +i, -i}, which is carried
-separately by :class:`PhasedPauli`.
+words is another word times a phase in {+1, -1, +i, -i}, and only the word
+is kept.
 
 Internally a word is also viewed as a pair of bit masks (x, z) with site 1
 at the most significant bit, so that phase-free multiplication is XOR and
@@ -40,10 +40,9 @@ __all__ = [
     "LETTERS",
     "MAX_DENSE_SITES",
     "PauliString",
-    "PhasedPauli",
     "PauliGroup",
     "SubgroupChain",
-    "pauli_mul",
+    "commutes",
     "pauli_matrix",
     "word_exponential",
     "apply_word_exponential",
@@ -85,13 +84,6 @@ def _json_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _normalize_phase(value: complex) -> complex:
-    for ph in _I_POW:
-        if abs(value - ph) < 1e-9:
-            return ph
-    raise ValueError(f"phase {value!r} is not a fourth root of unity")
 
 
 @dataclass(frozen=True, order=True)
@@ -145,63 +137,6 @@ class PauliString:
         return self.letters
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli word together with a phase in {+1, -1, +i, -i}."""
-
-    phase: complex
-    word: PauliString
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", _normalize_phase(self.phase))
-
-    @property
-    def n_sites(self) -> int:
-        return self.word.n_sites
-
-    _PHASE_TOKEN = {1 + 0j: "+1", -1 + 0j: "-1", 1j: "+i", -1j: "-i"}
-    _TOKEN_PHASE = {"+1": 1 + 0j, "-1": -1 + 0j, "+i": 1j, "-i": -1j}
-
-    def to_json(self) -> dict:
-        return {"phase": self._PHASE_TOKEN[self.phase], "word": self.word.letters}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PhasedPauli":
-        try:
-            phase = cls._TOKEN_PHASE[data["phase"]]
-            word = PauliString(data["word"])
-        except KeyError as exc:
-            raise ValueError(f"malformed phased-word record: {data!r}") from exc
-        return cls(phase, word)
-
-
-def _mul_masks(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, int]:
-    """Multiply two (x, z)-encoded words; returns (x, z, k) with phase i**k.
-
-    Using word = i^{|x & z|} X^x Z^z, pushing Z^{z1} through X^{x2} costs
-    (-1)^{|z1 & x2|} and the i-prefactors recombine on the product word.
-    """
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    k = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    )
-    return x3, z3, k % 4
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> PhasedPauli:
-    """Product of two words as (phase, word), e.g. XI * YI -> (+i, ZI)."""
-    if a.n_sites != b.n_sites:
-        raise ValueError(f"site-count mismatch: {a.n_sites} vs {b.n_sites}")
-    x1, z1 = a.masks
-    x2, z2 = b.masks
-    x3, z3, k = _mul_masks(x1, z1, x2, z2)
-    return PhasedPauli(_I_POW[k], PauliString.from_masks(x3, z3, a.n_sites))
-
-
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True when the two words commute (even number of clashing sites)."""
     if a.n_sites != b.n_sites:
@@ -211,14 +146,13 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
 
-def pauli_matrix(p: PhasedPauli | PauliString) -> np.ndarray:
-    """Dense matrix of a (phased) word; site 1 is the most significant qubit."""
-    phase, word = (p.phase, p.word) if isinstance(p, PhasedPauli) else (1 + 0j, p)
+def pauli_matrix(word: PauliString) -> np.ndarray:
+    """Dense matrix of a word; site 1 is the most significant qubit."""
     if word.n_sites > MAX_DENSE_SITES:
         raise ValueError(
             f"{word.n_sites} sites exceeds the dense-matrix cap of {MAX_DENSE_SITES}"
         )
-    out = np.array([[phase]], dtype=complex)
+    out = np.ones((1, 1), dtype=complex)
     for ch in word.letters:
         out = np.kron(out, _PAULI_1Q[ch])
     return out
@@ -437,106 +371,64 @@ def group_closure(
     return PauliGroup(n_sites, frozenset(_unpack(p, n_sites) for p in packed))
 
 
-def support_group(U: np.ndarray, tolerance: float | None = None) -> PauliGroup:
-    """Group generated by the words on which the unitary U has weight."""
-    d = U.shape[0]
-    n = int(d).bit_length() - 1
-    if U.shape != (d, d) or d != 2**n:
-        raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
-    if n > MAX_SUPPORT_SITES:
-        raise ValueError(f"support scan beyond {MAX_SUPPORT_SITES} sites is not supported")
+def _as_unitary(U: np.ndarray) -> tuple[np.ndarray, int]:
+    """U as a complex array, and its site count n >= 1.
+
+    Raises ValueError unless U is a numeric, finite 2^n x 2^n unitary.
+    """
+    U = np.asarray(U)
+    if U.dtype.kind not in "biufc":
+        raise ValueError(f"unitary must be a numeric matrix, got dtype {U.dtype}")
+    d = U.shape[0] if U.ndim == 2 else 0
+    if U.shape != (d, d) or d < 2 or d & (d - 1):
+        raise ValueError(f"unitary must be a 2^n x 2^n matrix with n >= 1, got shape {U.shape}")
+    U = U.astype(complex, copy=False)
     if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
         raise ValueError("input matrix is not a finite unitary")
-    if tolerance is None:
-        tolerance = 1e-10 * d
-    found = np.argwhere(np.abs(xz_traces(U)) > tolerance).tolist()
-    return group_closure((PauliString.from_masks(x, z, n) for x, z in found), n)
+    return U, d.bit_length() - 1
 
 
-def maximal_subgroup(
-    G: PauliGroup, exclude: Iterable[PauliString] = ()
-) -> PauliGroup:
-    """Largest proper subgroup of G containing no excluded element.
+def _check_support_sites(n_sites: int) -> None:
+    if n_sites > MAX_SUPPORT_SITES:
+        raise ValueError(f"support scan beyond {MAX_SUPPORT_SITES} sites is not supported")
 
-    Ties are broken deterministically: elements are considered in canonical
-    string order and the first subgroup reaching the best cardinality wins,
-    which matches enumerating generator subsets lexicographically.
+
+def _support(a: np.ndarray, n_sites: int) -> PauliGroup:
+    """Group generated by the words (x, z) of the d x d array a = xz_traces(U)
+    with |a[x, z]| above 1e-10 d."""
+    found = np.argwhere(np.abs(a) > 1e-10 * a.shape[0]).tolist()
+    return group_closure((PauliString.from_masks(x, z, n_sites) for x, z in found), n_sites)
+
+
+def support_group(U: np.ndarray) -> PauliGroup:
+    """Group generated by the words on which the unitary U has weight."""
+    U, n = _as_unitary(U)
+    _check_support_sites(n)
+    return _support(xz_traces(U), n)
+
+
+def maximal_subgroup(G: PauliGroup) -> PauliGroup:
+    """A proper subgroup of G of index two.
+
+    The choice is deterministic: it is spanned by the first rank(G) - 1
+    independent elements in canonical string order.
     """
-    exclude = frozenset(exclude)
     if len(G) == 1:
         raise ValueError("the identity group has no proper subgroup")
-    identity = PauliString.identity(G.n_sites)
-    if identity in exclude:
-        raise ValueError("cannot exclude the identity word")
-    stray = exclude - G.elements
-    if stray:
-        raise ValueError(f"excluded words not in the group: {sorted(stray)[:4]!r}")
-
     n = G.n_sites
-    cand = [e for e in G.sorted_elements if e != identity]
-    packed = [_pack(e, n) for e in cand]
-    full_rank = _rank(packed)
-
-    if not exclude:
-        # Greedy hyperplane: first rank-1 independent elements in canonical order.
-        target = full_rank - 1
-        table: dict[int, int] = {}
-        span = {0}
-        for p in packed:
-            if len(table) == target:
-                break
-            v = _reduce(p, table)
-            if v:
-                table[v.bit_length() - 1] = v
-                span |= {s ^ p for s in span}
-        return PauliGroup(n, frozenset(_unpack(p, n) for p in span))
-
-    excl = {_pack(e, n) for e in exclude}
-    # A subgroup avoiding a (non-empty, in-group) exclusion set is proper,
-    # so its rank is at most full_rank - 1; reaching that cap ends the search.
-    cap = full_rank - 1
-    best_span: set[int] = {0}
-    best_rank = 0
-
-    class _Done(Exception):
-        pass
-
-    def bound(from_idx: int, table: dict[int, int]) -> int:
-        t = dict(table)
-        extra = 0
-        for p in packed[from_idx:]:
-            v = _reduce(p, t)
-            if v:
-                t[v.bit_length() - 1] = v
-                extra += 1
-        return min(len(table) + extra, cap)
-
-    def rec(idx: int, table: dict[int, int], span: set[int]) -> None:
-        nonlocal best_span, best_rank
-        if len(table) > best_rank:
-            best_rank = len(table)
-            best_span = set(span)
-            if best_rank == cap:
-                raise _Done
-        for j in range(idx, len(packed)):
-            p = packed[j]
-            if p in span:
-                continue
-            grown = {s ^ p for s in span}
-            if grown & excl:
-                continue
-            if bound(j, table) <= best_rank:
-                return
-            v = _reduce(p, table)
-            t2 = dict(table)
-            t2[v.bit_length() - 1] = v
-            rec(j + 1, t2, span | grown)
-
-    try:
-        rec(0, {}, {0})
-    except _Done:
-        pass
-    return PauliGroup(n, frozenset(_unpack(p, n) for p in best_span))
+    identity = PauliString.identity(n)
+    packed = [_pack(e, n) for e in G.sorted_elements if e != identity]
+    target = _rank(packed) - 1
+    table: dict[int, int] = {}
+    span = {0}
+    for p in packed:
+        if len(table) == target:
+            break
+        v = _reduce(p, table)
+        if v:
+            table[v.bit_length() - 1] = v
+            span |= {s ^ p for s in span}
+    return PauliGroup(n, frozenset(_unpack(p, n) for p in span))
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,8 @@ def bell_state(kind: str) -> np.ndarray:
 
 
 def embed_at(local: np.ndarray, sites: tuple[int, ...], n_sites: int) -> np.ndarray:
-    """Place a ket on the given (1-based, ascending, adjacent-free) sites,
-    filling every other site with |0>.
+    """Place a ket on the given (1-based, distinct, ascending) sites,
+    filling every other site with |0>; the sites may be adjacent.
 
     The local ket's qubit order follows the `sites` tuple.
     """

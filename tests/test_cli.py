@@ -432,6 +432,9 @@ GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
         (GRAPE_DEC + ["--target-decomposition", "{inf_phase}"], "global_phase"),
         (["decompose", "--unitary", "{scalar_unitary}"], "unitary"),
         (["decompose", "--unitary", "{empty_unitary}"], "unitary"),
+        (["decompose", "--unitary", "{one_by_one_unitary}"], "unitary"),
+        (["decompose", "--unitary", "{string_unitary}"], "unitary"),
+        (["decompose", "--unitary", "{object_unitary}"], "unitary"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
@@ -441,6 +444,9 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
         "nan_unitary": str(tmp_path / "nan.npy"),
         "scalar_unitary": str(tmp_path / "scalar.npy"),
         "empty_unitary": str(tmp_path / "empty.npy"),
+        "one_by_one_unitary": str(tmp_path / "one_by_one.npy"),
+        "string_unitary": str(tmp_path / "string.npy"),
+        "object_unitary": str(tmp_path / "object.npy"),
         "nan_angle": write_json(tmp_path / "nan_angle.json", {
             "n": 1, "global_phase": [1.0, 0.0], "factors": [{"word": "X", "angle": math.nan}]}),
         "inf_phase": write_json(tmp_path / "inf_phase.json", {
@@ -450,6 +456,9 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
     np.save(paths["nan_unitary"], np.full((4, 4), np.nan))
     np.save(paths["scalar_unitary"], np.array(1.0))
     np.save(paths["empty_unitary"], np.zeros((0, 0)))
+    np.save(paths["one_by_one_unitary"], np.ones((1, 1)))
+    np.save(paths["string_unitary"], np.array([["1", "0"], ["0", "1"]]))
+    np.save(paths["object_unitary"], np.array([[1, None], [None, 1]]), allow_pickle=True)
     argv = [a.format(**paths) for a in argv] + ["-o", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err

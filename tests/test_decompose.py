@@ -10,22 +10,23 @@ import math
 import numpy as np
 import pytest
 
+from mirrorchain import decompose as decompose_module
+from mirrorchain import pauli as pauli_module
 from mirrorchain.chain import MIRROR_TIME, ChainSpec, chain_propagator
 from mirrorchain.decompose import (
-    AngleChoice,
+    STALL_TOL,
     DecompositionError,
     ProductDecomposition,
-    StallError,
     _heaviest_maximal_subgroup,
+    _stationary_angle,
+    _weight,
+    _weight_terms,
     closed_form,
     decompose,
     expand,
     gate_fidelity,
-    group_norm,
-    optimal_angle,
     peel_level,
     reconstruct,
-    w_value,
 )
 from mirrorchain.grape import fidelity_hs
 from mirrorchain.pauli import (
@@ -35,7 +36,6 @@ from mirrorchain.pauli import (
     group_closure,
     maximal_subgroup,
     pauli_matrix,
-    pauli_mul,
     support_group,
     word_trace,
     xz_traces,
@@ -81,7 +81,8 @@ class TestExpand:
         for _ in range(30):
             n = int(rng.integers(1, 4))
             U = random_unitary(rng, 1 << n)
-            assert group_norm(U, PauliGroup.complete(n)) == pytest.approx(1.0, abs=1e-10)
+            coeffs = expand(U, PauliGroup.complete(n))
+            assert sum(abs(c) ** 2 for c in coeffs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_exponential_coefficients(self):
         U = rotation("XY", 0.7)
@@ -104,15 +105,31 @@ class TestExpand:
                 assert abs(got - eta / 4) < 1e-9, (al, be)
 
 
+def rotated_weight(U, D, child):
+    """theta -> child-group weight of U exp(+i theta D), summed from expand()."""
+    R = pauli_matrix(D)
+
+    def weight(theta):
+        coeffs = expand(U @ (math.cos(theta) * np.eye(len(R)) + 1j * math.sin(theta) * R), child)
+        return sum(abs(c) ** 2 for c in coeffs.values())
+
+    return weight
+
+
 class TestWValue:
     def test_four_site_cross_weights(self, mirror4, hand_tower4):
+        a = xz_traces(mirror4) / 16
         g1 = hand_tower4.levels[1]
         g2 = hand_tower4.levels[2]
-        assert w_value(mirror4, P("YZZY"), g1) == pytest.approx(-0.5, abs=1e-12)
-        assert w_value(mirror4, P("XZZX"), g1) == pytest.approx(0.0, abs=1e-12)
-        # one level down both survivors tie
-        assert w_value(mirror4, P("XZZX"), g2) == pytest.approx(-0.25, abs=1e-12)
-        assert w_value(mirror4, P("YZZY"), g2) == pytest.approx(-0.25, abs=1e-12)
+        for child, want in ((g1, {"YZZY": -0.5, "XZZX": 0.0}),
+                            # one level down both survivors tie
+                            (g2, {"XZZX": -0.25, "YZZY": -0.25})):
+            words = [P(w) for w in want]
+            _, W = _weight_terms(a, words, child)
+            for word, got in zip(words, W):
+                assert got == pytest.approx(want[word.letters], abs=1e-12)
+                _, _, oracle = weight_terms_oracle(mirror4, word, child)
+                assert oracle == pytest.approx(want[word.letters], abs=1e-12)
 
     def test_w_is_half_the_weight_derivative(self):
         # d/dtheta [child weight of U e^{+i theta D}] at 0 equals 2 W
@@ -121,23 +138,27 @@ class TestWValue:
         for _ in range(20):
             U = random_unitary(rng, 4)
             D = P("XY")
-            W = w_value(U, D, child)
+            _, (W,) = _weight_terms(xz_traces(U) / 4, [D], child)
             h = 1e-6
-            f = lambda t: group_norm(U @ (math.cos(t) * np.eye(4)
-                                          + 1j * math.sin(t) * pauli_matrix(D)), child)
+            f = rotated_weight(U, D, child)
             deriv = (f(h) - f(-h)) / (2 * h)
             assert deriv == pytest.approx(2.0 * W, abs=1e-6)
 
 
 class TestOptimalAngle:
     def test_four_site_first_peel(self, mirror4, hand_tower4):
-        choice = optimal_angle(mirror4, P("YZZY"), hand_tower4.levels[1])
-        assert isinstance(choice, AngleChoice)
-        assert choice.theta == pytest.approx(-math.pi / 4, abs=1e-12)
-        assert choice.w_value == pytest.approx(-0.5, abs=1e-12)
-        assert choice.delta == pytest.approx(0.0, abs=1e-12)
-        assert choice.norm_before == pytest.approx(0.5, abs=1e-12)
-        assert choice.predicted_norm == pytest.approx(1.0, abs=1e-12)
+        child = hand_tower4.levels[1]
+        _, (step,) = peel_level(mirror4, hand_tower4.levels[0], child)
+        assert step.word == P("YZZY")
+        assert step.angle == pytest.approx(-math.pi / 4, abs=1e-12)
+        assert step.w_value == pytest.approx(-0.5, abs=1e-12)
+        assert step.delta == pytest.approx(0.0, abs=1e-12)
+        assert step.norm_before == pytest.approx(0.5, abs=1e-12)
+        assert step.norm_after == pytest.approx(1.0, abs=1e-12)
+        A, B, W = weight_terms_oracle(mirror4, step.word, child)
+        assert step.norm_before == pytest.approx(A, abs=1e-12)
+        assert step.delta == pytest.approx(0.5 * (A - B), abs=1e-12)
+        assert step.w_value == pytest.approx(W, abs=1e-12)
 
     def test_angle_actually_maximizes(self):
         rng = np.random.default_rng(42)
@@ -145,26 +166,23 @@ class TestOptimalAngle:
         for _ in range(25):
             U = random_unitary(rng, 4)
             D = P("ZI")
-            try:
-                choice = optimal_angle(U, D, child)
-            except StallError:
+            a = xz_traces(U) / 4
+            A = _weight(a, child)
+            (B,), (W,) = _weight_terms(a, [D], child)
+            if math.hypot(0.5 * (A - B), W) < STALL_TOL:
                 continue
-            f = lambda t: group_norm(U @ (math.cos(t) * np.eye(4)
-                                          + 1j * math.sin(t) * pauli_matrix(D)), child)
-            got = f(choice.theta)
-            assert got == pytest.approx(choice.predicted_norm, abs=1e-9)
+            theta, predicted = _stationary_angle(A, B, W)
+            f = rotated_weight(U, D, child)
+            got = f(theta)
+            assert got == pytest.approx(predicted, abs=1e-9)
             for t in np.linspace(-math.pi / 2, math.pi / 2, 61):
                 assert f(float(t)) <= got + 1e-9
 
     def test_stall_when_weight_is_flat(self):
         # a bare Pauli word carries no weight in the child or its D-coset
         U = pauli_matrix(P("ZZ")).astype(complex)
-        with pytest.raises(StallError):
-            optimal_angle(U, P("XX"), PauliGroup.identity_group(2))
-
-    def test_rejects_word_inside_child(self, mirror4, hand_tower4):
-        with pytest.raises(ValueError):
-            optimal_angle(mirror4, P("IXXI"), hand_tower4.levels[1])
+        with pytest.raises(DecompositionError, match="stalled"):
+            peel_level(U, group_closure([P("XX")]), PauliGroup.identity_group(2))
 
 
 def expand_oracle(U, group):
@@ -173,16 +191,21 @@ def expand_oracle(U, group):
 
 
 def weight_terms_oracle(U, D, child):
-    """(A, B, W) of optimal_angle(), summed one child word at a time."""
+    """(A, B, W) of the peel for candidate D, summed one child word at a time.
+
+    The product D w is phase * m, with the phase read off the word matrices.
+    """
     d = U.shape[0]
     A = B = W = 0.0
     for w in child:
-        prod = pauli_mul(D, w)
+        (x1, z1), (x2, z2) = D.masks, w.masks
+        m = P.from_masks(x1 ^ x2, z1 ^ z2, D.n_sites)
+        phase = np.vdot(pauli_matrix(m), pauli_matrix(D) @ pauli_matrix(w)) / d
         c_w = word_trace(U, w) / d
-        c_m = word_trace(U, prod.word) / d
+        c_m = word_trace(U, m) / d
         A += abs(c_w) ** 2
         B += abs(c_m) ** 2
-        W += (prod.phase.conjugate() * c_w * c_m.conjugate()).imag
+        W += (phase.conjugate() * c_w * c_m.conjugate()).imag
     return A, B, W
 
 
@@ -198,17 +221,16 @@ def test_coefficient_slices_match_the_per_word_oracle(n):
         got = expand(U, parent)
         assert got.keys() == want.keys()
         assert all(abs(got[w] - want[w]) <= 1e-12 for w in want)
-        assert group_norm(U, parent) == pytest.approx(
+        a = xz_traces(U) / U.shape[0]
+        assert _weight(a, parent) == pytest.approx(
             sum(abs(c) ** 2 for c in want.values()), abs=1e-12)
-        for D in parent:
-            if D in child:
-                continue
+        A_got = _weight(a, child)
+        candidates = [D for D in parent if D not in child]
+        for D, B_got, W_got in zip(candidates, *_weight_terms(a, candidates, child)):
             A, B, W = weight_terms_oracle(U, D, child)
-            assert w_value(U, D, child) == pytest.approx(W, abs=1e-12)
-            choice = optimal_angle(U, D, child)
-            assert choice.norm_before == pytest.approx(A, abs=1e-12)
-            assert choice.delta == pytest.approx(0.5 * (A - B), abs=1e-12)
-            assert choice.w_value == pytest.approx(W, abs=1e-12)
+            assert A_got == pytest.approx(A, abs=1e-12)
+            assert 0.5 * (A_got - B_got) == pytest.approx(0.5 * (A - B), abs=1e-12)
+            assert W_got == pytest.approx(W, abs=1e-12)
 
 
 class TestPeelLevel:
@@ -222,7 +244,8 @@ class TestPeelLevel:
         assert step.angle == pytest.approx(-math.pi / 4, abs=1e-12)
         assert step.norm_before == pytest.approx(0.5, abs=1e-12)
         assert step.norm_after == pytest.approx(1.0, abs=1e-12)
-        assert group_norm(residual, hand_tower4.levels[1]) == pytest.approx(1.0, abs=1e-10)
+        coeffs = expand(residual, hand_tower4.levels[1])
+        assert sum(abs(c) ** 2 for c in coeffs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_residual_after_two_levels(self, mirror4, hand_tower4):
         # peeling YZZY then XZZX leaves (1 + IZZI + i IXXI + i IYYI)/2;
@@ -443,6 +466,27 @@ def test_fallback_peel_factors_are_pinned():
     for (_, got), (_, want) in zip(dec.factors, FALLBACK_FACTORS):
         assert got == pytest.approx(want, abs=1e-12)
     assert gate_fidelity(reconstruct(dec), U) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("source, transforms", [("engineered", 1), ("fallback", 2)])
+def test_boundary_work_runs_once(monkeypatch, mirror4, source, transforms):
+    # One unitarity check and one trace transform serve the support scan and
+    # the peel; only the fallback, which restarts from the input, transforms again.
+    if source == "engineered":
+        U = mirror4
+    else:
+        U = np.eye(32, dtype=complex)
+        for word, angle in FALLBACK_PRODUCT:
+            U = U @ rotation(word, angle)
+    calls = {"_as_unitary": 0, "xz_traces": 0}
+    for module in (pauli_module, decompose_module):
+        for name in calls:
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+    decompose(U)
+    assert calls == {"_as_unitary": 1, "xz_traces": transforms}
 
 
 def test_heaviest_maximal_subgroup_against_every_functional():
