@@ -123,6 +123,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.unitary is not None:
         if args.closed_form:
             raise ValueError("--closed-form needs a chain, not a raw unitary file")
+        if args.tau is not None:
+            raise ValueError("--tau evolves a chain; a raw unitary file takes no --tau")
         try:
             U = np.load(args.unitary)
         except ValueError as exc:
@@ -405,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_quiet(p)
     _add_chain_source(p).add_argument("--unitary", metavar="FILE", help=".npy unitary matrix")
     p.add_argument("--closed-form", action="store_true", help="emit the closed-form product")
-    p.add_argument("--tau", type=_finite, default=None, help="evolution time (default pi/2)")
+    p.add_argument("--tau", type=_finite, default=None,
+                   help="chain evolution time (default pi/2; not with --unitary or --closed-form)")
     p.add_argument("-o", "--output", default="decomposition.json", metavar="FILE")
     p.set_defaults(func=cmd_decompose)
 

@@ -13,16 +13,29 @@ gyromagnetic ratio.
 The objective is the Hilbert-Schmidt gate fidelity |Tr(V^dag U)| / 2^n,
 averaged over a set of RF scale factors that multiply all control
 amplitudes (robustness to coil inhomogeneity).  Per pulse and scale, one
-batched eigh diagonalizes all T step Hamiltonians, H_t = Q diag(l) Q^dag;
-`propagate` and the objective share it and the forward products
-F_t = U_{t-1} ... U_0.  Gradients are exact (Khaneja et al., J. Magn.
-Reson. 172, 296, 2005): with the divided differences
-Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) / (l_a - l_b), the backward
-products B_t = U_{T-1} ... U_{t+1} and M_t = Q^dag F_t V^dag B_t Q, the
-derivative of Tr(V^dag U) along control E of step t is Tr(Y_t E) with
-Y_t = Q (M_t o Gamma) Q^dag (Gamma is symmetric), so one contraction gives
-every component.  Ascent uses backtracking line search with amplitude
-clipping, so accepted fidelities never decrease.
+batched eigh diagonalizes all T step Hamiltonians, H_t = Q diag(l) Q^dag,
+and the value pass multiplies the step propagators pairwise into
+F_T = U_{T-1} ... U_0 in ceil(log2 T) batched rounds.  `propagate` is that
+product.
+
+Gradients are exact (Khaneja et al., J. Magn. Reson. 172, 296, 2005).
+With the divided differences Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) /
+(l_a - l_b), the derivative of Tr(V^dag U) along control E of step t is
+Tr(Y_t E), Y_t = Q (M_t o Gamma) Q^dag (Gamma is symmetric), where
+M_t = Q^dag F_t V^dag B_t Q, F_t = U_{t-1} ... U_0 and B_t = U_{T-1} ...
+U_{t+1}.  Since B_t = F_T F_{t+1}^dag and F_{t+1}^dag Q = F_t^dag Q
+diag(e^{+i dt l}), with X = V^dag F_T
+
+    M_t = Q^dag F_t X F_t^dag Q diag(e^{+i dt l}),
+
+so only forward products appear, and one matmul contracts every Y_t with
+every control.
+
+Ascent uses backtracking line search with amplitude clipping, so accepted
+fidelities never decrease.  A trial runs the value pass only; the gradient
+pass runs once per accepted trial, on that trial's eigendecompositions and
+step propagators, so no eigh runs twice and a rejected trial costs no
+gradient.
 """
 
 from __future__ import annotations
@@ -222,28 +235,60 @@ class PulseSequence:
 def _steps(Hd: np.ndarray, ops: np.ndarray, u: np.ndarray, dt: float,
            scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(l, Q, exp(-i dt H_t)) for every step, H_t = Hd + scale * sum u[t,c,k] ops[c,k]."""
-    evals, Q = np.linalg.eigh(Hd + scale * np.einsum("tck,ckij->tij", u, ops))
+    T, d = len(u), Hd.shape[0]
+    H = Hd + ((scale * u.reshape(T, -1)) @ ops.reshape(-1, d * d)).reshape(T, d, d)
+    evals, Q = np.linalg.eigh(H)
     return evals, Q, (Q * np.exp(-1j * dt * evals)[:, None, :]) @ Q.conj().transpose(0, 2, 1)
 
 
-def _forward(Us: np.ndarray) -> np.ndarray:
-    """F[t] = U_{t-1} ... U_0, the product of the first t steps (F[0] = I)."""
-    F = np.empty((len(Us) + 1,) + Us.shape[1:], dtype=complex)
+def _product(Us: np.ndarray) -> np.ndarray:
+    """U_{T-1} ... U_0, multiplied pairwise in ceil(log2 T) batched rounds."""
+    while len(Us) > 1:
+        pairs = Us[1::2] @ Us[:len(Us) - 1:2]
+        Us = np.concatenate((pairs, Us[-1:])) if len(Us) % 2 else pairs
+    return Us[0]
+
+
+def _prefixes(Us: np.ndarray) -> np.ndarray:
+    """F[t] = U_{t-1} ... U_0 for t < T, the steps before step t (F[0] = I)."""
+    F = np.empty_like(Us)
     F[0] = np.eye(Us.shape[1])
-    for t, U in enumerate(Us):
-        F[t + 1] = U @ F[t]
+    for t in range(1, len(Us)):
+        np.matmul(Us[t - 1], F[t - 1], out=F[t])
     return F
+
+
+def _plant(spec: NmrSystemSpec, pulse: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and control generators of `spec`, once the pulse's channels match them."""
+    if pulse.n_channels != spec.n_channels:
+        raise ValueError(
+            f"pulse amplitudes drive {pulse.n_channels} channels, system has {spec.n_channels}"
+        )
+    return drift_hamiltonian(spec), control_operators(spec)
+
+
+def _target_adjoint(target: np.ndarray, d: int) -> np.ndarray:
+    """V^dag of a finite d x d target."""
+    V = np.asarray(target, dtype=complex)
+    if V.shape != (d, d):
+        raise ValueError(f"target shape {V.shape} does not match dimension {d}")
+    if not np.isfinite(V).all():
+        raise ValueError("target must be finite")
+    return V.conj().T
+
+
+def _rf_scales(values) -> tuple[float, ...]:
+    """The RF scale factors as floats: at least one, each positive and finite."""
+    scales = tuple(float(s) for s in values)
+    if not scales or not all(math.isfinite(s) and s > 0.0 for s in scales):
+        raise ValueError(f"rf_scales must be nonempty, positive and finite, got {scales!r}")
+    return scales
 
 
 def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
     """Time-ordered product of the per-step exponentials (step 0 first)."""
-    if pulse.n_channels != spec.n_channels:
-        raise ValueError(
-            f"pulse drives {pulse.n_channels} channels, system has {spec.n_channels}"
-        )
-    Hd = drift_hamiltonian(spec)
-    _, _, Us = _steps(Hd, control_operators(spec), pulse.amplitudes, pulse.dt, 1.0)
-    return _forward(Us)[-1]
+    Hd, ops = _plant(spec, pulse)
+    return _product(_steps(Hd, ops, pulse.amplitudes, pulse.dt, 1.0)[2])
 
 
 def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -265,48 +310,65 @@ def mean_fidelity_and_gradient(
     """Mean HS fidelity over RF scales and its exact amplitude gradient.
 
     The scale-s term propagates with all control amplitudes multiplied by
-    s; with rf_scales=(1.0,) this is exactly the plain objective.
+    s; with rf_scales=(1.0,) this is exactly the plain objective.  Raises
+    ValueError naming the field when amplitudes, dt, rf_scales or target
+    are malformed or non-finite.
     """
-    Hd = drift_hamiltonian(spec)
-    ops = control_operators(spec)
-    return _phi_and_grad(Hd, ops, target, np.asarray(amplitudes, float), dt, rf_scales)
+    pulse = PulseSequence(dt, amplitudes)
+    scales = _rf_scales(rf_scales)
+    Hd, ops = _plant(spec, pulse)
+    Vh = _target_adjoint(target, Hd.shape[0])
+    return _phi_and_grad(Hd, ops, Vh, pulse.amplitudes, pulse.dt, scales)
+
+
+def _value(
+    Hd: np.ndarray,
+    ops: np.ndarray,
+    Vh: np.ndarray,
+    u: np.ndarray,
+    dt: float,
+    scales: tuple[float, ...],
+) -> tuple[float, list]:
+    """Mean fidelity, with each scale's (s, l, Q, U_t, V^dag F_T) for `_gradient`."""
+    d = Hd.shape[0]
+    phi, parts = 0.0, []
+    for s in scales:
+        evals, Q, Us = _steps(Hd, ops, u, dt, s)
+        X = Vh @ _product(Us)
+        phi += abs(complex(np.trace(X))) / d
+        parts.append((s, evals, Q, Us, X))
+    return phi / len(scales), parts
+
+
+def _gradient(ops: np.ndarray, dt: float, parts: list) -> np.ndarray:
+    """Exact amplitude gradient of the mean fidelity from `_value`'s parts."""
+    T, d = parts[0][3].shape[:2]
+    # Tr(Y E) = sum_ij Y_ij conj(E_ij), since every control generator E is Hermitian.
+    Ec = ops.reshape(-1, d * d).conj().T
+    grad = np.zeros((T, Ec.shape[1]))
+    for s, evals, Q, Us, X in parts:
+        z = complex(np.trace(X))
+        if abs(z) <= 1e-15:
+            continue
+        A = _prefixes(Us).conj().transpose(0, 2, 1) @ Q  # F_t^dag Q_t
+        M = (A.conj().transpose(0, 2, 1) @ X @ A) * np.exp(1j * dt * evals)[:, None, :]
+        Y = Q @ (M * _gamma(evals, dt)) @ Q.conj().transpose(0, 2, 1)
+        dz = s * (Y.reshape(T, d * d) @ Ec)
+        grad += (z.conjugate() * dz).real / (abs(z) * d)
+    return grad.reshape(T, -1, 2) / len(parts)
 
 
 def _phi_and_grad(
     Hd: np.ndarray,
     ops: np.ndarray,
-    target: np.ndarray,
+    Vh: np.ndarray,
     u: np.ndarray,
     dt: float,
     scales: tuple[float, ...],
 ) -> tuple[float, np.ndarray]:
-    d = Hd.shape[0]
-    if target.shape != (d, d):
-        raise ValueError(f"target shape {target.shape} does not match dimension {d}")
-    T, C = u.shape[0], u.shape[1]
-    if C != len(ops):
-        raise ValueError(f"amplitudes drive {C} channels, system has {len(ops)}")
-    Vh = target.conj().T
-    phi_total = 0.0
-    grad_total = np.zeros_like(u)
-
-    for s in scales:
-        evals, Q, Us = _steps(Hd, ops, u, dt, s)
-        F = _forward(Us)
-        z = complex(np.trace(Vh @ F[T]))
-        phi_total += abs(z) / d
-        if abs(z) > 1e-15:
-            # B[t] = U_{T-1} ... U_{t+1}, the steps after step t.
-            B, after = np.empty_like(Us), np.eye(d)
-            for t in range(T - 1, -1, -1):
-                B[t], after = after, after @ Us[t]
-            Qh = Q.conj().transpose(0, 2, 1)
-            M = Qh @ (F[:T] @ Vh @ B) @ Q
-            Y = Q @ (M * _gamma(evals, dt)) @ Qh
-            dz = s * np.einsum("tji,ckij->tck", Y, ops)
-            grad_total += (z.conjugate() * dz).real / (abs(z) * d)
-
-    return phi_total / len(scales), grad_total / len(scales)
+    """Mean fidelity and its gradient: one value pass, then its gradient pass."""
+    phi, parts = _value(Hd, ops, Vh, u, dt, scales)
+    return phi, _gradient(ops, dt, parts)
 
 
 @dataclass(frozen=True)
@@ -324,7 +386,7 @@ class GrapeConfig:
     init_amplitude_hz: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rf_scales", tuple(float(s) for s in self.rf_scales))
+        object.__setattr__(self, "rf_scales", _rf_scales(self.rf_scales))
         for name, low in (("steps", 1), ("max_iterations", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
@@ -336,10 +398,6 @@ class GrapeConfig:
             raise ValueError("dt and amp_max_hz must be positive")
         if self.init not in ("random", "zero"):
             raise ValueError("init must be 'random' or 'zero'")
-        if not self.rf_scales or not all(math.isfinite(s) and s > 0.0 for s in self.rf_scales):
-            raise ValueError(
-                f"rf_scales must be nonempty, positive and finite, got {self.rf_scales!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -376,6 +434,7 @@ def grape_optimize(
     """
     Hd = drift_hamiltonian(spec)
     ops = control_operators(spec)
+    Vh = _target_adjoint(target, Hd.shape[0])
     cap = config.amp_max_hz
     if config.init == "zero":
         u = np.zeros((config.steps, spec.n_channels, 2))
@@ -389,7 +448,7 @@ def grape_optimize(
         u = np.clip(rng.standard_normal((config.steps, spec.n_channels, 2)) * scale,
                     -cap, cap)
 
-    phi, grad = _phi_and_grad(Hd, ops, target, u, config.dt, config.rf_scales)
+    phi, grad = _phi_and_grad(Hd, ops, Vh, u, config.dt, config.rf_scales)
     trajectory = [phi]
     alpha = None
     iterations = 0
@@ -405,11 +464,9 @@ def grape_optimize(
         accepted = False
         for _ in range(40):
             trial = np.clip(u + alpha * grad, -cap, cap)
-            phi_trial, grad_trial = _phi_and_grad(
-                Hd, ops, target, trial, config.dt, config.rf_scales
-            )
+            phi_trial, parts = _value(Hd, ops, Vh, trial, config.dt, config.rf_scales)
             if phi_trial > phi + 1e-14:
-                u, phi, grad = trial, phi_trial, grad_trial
+                u, phi, grad = trial, phi_trial, _gradient(ops, config.dt, parts)
                 alpha *= 1.5
                 accepted = True
                 break

@@ -201,6 +201,16 @@ def test_decompose_unitary_rejects_closed_form(tmp_path, capsys):
     assert "chain" in capsys.readouterr().err
 
 
+def test_decompose_unitary_rejects_tau(tmp_path, capsys):
+    path = tmp_path / "gate.npy"
+    np.save(path, np.eye(4, dtype=complex))
+    out = tmp_path / "dec.json"
+    rc = main(["decompose", "--unitary", str(path), "--tau", "0.3", "-o", str(out)])
+    assert rc == 2
+    assert "--tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):
     def stall(U, chain=None):
         raise DecompositionError("peel stalled at level 1", PeelTrace(()))
@@ -522,6 +532,25 @@ def test_module_entry_outputs_are_byte_identical(tmp_path):
     assert first.endswith(b"\n")
     # The automatic chain is the only strategy; there is no flag to name it.
     assert main(["decompose", "--engineered", "4", "--auto-chain"]) == 2
+
+
+def test_module_entry_grape_outputs_are_byte_identical(tmp_path):
+    system = write_json(tmp_path / "sys.json", TWO_SPIN)
+    outputs = []
+    for name in ("first", "second"):
+        sub = tmp_path / name
+        sub.mkdir()
+        r = run_module(
+            "grape", "--system", system, "--target-gate", "ZZ:0.7",
+            "--steps", "12", "--dt", "0.002", "--amp-max", "500",
+            "--rf-scales", "0.95,1.0,1.05", "--seed", "9", "--max-iterations", "25",
+            "--min-fidelity", "0", "-o", "grape.json", "--pulse-csv", "pulse.csv",
+            cwd=str(sub),
+        )
+        assert r.returncode == 0, r.stderr
+        outputs.append(((sub / "grape.json").read_bytes(), (sub / "pulse.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["result"]["iterations"] > 0
 
 
 def test_thread_count_override(tmp_path):

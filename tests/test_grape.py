@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from mirrorchain import grape
 from mirrorchain.grape import (
     GrapeConfig,
     GrapeResult,
@@ -329,6 +330,81 @@ class TestFidelityAndGradient:
         assert 0.0 < phi < 1.0
         assert abs(phi - phi_ref) <= 1e-12
         assert np.abs(grad - grad_ref).max() <= 1e-12
+
+
+    def test_inputs_are_validated_with_the_field_named(self):
+        V = np.eye(2, dtype=complex)
+        u = np.zeros((3, 1, 2))
+        for kwargs, field in (
+            (dict(rf_scales=()), "rf_scales"),
+            (dict(rf_scales=(1.0, math.nan)), "rf_scales"),
+            (dict(amplitudes=np.full((3, 1, 2), math.nan)), "amplitudes"),
+            (dict(amplitudes=np.zeros((3, 1))), "amplitudes"),
+            (dict(amplitudes=np.zeros((3, 2, 2))), "amplitudes"),
+            (dict(dt=math.nan), "dt"),
+            (dict(dt=0.0), "dt"),
+            (dict(target=np.eye(4)), "target"),
+            (dict(target=np.full((2, 2), math.nan)), "target"),
+        ):
+            args = {**dict(target=V, amplitudes=u, dt=1e-4, rf_scales=(1.0,)), **kwargs}
+            with pytest.raises(ValueError, match=field):
+                mean_fidelity_and_gradient(SINGLE_SPIN, **args)
+
+
+class TestKernel:
+    """The value pass, the gradient pass and the pairwise step product."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 33, 64, 65])
+    def test_kernel_matches_per_step_reference(self, steps):
+        rng = np.random.default_rng(55)
+        V = random_unitary(rng, 8)
+        u = rng.uniform(-300.0, 300.0, (steps, THREE_SPIN.n_channels, 2))
+        dt = 2e-4
+        pulse = PulseSequence(dt, u)
+        assert np.abs(propagate(THREE_SPIN, pulse) - reference_propagate(THREE_SPIN, pulse)).max() <= 1e-12
+        scales = (0.9, 1.0, 1.1)
+        phi, grad = mean_fidelity_and_gradient(THREE_SPIN, V, u, dt, scales)
+        phi_ref, grad_ref = reference_phi_and_grad(THREE_SPIN, V, u, dt, scales)
+        assert 0.0 < phi < 1.0
+        assert abs(phi - phi_ref) <= 1e-12
+        assert np.abs(grad - grad_ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("scales", SCALES, ids=["plain", "robust"])
+    def test_value_pass_equals_composite(self, scales):
+        rng = np.random.default_rng(56)
+        V = random_unitary(rng, 8)
+        u = rng.uniform(-300.0, 300.0, (9, THREE_SPIN.n_channels, 2))
+        Hd, ops = drift_hamiltonian(THREE_SPIN), control_operators(THREE_SPIN)
+        phi, parts = grape._value(Hd, ops, V.conj().T, u, 1e-3, scales)
+        phi_full, grad = grape._phi_and_grad(Hd, ops, V.conj().T, u, 1e-3, scales)
+        assert abs(phi - phi_full) <= 1e-12
+        assert len(parts) == len(scales)
+        assert np.array_equal(grape._gradient(ops, 1e-3, parts), grad)
+
+    def test_optimizer_evaluates_each_trial_once_and_differentiates_accepted_ones(
+        self, monkeypatch
+    ):
+        counts = {"eigh": 0, "value": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(grape, "_value", counted("value", grape._value))
+        monkeypatch.setattr(grape, "_gradient", counted("gradient", grape._gradient))
+        scales = (0.95, 1.0, 1.05)
+        cfg = GrapeConfig(steps=20, dt=1e-4, amp_max_hz=2000.0, stop_fidelity=0.9999,
+                          seed=5, max_iterations=40, rf_scales=scales)
+        res = grape_optimize(SINGLE_SPIN, pauli_matrix(P("Z")), cfg)
+        assert res.iterations > 0
+        # the initial point and every line-search trial
+        assert counts["eigh"] == len(scales) * counts["value"]
+        # rejected trials do occur, and they pay for no gradient
+        assert counts["value"] > res.iterations + 1
+        assert counts["gradient"] == res.iterations + 1
 
 
 class TestOptimizer:
