@@ -61,7 +61,6 @@ _EXPORTS = {
     "propagator": ".chain",
     "SectorPropagator": ".chain",
     "chain_propagator": ".chain",
-    "evolve": ".chain",
     "check_mirror_condition": ".chain",
     # decompose (the function itself stays in the submodule)
     "ProductDecomposition": ".decompose",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import MAX_DENSE_SITES, _json_int
-from .states import QuantumState, excitation_numbers
+from .states import excitation_numbers
 
 __all__ = [
     "ChainSpec",
@@ -52,7 +52,6 @@ __all__ = [
     "propagator",
     "SectorPropagator",
     "chain_propagator",
-    "evolve",
     "SpectralReport",
     "check_mirror_condition",
     "MIRROR_TIME",
@@ -276,16 +275,6 @@ def chain_propagator(spec: ChainSpec, tau: float) -> SectorPropagator:
         excitation_sectors(spec.n_sites),
         tuple(propagator(H, tau) for H in sector_hamiltonians(spec)),
     )
-
-
-def evolve(state: QuantumState, U: np.ndarray | SectorPropagator) -> QuantumState:
-    """Apply a unitary: kets map to U|psi>, matrices to U rho U^dag."""
-    if isinstance(U, np.ndarray) and U.shape[0] != state.data.shape[0]:
-        raise ValueError(
-            f"unitary dimension {U.shape[0]} does not match state "
-            f"dimension {state.data.shape[0]}"
-        )
-    return state.evolved(U)
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,28 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _int_at_least(low: int):
+    """argparse type for integer flags with a lower bound."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    """argparse type for a comma-separated list of numbers."""
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _say(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -231,9 +253,10 @@ def _parse_gate(text: str, n_spins: int):
         return np.eye(1 << n_spins, dtype=complex)
     if ":" in text:
         word_text, _, angle_text = text.partition(":")
-        angle = float(angle_text)
-        if not math.isfinite(angle):
-            raise ValueError(f"gate angle must be finite, got {angle_text!r}")
+        try:
+            angle = _finite(angle_text)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"--target-gate angle: {exc}") from None
         word = PauliString(word_text)
         if word.n_sites != n_spins:
             raise ValueError(f"gate word {word_text!r} is not {n_spins} spins")
@@ -263,13 +286,12 @@ def cmd_grape(args: argparse.Namespace) -> int:
     else:
         target = _parse_gate(args.target_gate, system.n_spins)
 
-    rf_scales = tuple(float(s) for s in args.rf_scales.split(","))
     config = GrapeConfig(
         steps=args.steps,
         dt=args.dt,
         amp_max_hz=args.amp_max,
         max_iterations=args.max_iterations,
-        rf_scales=rf_scales,
+        rf_scales=args.rf_scales,
         stop_fidelity=max(args.stop_fidelity, args.min_fidelity),
         seed=args.seed,
         init=args.init,
@@ -449,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=_finite, default=1e-3, help="step duration in seconds")
     p.add_argument("--amp-max", type=_finite, default=1000.0, help="amplitude cap in Hz")
     p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--rf-scales", default="0.95,1.0,1.05", metavar="S1,S2,...")
+    p.add_argument("--rf-scales", type=_numbers, default="0.95,1.0,1.05", metavar="S1,S2,...")
     p.add_argument("--stop-fidelity", type=_finite, default=0.99)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--init", choices=("random", "zero"), default="random")
     p.add_argument(
         "--min-fidelity",
@@ -465,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="seeded randomized property checks")
     add_quiet(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("-o", "--output", default="selftest.json", metavar="FILE")
     p.set_defaults(func=cmd_selftest)
 

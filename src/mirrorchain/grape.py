@@ -292,12 +292,15 @@ def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
 
 
 def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of x -> exp(-i dt x) on each step's eigenvalue grid."""
-    ph = np.exp(-1j * dt * evals)
-    num = ph[..., :, None] - ph[..., None, :]
-    den = evals[..., :, None] - evals[..., None, :]
-    small = np.abs(den) < 1e-12
-    return np.where(small, -1j * dt * ph[..., :, None], num / np.where(small, 1.0, den))
+    """Divided differences of x -> exp(-i dt x) on each step's eigenvalue grid.
+
+    (e^{-i dt a} - e^{-i dt b}) / (a - b) = -i dt h_a h_b sinc(dt (a - b) / 2)
+    with h = e^{-i dt x / 2}; the sinc form has no quotient to cancel, so it
+    stays exact for near-degenerate eigenvalues and on the diagonal.
+    """
+    h = np.exp(-0.5j * dt * evals)
+    x = 0.5 * dt * (evals[..., :, None] - evals[..., None, :])
+    return -1j * dt * h[..., :, None] * h[..., None, :] * np.sinc(x / np.pi)
 
 
 def mean_fidelity_and_gradient(
@@ -383,7 +386,6 @@ class GrapeConfig:
     stop_fidelity: float = 0.99
     seed: int = 0
     init: str = "random"
-    init_amplitude_hz: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rf_scales", _rf_scales(self.rf_scales))
@@ -391,8 +393,8 @@ class GrapeConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("dt", "amp_max_hz", "stop_fidelity", "init_amplitude_hz"):
-            if not math.isfinite(getattr(self, name) or 0.0):
+        for name in ("dt", "amp_max_hz", "stop_fidelity"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0 or self.amp_max_hz <= 0.0:
             raise ValueError("dt and amp_max_hz must be positive")
@@ -440,12 +442,7 @@ def grape_optimize(
         u = np.zeros((config.steps, spec.n_channels, 2))
     else:
         rng = np.random.default_rng(config.seed)
-        scale = (
-            config.init_amplitude_hz
-            if config.init_amplitude_hz is not None
-            else cap / 100.0
-        )
-        u = np.clip(rng.standard_normal((config.steps, spec.n_channels, 2)) * scale,
+        u = np.clip(rng.standard_normal((config.steps, spec.n_channels, 2)) * (cap / 100.0),
                     -cap, cap)
 
     phi, grad = _phi_and_grad(Hd, ops, Vh, u, config.dt, config.rf_scales)

@@ -5,6 +5,12 @@ the computational label '1' denotes the sigma-z = +1 eigenstate.  So the
 basis index of a bit string b_1 ... b_n is sum_i (1 - b_i) * 2^(n-i): the
 all-ones label sits at index 0 and the all-zeros label at index 2^n - 1.
 
+Embedding a local ket or operator and reducing onto kept sites all go
+through one site-index map, `_site_index`: P[l, r] is the basis index with
+local label l on the chosen sites and rest label r elsewhere.  Kets and
+operators are scattered into, and kets gathered from, those indices, with
+no `np.kron` and no loop over bit labels.
+
 Density matrices come in three flavors, tagged on :class:`QuantumState`:
 "pure" (a ket), "mixed" (a unit-trace PSD matrix), and "deviation" (the
 traceless high-temperature deviation from the maximally mixed background,
@@ -102,6 +108,20 @@ def bell_state(kind: str) -> np.ndarray:
     return ket / np.sqrt(2.0)
 
 
+def _site_index(sites: tuple[int, ...], n_sites: int, name: str = "sites") -> np.ndarray:
+    """P[l, r]: the basis index with local label l on `sites` (in tuple
+    order) and rest label r on the other sites (ascending).
+
+    The sites must be 1-based, distinct and ascending.
+    """
+    if sorted(set(sites)) != list(sites) or not all(1 <= s <= n_sites for s in sites):
+        raise ValueError(f"{name} {sites!r} must be distinct, ascending, within 1..{n_sites}")
+    # Axis i of the index tensor is site i + 1; the rest keep their order.
+    index = np.arange(1 << n_sites).reshape((2,) * n_sites)
+    moved = np.moveaxis(index, [s - 1 for s in sites], range(len(sites)))
+    return moved.reshape(1 << len(sites), -1)
+
+
 def embed_at(local: np.ndarray, sites: tuple[int, ...], n_sites: int) -> np.ndarray:
     """Place a ket on the given (1-based, distinct, ascending) sites,
     filling every other site with |0>; the sites may be adjacent.
@@ -111,21 +131,10 @@ def embed_at(local: np.ndarray, sites: tuple[int, ...], n_sites: int) -> np.ndar
     k = len(sites)
     if local.shape != (1 << k,):
         raise ValueError(f"local ket of dim {local.shape} does not cover {k} sites")
-    if sorted(set(sites)) != list(sites) or not all(1 <= s <= n_sites for s in sites):
-        raise ValueError(f"sites {sites!r} must be distinct, ascending, within 1..{n_sites}")
+    P = _site_index(sites, n_sites)
     full = np.zeros(1 << n_sites, dtype=complex)
-    rest = [s for s in range(1, n_sites + 1) if s not in sites]
-    for local_idx in range(1 << k):
-        amp = local[local_idx]
-        if amp == 0.0:
-            continue
-        local_bits = bit_label(local_idx, k)
-        bits = [""] * n_sites
-        for pos, s in enumerate(sites):
-            bits[s - 1] = local_bits[pos]
-        for s in rest:
-            bits[s - 1] = "0"
-        full[basis_index("".join(bits))] = amp
+    # The all-'0' rest label has every index bit set: the last column.
+    full[P[:, -1]] = local
     return full
 
 
@@ -135,20 +144,13 @@ def embed_operator(
     """Lift an operator on the given (1-based, ascending) sites to the full
     register, acting as identity elsewhere."""
     k = len(sites)
-    dk = 1 << k
-    if local.shape != (dk, dk):
+    if local.shape != (1 << k,) * 2:
         raise ValueError(f"local operator shape {local.shape} does not cover {k} sites")
-    if sorted(set(sites)) != list(sites) or not all(1 <= s <= n_sites for s in sites):
-        raise ValueError(f"sites {sites!r} must be distinct, ascending, within 1..{n_sites}")
-    rest = [s for s in range(1, n_sites + 1) if s not in sites]
-    tensor = np.kron(local, np.eye(1 << len(rest))).reshape((2,) * (2 * n_sites))
-    # Current row axes carry sites in the order (sites..., rest...); map
-    # each chain site to its current axis, then reorder to 1..n.
-    current = list(sites) + rest
-    row_perm = [current.index(s) for s in range(1, n_sites + 1)]
-    perm = row_perm + [n_sites + p for p in row_perm]
-    d = 1 << n_sites
-    return tensor.transpose(perm).reshape((d, d))
+    Q = _site_index(sites, n_sites).T
+    full = np.zeros((1 << n_sites,) * 2, dtype=np.result_type(local.dtype, float))
+    # One copy of `local` per rest label r, on the rows and columns Q[r].
+    full[Q[:, :, None], Q[:, None, :]] = local
+    return full
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_sites: int) -> np.ndarray:
@@ -160,21 +162,16 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_sites: int) -> np.nd
     d = 1 << n_sites
     if rho.shape not in ((d,), (d, d)):
         raise ValueError(f"density matrix shape {rho.shape} does not match {n_sites} sites")
-    if sorted(set(keep)) != list(keep) or not all(1 <= s <= n_sites for s in keep):
-        raise ValueError(f"keep sites {keep!r} must be distinct, ascending, within 1..{n_sites}")
-    dk = 1 << len(keep)
+    P = _site_index(keep, n_sites, "keep sites")
     if rho.ndim == 1:
         # Kept sites become rows, the rest columns: rho_keep = M M^dag.
-        M = np.moveaxis(rho.reshape((2,) * n_sites), [s - 1 for s in keep],
-                        range(len(keep))).reshape((dk, -1))
+        M = rho[P]
         return M @ M.conj().T
     tensor = rho.reshape((2,) * (2 * n_sites))
-    drop = [s for s in range(1, n_sites + 1) if s not in keep]
     # Trace out highest-numbered sites first so remaining axis numbers stay valid.
-    for s in sorted(drop, reverse=True):
-        ax = s - 1
+    for ax in (s - 1 for s in range(n_sites, 0, -1) if s not in keep):
         tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
-    return tensor.reshape((dk, dk))
+    return tensor.reshape((len(P), len(P)))
 
 
 _STATE_KINDS = ("pure", "mixed", "deviation")

@@ -36,7 +36,6 @@ from .pauli import PauliString, pauli_matrix
 from .states import (
     BELL_KINDS,
     QuantumState,
-    basis_index,
     bell_state,
     bit_label,
     embed_at,
@@ -81,10 +80,6 @@ class SectorPhaseTable:
         for p in phases:
             if abs(abs(p) - 1.0) > 1e-9:
                 raise ValueError("sector phases must have unit modulus")
-
-    def ratio(self, k: int, ref: int = 0) -> complex:
-        """phases[k] / phases[ref]."""
-        return self.phases[k] / self.phases[ref]
 
     def to_json(self) -> dict:
         return {
@@ -240,23 +235,6 @@ def _engineered_reference_phases(n_sites: int) -> tuple[complex, ...]:
     )
 
 
-def _resolve_chain(
-    n_sites: int, spec: ChainSpec | None
-) -> tuple[ChainSpec, SectorPropagator]:
-    if spec is None:
-        spec = ChainSpec.engineered(n_sites)
-    elif spec.n_sites != n_sites:
-        raise ValueError(f"chain has {spec.n_sites} sites, transfer asked for {n_sites}")
-    return spec, chain_propagator(spec, MIRROR_TIME)
-
-
-def _phase_table(U: SectorPropagator, n_sites: int) -> SectorPhaseTable | None:
-    try:
-        return sector_phases(U, n_sites)
-    except ValueError:
-        return None
-
-
 def transfer_single(
     n_sites: int,
     site: int,
@@ -273,61 +251,10 @@ def transfer_single(
         raise ValueError(f"mode must be one of {_MODES}")
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} out of range 1..{n_sites}")
-    spec, U = _resolve_chain(n_sites, spec)
-    mirror = n_sites + 1 - site
-    table = _phase_table(U, n_sites)
-
+    data = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
     if mode == "pure":
-        ket = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
-        local = QuantumState("pure", ket / np.linalg.norm(ket))
-        out = U.evolve(embed_at(local.data, (site,), n_sites))
-        rho_out = partial_trace(out, (mirror,), n_sites)
-        ratio = (
-            table.ratio(1)
-            if table is not None
-            else _engineered_reference_phases(n_sites)[1]
-        )
-        # Index 0 holds the |1> amplitude under the '1' = +Z convention.
-        ket_th = np.array([ratio * local.data[0], local.data[1]], dtype=complex)
-        rho_th = np.outer(ket_th, ket_th.conj())
-        rho_in = local.density()
-    else:
-        dev = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
-        local = QuantumState("deviation", dev)
-        full = embed_operator(local.data, (site,), n_sites)
-        out = U.evolve(full)
-        # The reference evolution is the engineered chain's; an engineered
-        # chain is its own reference.
-        rho_th = (
-            out
-            if spec.is_engineered
-            else chain_propagator(ChainSpec.engineered(n_sites), MIRROR_TIME).evolve(full)
-        )
-        rho_out = partial_trace(out, (mirror,), n_sites)
-        rho_in = local.data
-        # Fidelity on the full register: the transferred coherence carries
-        # Z strings over the other spins, invisible to the reduced matrix.
-        return TransferReport(
-            mode=mode,
-            source_sites=(site,),
-            destination_sites=(mirror,),
-            input_matrix=rho_in,
-            output_matrix=rho_out,
-            **_report_metrics(rho_th, out),
-            sector_phases=table,
-            bell_label=None,
-        )
-
-    return TransferReport(
-        mode=mode,
-        source_sites=(site,),
-        destination_sites=(mirror,),
-        input_matrix=rho_in,
-        output_matrix=rho_out,
-        **_report_metrics(rho_th, rho_out),
-        sector_phases=table,
-        bell_label=None,
-    )
+        data = data / np.linalg.norm(data)
+    return _transfer(n_sites, (site,), QuantumState(mode, data).data, mode, spec)
 
 
 def transfer_entangled(
@@ -351,55 +278,75 @@ def transfer_entangled(
     i, j = sites
     if not (1 <= i < j <= n_sites):
         raise ValueError(f"sites {sites!r} must satisfy 1 <= i < j <= {n_sites}")
-    spec, U = _resolve_chain(n_sites, spec)
-    dest = (n_sites + 1 - j, n_sites + 1 - i)
-    table = _phase_table(U, n_sites)
+    return _transfer(n_sites, (i, j), bell_state(bell_kind), mode, spec)
 
-    bell = bell_state(bell_kind)
-    projector = np.outer(bell, bell.conj())
-    if mode == "pure":
-        out = U.evolve(embed_at(bell, (i, j), n_sites))
+
+def _transfer(
+    n_sites: int,
+    sites: tuple[int, ...],
+    local: np.ndarray,
+    mode: str,
+    spec: ChainSpec | None,
+) -> TransferReport:
+    """Place `local` on `sites`, evolve to the mirror time, reduce onto the
+    mirrored sites and compare with the expected output.
+
+    `local` is a ket, placed with |0> spectators in pure mode and as its
+    projector over maximally mixed spectators in deviation mode, and
+    judged against the projector of its mirrored ket.  A 2x2 `local` is a
+    single-site deviation operator, judged on the full register.
+    """
+    if spec is None:
+        spec = ChainSpec.engineered(n_sites)
+    elif spec.n_sites != n_sites:
+        raise ValueError(f"chain has {spec.n_sites} sites, transfer asked for {n_sites}")
+    U = chain_propagator(spec, MIRROR_TIME)
+    try:
+        table = sector_phases(U, n_sites)
+    except ValueError:
+        table = None
+    dest = tuple(n_sites + 1 - s for s in reversed(sites))
+    if local.ndim == 2:
+        rho_in = local
+        full = embed_operator(local, sites, n_sites)
+        out = U.evolve(full)
+        # Fidelity on the full register: the transferred coherence carries
+        # Z strings over the other spins, invisible to the reduced matrix.
+        # The reference evolution is the engineered chain's; an engineered
+        # chain is its own reference.
+        rho_th = (
+            out
+            if spec.is_engineered
+            else chain_propagator(ChainSpec.engineered(n_sites), MIRROR_TIME).evolve(full)
+        )
     else:
-        out = U.evolve(embed_operator(projector, (i, j), n_sites) / (1 << (n_sites - 2)))
+        rho_in = np.outer(local, local.conj())
+        if mode == "pure":
+            out = U.evolve(embed_at(local, sites, n_sites))
+        else:
+            out = U.evolve(embed_operator(rho_in, sites, n_sites) / (1 << (n_sites - len(sites))))
+        phases = table.phases if table is not None else _engineered_reference_phases(n_sites)
+        ket_th = _mirrored_ket(local, phases)
+        rho_th = np.outer(ket_th, ket_th.conj())
     rho_out = partial_trace(out, dest, n_sites)
-
-    rho_th = _expected_bell_output(bell, bell_kind, n_sites, table)
-    label = _classify_bell(rho_out)
-
     return TransferReport(
         mode=mode,
-        source_sites=(i, j),
+        source_sites=sites,
         destination_sites=dest,
-        input_matrix=projector,
+        input_matrix=rho_in,
         output_matrix=rho_out,
-        **_report_metrics(rho_th, rho_out),
+        **_report_metrics(rho_th, out if local.ndim == 2 else rho_out),
         sector_phases=table,
-        bell_label=label,
+        bell_label=_classify_bell(rho_out) if len(sites) == 2 else None,
     )
 
 
-def _expected_bell_output(
-    bell: np.ndarray,
-    bell_kind: str,
-    n_sites: int,
-    table: SectorPhaseTable | None,
-) -> np.ndarray:
-    """Projector on the sector-phase-adjusted, pair-swapped Bell ket."""
-    phases = (
-        table.phases
-        if table is not None
-        else _engineered_reference_phases(n_sites)
-    )
-    ket_th = np.zeros(4, dtype=complex)
-    for idx in range(4):
-        amp = bell[idx]
-        if amp == 0.0:
-            continue
-        label = bit_label(idx, 2)
-        k = label.count("1")
-        # Pair (i, j) lands on (N+1-j, N+1-i): the two local bits swap.
-        ket_th[basis_index(label[::-1])] += amp * phases[k] / phases[0]
-    return np.outer(ket_th, ket_th.conj())
+def _mirrored_ket(ket: np.ndarray, phases) -> np.ndarray:
+    """The ket a mirror leaves on the mirrored sites: the local bit order
+    reversed, and each k-excitation amplitude times phases[k] / phases[0]."""
+    k = len(ket).bit_length() - 1
+    ratios = np.asarray(phases) / phases[0]
+    return (ket * ratios[excitation_numbers(k)])[mirror_permutation(k)]
 
 
 def _classify_bell(rho: np.ndarray) -> str | None:

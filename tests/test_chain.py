@@ -13,7 +13,6 @@ from mirrorchain.chain import (
     chain_propagator,
     check_mirror_condition,
     engineered_couplings,
-    evolve,
     propagator,
     single_excitation_matrix,
 )
@@ -172,11 +171,12 @@ def test_evolve_takes_sector_and_dense_propagators():
     prop = chain_propagator(spec, 0.37)
     sx = embed_operator(pauli_matrix(PauliString("X")), (2,), 4)
     for state in (QuantumState("pure", basis_ket("0100")), QuantumState("deviation", sx)):
-        got = evolve(state, prop)
+        got = state.evolved(prop)
         assert got.kind == state.kind
-        assert np.abs(got.data - evolve(state, prop.dense()).data).max() <= 1e-12
-    with pytest.raises(ValueError):
-        evolve(QuantumState("pure", basis_ket("010")), prop)
+        assert np.abs(got.data - state.evolved(prop.dense()).data).max() <= 1e-12
+    for U in (prop, prop.dense()):
+        with pytest.raises(ValueError):
+            QuantumState("pure", basis_ket("010")).evolved(U)
 
 
 def test_sector_propagator_rejects_mismatched_states():

@@ -445,6 +445,11 @@ GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
         (["decompose", "--unitary", "{one_by_one_unitary}"], "unitary"),
         (["decompose", "--unitary", "{string_unitary}"], "unitary"),
         (["decompose", "--unitary", "{object_unitary}"], "unitary"),
+        (GRAPE_X + ["--rf-scales", "1.0,abc"], "--rf-scales"),
+        (GRAPE_X + ["--target-gate", "X:abc"], "angle"),
+        (GRAPE_X + ["--seed", "-1"], "--seed"),
+        (["selftest", "--seed", "-1"], "--seed"),
+        (["selftest", "--trials", "-1"], "--trials"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):

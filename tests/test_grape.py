@@ -61,11 +61,16 @@ def random_unitary(rng, d):
 # before the batched kernel.
 
 def reference_gamma(evals, dt):
-    ph = np.exp(-1j * dt * evals)
-    num = np.subtract.outer(ph, ph)
-    den = np.subtract.outer(evals, evals)
-    small = np.abs(den) < 1e-12
-    return np.where(small, -1j * dt * ph[:, None], num / np.where(small, 1.0, den))
+    """(e^{-i dt a} - e^{-i dt b}) / (a - b), exact at every gap: the quotient
+    where dt |a - b| >= 0.1, else e^{-i dt b} (-i dt) sum_m (-i y)^m / (m + 1)!
+    with y = dt (a - b), a series that needs no subtraction."""
+    a, b = evals[:, None], evals[None, :]
+    y = dt * (a - b)
+    series = sum((-1j * y) ** m / math.factorial(m + 1) for m in range(20))
+    near = -1j * dt * np.exp(-1j * dt * b) * series
+    far = np.abs(y) >= 0.1
+    quotient = (np.exp(-1j * dt * a) - np.exp(-1j * dt * b)) / np.where(far, a - b, 1.0)
+    return np.where(far, quotient, near)
 
 
 def reference_propagate(spec, pulse):
@@ -354,6 +359,15 @@ class TestFidelityAndGradient:
 class TestKernel:
     """The value pass, the gradient pass and the pairwise step product."""
 
+    def test_gamma_is_exact_for_near_degenerate_eigenvalues(self):
+        # a quotient of the two exponentials loses digits as the gap closes
+        a, dt = 1000.0, 1e-3
+        for gap in 10.0 ** -np.arange(6, 14):
+            evals = np.array([a, a + gap, a - 3.0 * gap, 0.0])
+            want = reference_gamma(evals, dt)
+            rel = np.abs(grape._gamma(evals, dt) - want) / np.abs(want)
+            assert rel.max() <= 1e-13, gap
+
     @pytest.mark.parametrize("steps", [1, 2, 3, 33, 64, 65])
     def test_kernel_matches_per_step_reference(self, steps):
         rng = np.random.default_rng(55)
@@ -421,7 +435,6 @@ class TestOptimizer:
             dict(dt=math.nan),
             dict(amp_max_hz=math.inf),
             dict(stop_fidelity=math.nan),
-            dict(init_amplitude_hz=math.nan),
             dict(rf_scales=(1.0, math.nan)),
         ):
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}

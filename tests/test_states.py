@@ -1,5 +1,7 @@
 """Register states, bit labels, embeddings, reduced matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mirrorchain.states import (
     KET_ONE,
     KET_ZERO,
     QuantumState,
+    _site_index,
     basis_index,
     basis_ket,
     bell_state,
@@ -158,6 +161,28 @@ def test_embed_operator_on_scrambled_sites():
         acted = (local @ moved.reshape(1 << k, -1)).reshape((2,) * k + moved.shape[k:])
         back = np.moveaxis(acted, range(k), [s - 1 for s in sites]).ravel()
         assert np.allclose(got, back, atol=1e-10)
+
+
+def test_site_index_matches_label_loop():
+    # P[l, r] against labels spliced site by site; the ket reduction that
+    # gathers psi[P] against the matrix reduction of the projector
+    rng = np.random.default_rng(25)
+    for n in range(1, 6):
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        for k in range(n + 1):
+            for sites in itertools.combinations(range(1, n + 1), k):
+                rest = [s for s in range(1, n + 1) if s not in sites]
+                want = np.empty((1 << k, 1 << (n - k)), dtype=int)
+                for l, r in itertools.product(range(1 << k), range(1 << (n - k))):
+                    bits = [""] * n
+                    for s, b in zip(sites, bit_label(l, k) if k else ""):
+                        bits[s - 1] = b
+                    for s, b in zip(rest, bit_label(r, n - k) if k < n else ""):
+                        bits[s - 1] = b
+                    want[l, r] = basis_index("".join(bits))
+                assert np.array_equal(_site_index(sites, n), want), (n, sites)
+                want = partial_trace(np.outer(psi, psi.conj()), sites, n)
+                assert np.abs(partial_trace(psi, sites, n) - want).max() <= 1e-12
 
 
 def test_partial_trace_of_bell_pair_is_maximally_mixed():

@@ -20,6 +20,8 @@ from mirrorchain.chain import (
 from mirrorchain.pauli import PauliString, pauli_matrix
 from mirrorchain.states import (
     BELL_KINDS,
+    basis_index,
+    basis_ket,
     bell_state,
     bit_label,
     embed_at,
@@ -31,7 +33,7 @@ from mirrorchain.states import (
 )
 from mirrorchain.transfer import (
     SectorPhaseTable,
-    _expected_bell_output,
+    _mirrored_ket,
     _report_metrics,
     attenuated_correlation,
     fidelity_metric,
@@ -86,7 +88,7 @@ def reference_single(n, site, state, mode, spec):
         ket = state / np.linalg.norm(state)
         out = U @ embed_at(ket, (site,), n)
         rho_out = partial_trace(np.outer(out, out.conj()), (mirror,), n)
-        ratio = table.ratio(1) if table is not None else (-1j) ** (n - 1)
+        ratio = table.phases[1] / table.phases[0] if table is not None else (-1j) ** (n - 1)
         ket_th = np.array([ratio * ket[0], ket[1]])
         return table, rho_out, reference_scores(np.outer(ket_th, ket_th.conj()), rho_out)
     full = embed_operator(state, (site,), n)
@@ -107,8 +109,25 @@ def reference_bell(n, sites, kind, mode, spec):
     else:
         rho = embed_operator(np.outer(bell, bell.conj()), sites, n) / (1 << (n - 2))
         rho_out = partial_trace(U @ rho @ U.conj().T, dest, n)
-    rho_th = _expected_bell_output(bell, kind, n, table)
-    return table, rho_out, reference_scores(rho_th, rho_out)
+    phases = table.phases if table is not None else engineered_phases(n)
+    ket_th = reference_mirrored_ket(bell, phases)
+    return table, rho_out, reference_scores(np.outer(ket_th, ket_th.conj()), rho_out)
+
+
+def engineered_phases(n):
+    """p_k = w^k (-1)^(k(k-1)/2), w = (-i)^(N-1): the engineered chain's table."""
+    w = (-1j) ** (n - 1)
+    return [w**k * (-1.0) ** (k * (k - 1) // 2) for k in range(n + 1)]
+
+
+def reference_mirrored_ket(ket, phases):
+    """Per-label loop: label b lands as reversed(b), phased by its '1' count."""
+    k = len(ket).bit_length() - 1
+    out = np.zeros_like(ket, dtype=complex)
+    for idx, amp in enumerate(ket):
+        label = bit_label(idx, k)
+        out[basis_index(label[::-1])] += amp * phases[label.count("1")] / phases[0]
+    return out
 
 
 def perturbed_chain(n, rng):
@@ -177,6 +196,41 @@ def test_transfer_reports_match_dense_oracle():
                     assert_report_matches(rep, reference_bell(n, (1, 2), kind, mode, spec))
 
 
+def test_mirrored_ket_reverses_bits_and_phases_sectors():
+    # Bell inputs are reversal-symmetric up to a sign, so they cannot show
+    # a missing bit reversal; |10> and a generic three-site ket can.
+    phases = (1j, -1.0, 1.0)
+    assert np.abs(_mirrored_ket(basis_ket("10"), phases) - 1j * basis_ket("01")).max() == 0.0
+    phases = tuple(np.exp(1j * np.array([0.3, -1.1, 2.0, 0.7])))
+    got = _mirrored_ket(basis_ket("110"), phases)
+    assert np.abs(got - phases[2] / phases[0] * basis_ket("011")).max() <= 1e-15
+    rng = np.random.default_rng(38)
+    ket = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    want = reference_mirrored_ket(ket, phases)
+    assert np.abs(_mirrored_ket(ket, phases) - want).max() <= 1e-15
+
+
+def test_transfer_calls_no_kron(monkeypatch):
+    # embedding and reduction go through the site-index map, in both modes,
+    # for the engineered chain and for one judged against the engineered reference
+    calls = []
+    original = np.kron
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    ket = single_qubit_state(0.6, 0.8j)
+    sx = pauli_matrix(P("X"))
+    perturbed = perturbed_chain(5, np.random.default_rng(39))
+    monkeypatch.setattr(np, "kron", counted)
+    for spec in (None, perturbed):
+        for mode, state in (("pure", ket), ("deviation", sx)):
+            transfer_single(5, 2, state, mode=mode, spec=spec)
+            transfer_entangled(5, (1, 3), "psi+", mode=mode, spec=spec)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # sector phases
 
@@ -190,14 +244,14 @@ def test_engineered_sector_phases_follow_reordering_rule():
         assert table.phases[0] == pytest.approx(1.0, abs=1e-9)
         for k in range(n + 1):
             want = w**k * (-1.0) ** ((k * (k - 1) // 2) % 2)
-            assert table.ratio(k) == pytest.approx(want, abs=1e-7), (n, k)
+            assert table.phases[k] / table.phases[0] == pytest.approx(want, abs=1e-7), (n, k)
 
 
 def test_five_site_phase_ratios():
     U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
     table = sector_phases(U, 5)
-    assert table.ratio(1) == pytest.approx(1.0, abs=1e-9)
-    assert table.ratio(2) == pytest.approx(-1.0, abs=1e-9)
+    assert table.phases[1] / table.phases[0] == pytest.approx(1.0, abs=1e-9)
+    assert table.phases[2] / table.phases[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_sector_phases_rejects_non_mirror():
