@@ -13,8 +13,9 @@ amplitude J_i, wherever the two sites differ, and the field adds h_i on
 every excited site.  `chain_propagator` exponentiates each block on its
 own, so its cost is sum_k C(N, k)^3 rather than (2^N)^3, and returns a
 :class:`SectorPropagator` that evolves kets and matrices block by block,
-skipping the blocks of the input that are all zero.  Dense 2^N matrices
-are assembled from the blocks only on request.
+skipping the blocks of the input that are all zero, and reduces an
+evolved local operator onto chosen sites from the blocks alone.  Dense
+2^N matrices are assembled from the blocks only on request.
 
 The one-excitation block, in the basis |i> = '0...010...0' with the 1 at
 site i, is the real tridiagonal matrix with diagonal h and off-diagonal J.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import MAX_DENSE_SITES, _json_int
-from .states import excitation_numbers
+from .states import _site_index, excitation_numbers
 
 __all__ = [
     "ChainSpec",
@@ -222,7 +223,11 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
 class SectorPropagator:
     """A chain propagator as one unitary block per excitation sector.
 
-    blocks[k] acts on the basis indices sectors[k], k = 0 .. N.
+    blocks[k] acts on the basis indices sectors[k], k = 0 .. N.  `evolve`
+    maps a ket or a 2^N matrix block by block; `reduced` gives the
+    reduction of U (L ⊗ I) U^dag onto a few sites for a local L, in time
+    proportional to the C(2N, N) nonzeros of U times 2^(|sites| + |keep|),
+    with no 2^N matrix formed.
     """
 
     sectors: tuple[np.ndarray, ...]
@@ -267,6 +272,65 @@ class SectorPropagator:
                 if (block := band[:, cols]).any():
                     out[np.ix_(rows, cols)] = U @ block @ V
         return out
+
+    def reduced(
+        self, local: np.ndarray, sites: tuple[int, ...], keep: tuple[int, ...]
+    ) -> np.ndarray:
+        """Tr_rest(U (local ⊗ I) U^dag) on the `keep` sites, with `local`
+        on the (1-based, ascending) `sites` and identity elsewhere.
+
+        With rows split into (kept label a, rest r) and columns into
+        (source label c, rest s),
+
+            rho[a, b] = sum_cd local[c, d] M[a, c, b, d],
+            M[a, c, b, d] = sum_rs U[(a, r), (c, s)] conj(U[(b, r), (d, s)]).
+
+        The (a, c) slab of block k covers the rest sectors m = k - exc(a)
+        of r and m' = k - exc(c) of s, ordered by rest index, so slabs
+        that share (m, m') stack into one matrix G whose Gram product
+        G G^dag fills their entries of M.  Every nonzero of U lands in one
+        slab, and a group's product costs its row count, at most
+        2^(|keep| + |sites|), times its size, so the work is
+        O(2^(|keep| + |sites|) C(2N, N)) and no 2^N operator is formed.
+        """
+        local = np.asarray(local)
+        if local.shape != (1 << len(sites),) * 2:
+            raise ValueError(
+                f"local operator shape {local.shape} does not cover {len(sites)} sites"
+            )
+        n = self.n_sites
+        position = np.empty(1 << n, dtype=np.intp)
+        for idx in self.sectors:
+            position[idx] = np.arange(len(idx))
+        exc = excitation_numbers(n)
+        exc_a, rows = _rest_sectors(_site_index(keep, n, "keep sites"), exc, position)
+        exc_c, cols = _rest_sectors(_site_index(sites, n), exc, position)
+        groups: dict[tuple[int, int], list] = {}
+        for a, c in np.ndindex(len(rows), len(cols)):
+            for m, r in enumerate(rows[a]):
+                m_s = m + exc_a[a] - exc_c[c]
+                if 0 <= m_s < len(cols[c]):
+                    slab = self.blocks[m + exc_a[a]][r[:, None], cols[c][m_s]]
+                    groups.setdefault((m, m_s), []).append((a, c, slab.ravel()))
+        M = np.zeros((len(rows), len(cols)) * 2, dtype=complex)
+        for members in groups.values():
+            a, c, slabs = (np.array(v) for v in zip(*members))
+            M[a[:, None], c[:, None], a, c] += slabs @ slabs.conj().T
+        return np.einsum("cd,acbd->ab", local, M)
+
+
+def _rest_sectors(P: np.ndarray, exc: np.ndarray, position: np.ndarray):
+    """Split a site-index map by the excitation count of its rest label.
+
+    Returns exc[l], the excitations of local label l, and pos[l][m], the
+    in-sector positions of the indices P[l, r] whose rest label r holds m
+    excitations, ascending in r.
+    """
+    # The last label on either side is all '0': no excitations.
+    exc_rest = exc[P[-1]]
+    order = np.argsort(exc_rest, kind="stable")
+    bounds = np.cumsum(np.bincount(exc_rest))[:-1]
+    return exc[P[:, -1]], [np.split(row, bounds) for row in position[P[:, order]]]
 
 
 def chain_propagator(spec: ChainSpec, tau: float) -> SectorPropagator:

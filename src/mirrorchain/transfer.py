@@ -14,8 +14,14 @@ the propagator when it is a true mirror and otherwise taken from the
 engineered reference pattern.  For single-site deviation inputs the
 transferred coherence is entangled with Z strings on the intervening
 spins, so the reduced matrix alone is blind to it; fidelity is then
-computed between the full-register deviations of the actual and the
-engineered-reference evolutions.
+judged on the full register against the engineered chain's evolution
+without forming either 2^N matrix.  Unitarity gives both norms as
+2^(N-1) Tr(L^2), and the overlap is Tr(L R_V(L)), the input deviation L
+against its reduction R_V(L) under V = U_eng^dag U.
+
+Deviation outputs are reduced onto the mirrored sites straight from the
+propagator's sector blocks (`SectorPropagator.reduced`); no operator is
+lifted to the register and no 2^N matrix is evolved.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .states import (
     bell_state,
     bit_label,
     embed_at,
-    embed_operator,
     excitation_numbers,
     mirror_permutation,
     partial_trace,
@@ -157,25 +162,24 @@ def _attenuated(t: float, na: float, nb: float) -> float:
 
 def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(Tr(ab), Tr(a^2), Tr(b^2)) of Hermitian a and b, each checked once."""
-    same = a is b
     a = np.asarray(a, dtype=complex)
-    b = a if same else np.asarray(b, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} vs {b.shape}")
-    for m in (a,) if same else (a, b):
+    for m in (a, b):
         if np.abs(m - m.conj().T).max() > 1e-8:
             raise ValueError("metric inputs must be Hermitian")
     # Tr(a b) = sum_ij conj(a_ij) b_ij for Hermitian a: O(d^2), no product.
-    na = float(np.vdot(a, a).real)
-    if same:
-        return na, na, na
-    return float(np.vdot(a, b).real), na, float(np.vdot(b, b).real)
+    return float(np.vdot(a, b).real), float(np.vdot(a, a).real), float(np.vdot(b, b).real)
 
 
 def _report_metrics(rho_th: np.ndarray, rho_ex: np.ndarray) -> dict[str, float]:
     """A report's fidelity and attenuated correlation from one set of terms."""
-    terms = _metric_terms(rho_th, rho_ex)
-    return {"fidelity": _fidelity(*terms), "attenuated_correlation": _attenuated(*terms)}
+    return _scores(*_metric_terms(rho_th, rho_ex))
+
+
+def _scores(t: float, na: float, nb: float) -> dict[str, float]:
+    return {"fidelity": _fidelity(t, na, nb), "attenuated_correlation": _attenuated(t, na, nb)}
 
 
 def six_state_design() -> dict[str, np.ndarray]:
@@ -308,37 +312,48 @@ def _transfer(
     dest = tuple(n_sites + 1 - s for s in reversed(sites))
     if local.ndim == 2:
         rho_in = local
-        full = embed_operator(local, sites, n_sites)
-        out = U.evolve(full)
-        # Fidelity on the full register: the transferred coherence carries
-        # Z strings over the other spins, invisible to the reduced matrix.
-        # The reference evolution is the engineered chain's; an engineered
-        # chain is its own reference.
-        rho_th = (
-            out
-            if spec.is_engineered
-            else chain_propagator(ChainSpec.engineered(n_sites), MIRROR_TIME).evolve(full)
-        )
+        rho_out = U.reduced(local, sites, dest)
+        metrics = _scores(*_register_terms(local, sites, spec, U))
     else:
         rho_in = np.outer(local, local.conj())
         if mode == "pure":
-            out = U.evolve(embed_at(local, sites, n_sites))
+            rho_out = partial_trace(U.evolve(embed_at(local, sites, n_sites)), dest, n_sites)
         else:
-            out = U.evolve(embed_operator(rho_in, sites, n_sites) / (1 << (n_sites - len(sites))))
+            rho_out = U.reduced(rho_in, sites, dest) / (1 << (n_sites - len(sites)))
         phases = table.phases if table is not None else _engineered_reference_phases(n_sites)
         ket_th = _mirrored_ket(local, phases)
-        rho_th = np.outer(ket_th, ket_th.conj())
-    rho_out = partial_trace(out, dest, n_sites)
+        metrics = _report_metrics(np.outer(ket_th, ket_th.conj()), rho_out)
     return TransferReport(
         mode=mode,
         source_sites=sites,
         destination_sites=dest,
         input_matrix=rho_in,
         output_matrix=rho_out,
-        **_report_metrics(rho_th, out if local.ndim == 2 else rho_out),
+        **metrics,
         sector_phases=table,
         bell_label=_classify_bell(rho_out) if len(sites) == 2 else None,
     )
+
+
+def _register_terms(
+    local: np.ndarray, site: tuple[int, ...], spec: ChainSpec, U: SectorPropagator
+) -> tuple[float, float, float]:
+    """(Tr(rho_th rho_out), Tr(rho_th^2), Tr(rho_out^2)) on the full register
+    for the deviation L = `local` on `site` with identity elsewhere.
+
+    rho_out = U (L ⊗ I) U^dag, and rho_th is the same under the engineered
+    chain's propagator E.  Unitarity gives both norms as 2^(N-1) Tr(L^2);
+    an engineered chain is its own reference, so the overlap equals them.
+    Otherwise Tr(rho_th rho_out) = Tr(L R_V(L)), with R_V(L) the reduction
+    onto `site` of V (L ⊗ I) V^dag for the block-diagonal V = E^dag U.
+    """
+    n = U.n_sites
+    norm = float(np.vdot(local, local).real) * (1 << (n - 1))
+    if spec.is_engineered:
+        return norm, norm, norm
+    E = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
+    V = SectorPropagator(U.sectors, tuple(e.conj().T @ u for e, u in zip(E.blocks, U.blocks)))
+    return float(np.vdot(local, V.reduced(local, site, site)).real), norm, norm
 
 
 def _mirrored_ket(ket: np.ndarray, phases) -> np.ndarray:

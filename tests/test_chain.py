@@ -1,5 +1,6 @@
 """Chain Hamiltonians, propagators, and the spectral mirror test."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from mirrorchain.states import (
     embed_at,
     embed_operator,
     mirror_permutation,
+    partial_trace,
 )
 
 
@@ -184,6 +186,40 @@ def test_sector_propagator_rejects_mismatched_states():
     for bad in (np.zeros(4), np.zeros((8, 4)), np.zeros((16, 16))):
         with pytest.raises(ValueError, match="does not match 3 sites"):
             prop.evolve(bad)
+
+
+def test_reduced_matches_dense_oracle():
+    # Tr_rest(U (L ⊗ I) U^dag) from the sector slabs against embedding,
+    # block-wise evolution and partial trace, for every ascending source
+    # and kept set of one or two sites, on seeded chains with fields at a
+    # generic time and on engineered chains at the mirror time
+    rng = np.random.default_rng(41)
+    for n in range(1, 8):
+        chains = [(ChainSpec(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)), 0.7)]
+        if n > 1:
+            chains.append((ChainSpec.engineered(n), MIRROR_TIME))
+        subsets = [s for k in (1, 2) for s in itertools.combinations(range(1, n + 1), k)]
+        for spec, tau in chains:
+            prop = chain_propagator(spec, tau)
+            for sites in subsets:
+                L = random_hermitian(rng, 1 << len(sites))
+                evolved = prop.evolve(embed_operator(L, sites, n))
+                for keep in subsets:
+                    want = partial_trace(evolved, keep, n)
+                    err = np.linalg.norm(prop.reduced(L, sites, keep) - want)
+                    assert err <= 1e-12 * np.linalg.norm(want), (n, tau, sites, keep)
+
+
+def test_reduced_rejects_bad_inputs():
+    prop = chain_propagator(ChainSpec.engineered(3), MIRROR_TIME)
+    for local, sites in ((np.eye(2), (1, 2)), (np.eye(4), (1,)), (np.ones(2), (1,))):
+        with pytest.raises(ValueError, match=f"does not cover {len(sites)} sites"):
+            prop.reduced(local, sites, (3,))
+    for sites in ((2, 1), (1, 4), (2, 2)):
+        with pytest.raises(ValueError, match=r"sites \(.*\) must be distinct, ascending"):
+            prop.reduced(np.eye(4), sites, (3,))
+        with pytest.raises(ValueError, match=r"keep sites \(.*\) must be distinct, ascending"):
+            prop.reduced(np.eye(2), (1,), sites)
 
 
 def test_field_offset_keeps_vacuum_static():

@@ -2,12 +2,14 @@
 and the ensemble fidelity metrics."""
 
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mirrorchain import transfer
+from mirrorchain import states, transfer
 from mirrorchain.chain import (
     MIRROR_TIME,
     ChainSpec,
@@ -182,18 +184,23 @@ def check_sector_phases(prop, U, n):
 
 def test_transfer_reports_match_dense_oracle():
     # engineered chains, seeded chains with fields (no phase table), and
-    # perturbed chains, whose deviation reference is the engineered chain
+    # perturbed chains, whose deviation reference is the engineered chain;
+    # every source site and ascending pair up to six sites, site 1 and
+    # pair (1, 2) beyond
     rng = np.random.default_rng(37)
     ket = single_qubit_state(0.6, 0.8j)
     sx = pauli_matrix(P("X"))
     for n in range(2, 9):
+        sites = range(1, n + 1) if n <= 6 else (1,)
+        pairs = list(itertools.combinations(range(1, n + 1), 2)) if n <= 6 else [(1, 2)]
         for spec in oracle_chains(n, rng) + [perturbed_chain(n, rng)]:
             for mode, state in (("pure", ket), ("deviation", sx)):
-                rep = transfer_single(n, 1, state, mode=mode, spec=spec)
-                assert_report_matches(rep, reference_single(n, 1, state, mode, spec))
-                for kind in ("phi+", "psi-"):
-                    rep = transfer_entangled(n, (1, 2), kind, mode=mode, spec=spec)
-                    assert_report_matches(rep, reference_bell(n, (1, 2), kind, mode, spec))
+                for site in sites:
+                    rep = transfer_single(n, site, state, mode=mode, spec=spec)
+                    assert_report_matches(rep, reference_single(n, site, state, mode, spec))
+                for pair, kind in itertools.product(pairs, ("phi+", "psi-")):
+                    rep = transfer_entangled(n, pair, kind, mode=mode, spec=spec)
+                    assert_report_matches(rep, reference_bell(n, pair, kind, mode, spec))
 
 
 def test_mirrored_ket_reverses_bits_and_phases_sectors():
@@ -229,6 +236,49 @@ def test_transfer_calls_no_kron(monkeypatch):
             transfer_single(5, 2, state, mode=mode, spec=spec)
             transfer_entangled(5, (1, 3), "psi+", mode=mode, spec=spec)
     assert calls == []
+
+
+def test_deviation_transfer_forms_no_register_operator(monkeypatch):
+    # deviation outputs and metric terms come from the sector blocks: no
+    # operator is lifted to the register and no matrix is evolved
+    original = SectorPropagator.evolve
+
+    def kets_only(self, data):
+        if np.ndim(data) == 2:
+            raise AssertionError("a 2^N matrix was evolved")
+        return original(self, data)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("embed_operator was called")
+
+    monkeypatch.setattr(SectorPropagator, "evolve", kets_only)
+    monkeypatch.setattr(states, "embed_operator", refuse)
+    monkeypatch.setattr(transfer, "embed_operator", refuse, raising=False)
+    sx = pauli_matrix(P("X"))
+    perturbed = perturbed_chain(5, np.random.default_rng(40))
+    for spec in (None, perturbed):
+        transfer_single(5, 2, sx, mode="deviation", spec=spec)
+        transfer_entangled(5, (1, 3), "psi+", mode="deviation", spec=spec)
+        transfer_single(5, 2, single_qubit_state(0.6, 0.8j), mode="pure", spec=spec)
+
+
+def test_deviation_transfer_peak_memory_at_ten_sites():
+    # one 1024 x 1024 complex array is 16 MiB
+    sx = pauli_matrix(P("X"))
+    perturbed = perturbed_chain(10, np.random.default_rng(41))
+    runs = (
+        lambda: transfer_single(10, 1, sx, "deviation"),
+        lambda: transfer_entangled(10, (1, 2), "phi+", "deviation"),
+        lambda: transfer_single(10, 1, sx, "deviation", perturbed),
+    )
+    for i, run in enumerate(runs):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (i, peak / 2**20)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +347,32 @@ def test_report_metrics_equal_the_public_metrics():
 
 
 def test_each_report_computes_its_metric_terms_once(monkeypatch):
-    # the engineered deviation report compares the evolved register with itself
+    # single-site deviation reports take their terms on the full register
+    # from unitarity; only a chain that is not engineered builds the
+    # engineered reference propagator as well
     calls = []
-    original = transfer._metric_terms
 
-    def counted(a, b):
-        calls.append(a is b)
-        return original(a, b)
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(transfer, "_metric_terms", counted)
+    for name in ("_metric_terms", "_register_terms", "chain_propagator"):
+        monkeypatch.setattr(transfer, name, counted(name, getattr(transfer, name)))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     perturbed = perturbed_chain(5, np.random.default_rng(13))
     runs = [
-        (lambda: transfer_single(5, 2, np.array([1.0, 1j]), "pure"), [False]),
-        (lambda: transfer_single(5, 2, x, "deviation"), [True]),
-        (lambda: transfer_single(5, 2, x, "deviation", perturbed), [False]),
-        (lambda: transfer_entangled(5, (1, 2), "phi+", "deviation"), [False]),
+        (lambda: transfer_single(5, 2, np.array([1.0, 1j]), "pure"), "_metric_terms", 1),
+        (lambda: transfer_single(5, 2, x, "deviation"), "_register_terms", 1),
+        (lambda: transfer_single(5, 2, x, "deviation", perturbed), "_register_terms", 2),
+        (lambda: transfer_entangled(5, (1, 2), "phi+", "deviation"), "_metric_terms", 1),
     ]
-    for run, want in runs:
+    for run, terms, n_propagators in runs:
         calls.clear()
         run()
-        assert calls == want
+        assert [c for c in calls if c != "chain_propagator"] == [terms]
+        assert calls.count("chain_propagator") == n_propagators
 
 
 def test_metric_on_identical_states_is_one():
