@@ -56,9 +56,9 @@ from .pauli import (
     _as_unitary,
     _check_support_sites,
     _json_int,
-    _pack,
     _popcount,
     _support,
+    _walsh,
     apply_word_exponential,
     update_xz_traces,
     xz_traces,
@@ -360,48 +360,21 @@ def _peel_level(
 def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
     """The index-two subgroup retaining the largest weight of the trace array a.
 
-    Every maximal subgroup is the kernel of a nonzero F2 functional on the
-    group; with rank r there are only 2^r - 1 of them, so they are scanned
-    exhaustively.  Ties keep the first functional in mask order over the
-    canonical basis, making the choice deterministic.
+    Every maximal subgroup is the kernel of a nonzero F2 functional v on
+    the group's echelon coordinates c: it keeps the elements with
+    |v & c| even.  Place each element's weight |a_w|^2 at f[c]; the
+    Walsh-Hadamard transform of f is F[v] = kept(v) - dropped(v) for all
+    2^r functionals at once, so kept(v) = (F[0] + F[v]) / 2 in O(r 2^r).
+    Ties keep the first functional in mask order whose kept weight lies
+    within STALL_TOL of the best, so rounding in the transform cannot
+    choose between equal weights.
     """
-    n = group.n_sites
-    elems = group.sorted_elements
-    # Gaussian elimination with coordinate tracking, in canonical order.
-    table: dict[int, tuple[int, int]] = {}
-    coords = []
-    rank = 0
-    for e in elems:
-        v = _pack(e, n)
-        m = 0
-        while v:
-            piv = v.bit_length() - 1
-            if piv not in table:
-                break
-            tv, tm = table[piv]
-            v ^= tv
-            m ^= tm
-        if v:
-            table[v.bit_length() - 1] = (v, 1 << rank)
-            m |= 1 << rank
-            rank += 1
-        coords.append(m)
-
-    weights = (np.abs(a[_masks(elems)]) ** 2).tolist()
-    best_mask = 0
-    best_weight = -1.0
-    for mask in range(1, 1 << rank):
-        kept = sum(
-            w for w, c in zip(weights, coords) if not (mask & c).bit_count() & 1
-        )
-        if kept > best_weight:
-            best_mask, best_weight = mask, kept
-    return PauliGroup(
-        n,
-        frozenset(
-            e for e, c in zip(elems, coords) if not (best_mask & c).bit_count() & 1
-        ),
-    )
+    f = np.zeros(1 << len(group.echelon[0]))
+    f[group.echelon[1]] = np.abs(a[_masks(group.sorted_elements)]) ** 2
+    _walsh(f)
+    kept = 0.5 * (f[0] + f[1:])
+    best = 1 + int(np.argmax(kept >= kept.max() - STALL_TOL))
+    return group._where(lambda c: not (best & c).bit_count() & 1)
 
 
 def _peel_tower(

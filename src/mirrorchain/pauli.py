@@ -8,9 +8,10 @@ is kept.
 
 Internally a word is also viewed as a pair of bit masks (x, z) with site 1
 at the most significant bit, so that phase-free multiplication is XOR and
-every group generated by words is an F2-linear span.  That makes group
-closures, cardinalities (always powers of two) and maximal subgroups cheap
-and exact.
+every group generated by words is an F2-linear span.  One elimination,
+:func:`_echelon`, gives a group's rank, its reduced basis and each element's
+coordinates over it, so closures, closure checks and maximal subgroups
+(a filter on coordinates) are cheap and exact.
 
 :func:`pauli_coefficients` gives every word trace Tr(U M) of a matrix U as
 one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``;
@@ -32,7 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -220,9 +221,18 @@ def xz_traces(U: np.ndarray) -> np.ndarray:
     if U.shape != (d, d) or d < 1 or d & (d - 1):
         raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
     idx = np.arange(d)
-    a = U[idx, idx[:, None] ^ idx]
-    for v in _bit_views(a):
-        lo, hi = v[..., 0, :], v[..., 1, :]  # (lo, hi) -> (lo + hi, lo - hi) in place
+    return _walsh(U[idx, idx[:, None] ^ idx])
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a along its last axis, in place; returns a.
+
+    a[..., z] becomes sum_i (-1)^{|i & z|} a[..., i], one butterfly per bit,
+    O(m 2^m) for length 2^m.  a must be C-contiguous, so reshapes are views.
+    """
+    for h in (1 << bit for bit in range(a.shape[-1].bit_length() - 1)):
+        v = a.reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]  # (lo, hi) -> (lo + hi, lo - hi) in place
         lo += hi
         hi *= -2.0
         hi += lo
@@ -278,22 +288,27 @@ def _unpack(packed: int, n: int) -> PauliString:
     return PauliString.from_masks(packed >> n, packed & ((1 << n) - 1), n)
 
 
-def _rank(packed: Iterable[int]) -> int:
-    table: dict[int, int] = {}
+def _echelon(packed: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Gaussian elimination over F2 of packed vectors, in order: the reduced
+    basis, where basis[:j] spans the first j independent vectors, and each
+    vector's coordinates over it as a bit mask (bit j for basis[j]).
+    """
+    basis: list[int] = []
+    pivot: dict[int, int] = {}  # leading bit -> position in basis
+    coords: list[int] = []
     for v in packed:
-        v = _reduce(v, table)
-        if v:
-            table[v.bit_length() - 1] = v
-    return len(table)
-
-
-def _reduce(v: int, table: dict[int, int]) -> int:
-    while v:
-        h = v.bit_length() - 1
-        if h not in table:
-            return v
-        v ^= table[h]
-    return 0
+        c = 0
+        while v:
+            j = pivot.get(v.bit_length() - 1)
+            if j is None:
+                pivot[v.bit_length() - 1] = len(basis)
+                c |= 1 << len(basis)
+                basis.append(v)
+                break
+            v ^= basis[j]
+            c ^= 1 << j
+        coords.append(c)
+    return basis, coords
 
 
 @dataclass(frozen=True)
@@ -311,7 +326,7 @@ class PauliGroup:
                 raise ValueError("mixed site counts in group elements")
         if PauliString.identity(self.n_sites) not in self.elements:
             raise ValueError("group is missing the identity word")
-        rank = _rank(_pack(e, self.n_sites) for e in self.elements)
+        rank = len(self.echelon[0])
         if len(self.elements) != 1 << rank:
             raise ValueError(
                 f"{len(self.elements)} elements do not form a closed group "
@@ -329,7 +344,19 @@ class PauliGroup:
 
     @cached_property
     def sorted_elements(self) -> tuple[PauliString, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(sorted(self.elements, key=lambda w: w.letters))
+
+    @cached_property
+    def echelon(self) -> tuple[list[int], list[int]]:
+        """:func:`_echelon` of the packed elements in canonical order: the
+        reduced basis, of length rank(G), and each element's coordinates."""
+        return _echelon(_pack(e, self.n_sites) for e in self.sorted_elements)
+
+    def _where(self, keep: Callable[[int], bool]) -> "PauliGroup":
+        """The elements whose echelon coordinates pass `keep`, as a group."""
+        return PauliGroup(self.n_sites, frozenset(
+            e for e, c in zip(self.sorted_elements, self.echelon[1]) if keep(c)
+        ))
 
     def is_subgroup_of(self, other: "PauliGroup") -> bool:
         return self.n_sites == other.n_sites and self.elements <= other.elements
@@ -358,15 +385,10 @@ def group_closure(
         if not seeds:
             raise ValueError("empty seed set requires an explicit site count")
         n_sites = seeds[0].n_sites
-    table: dict[int, int] = {}
-    for s in seeds:
-        if s.n_sites != n_sites:
-            raise ValueError("mixed site counts in seeds")
-        v = _reduce(_pack(s, n_sites), table)
-        if v:
-            table[v.bit_length() - 1] = v
+    if any(s.n_sites != n_sites for s in seeds):
+        raise ValueError("mixed site counts in seeds")
     packed = [0]
-    for vec in table.values():
+    for vec in _echelon(_pack(s, n_sites) for s in seeds)[0]:
         packed.extend([p ^ vec for p in packed])
     return PauliGroup(n_sites, frozenset(_unpack(p, n_sites) for p in packed))
 
@@ -411,24 +433,13 @@ def maximal_subgroup(G: PauliGroup) -> PauliGroup:
     """A proper subgroup of G of index two.
 
     The choice is deterministic: it is spanned by the first rank(G) - 1
-    independent elements in canonical string order.
+    independent elements in canonical string order, i.e. it holds the
+    elements whose echelon coordinates lack the last basis vector.
     """
     if len(G) == 1:
         raise ValueError("the identity group has no proper subgroup")
-    n = G.n_sites
-    identity = PauliString.identity(n)
-    packed = [_pack(e, n) for e in G.sorted_elements if e != identity]
-    target = _rank(packed) - 1
-    table: dict[int, int] = {}
-    span = {0}
-    for p in packed:
-        if len(table) == target:
-            break
-        v = _reduce(p, table)
-        if v:
-            table[v.bit_length() - 1] = v
-            span |= {s ^ p for s in span}
-    return PauliGroup(n, frozenset(_unpack(p, n) for p in span))
+    half = 1 << (len(G.echelon[0]) - 1)
+    return G._where(lambda c: c < half)
 
 
 @dataclass(frozen=True)

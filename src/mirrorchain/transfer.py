@@ -17,7 +17,9 @@ spins, so the reduced matrix alone is blind to it; fidelity is then
 judged on the full register against the engineered chain's evolution
 without forming either 2^N matrix.  Unitarity gives both norms as
 2^(N-1) Tr(L^2), and the overlap is Tr(L R_V(L)), the input deviation L
-against its reduction R_V(L) under V = U_eng^dag U.
+against its reduction R_V(L) under V = E^dag U.  The engineered chain's
+E is the site reversal times closed-form sector phases, so V is a phased
+row reversal of U, and no second propagator is built.
 
 Deviation outputs are reduced onto the mirrored sites straight from the
 propagator's sector blocks (`SectorPropagator.reduced`); no operator is
@@ -346,13 +348,18 @@ def _register_terms(
     an engineered chain is its own reference, so the overlap equals them.
     Otherwise Tr(rho_th rho_out) = Tr(L R_V(L)), with R_V(L) the reduction
     onto `site` of V (L ⊗ I) V^dag for the block-diagonal V = E^dag U.
+    E maps basis state j of sector k to p_k |perm[j]>, so row j of V is
+    conj(p_k) U[perm[j]]: a phased row reversal of U's block, for any N.
     """
     n = U.n_sites
     norm = float(np.vdot(local, local).real) * (1 << (n - 1))
     if spec.is_engineered:
         return norm, norm, norm
-    E = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
-    V = SectorPropagator(U.sectors, tuple(e.conj().T @ u for e, u in zip(E.blocks, U.blocks)))
+    perm = mirror_permutation(n)
+    V = SectorPropagator(U.sectors, tuple(
+        np.conj(p) * u[np.searchsorted(idx, perm[idx])]
+        for idx, u, p in zip(U.sectors, U.blocks, _engineered_reference_phases(n))
+    ))
     return float(np.vdot(local, V.reduced(local, site, site)).real), norm, norm
 
 

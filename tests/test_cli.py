@@ -283,6 +283,18 @@ def test_transfer_threshold_exit_code(tmp_path):
                  "--min-fidelity", "0.1", "-o", str(out)]) == 0
 
 
+def test_transfer_single_site_chain_deviation(tmp_path):
+    # One site in a field: the mirror is the site itself, and the X
+    # deviation precesses by h tau against the engineered reference.
+    spec = write_json(tmp_path / "one.json", {"n": 1, "couplings": [], "fields": [0.3]})
+    out = tmp_path / "transfer.json"
+    assert main(["transfer", "--spec", spec, "--site", "1", "--mode", "deviation",
+                 "--min-fidelity", "0", "-o", str(out)]) == 0
+    report = load(out)["report"]
+    assert report["destination_sites"] == [1]
+    assert report["fidelity"] == pytest.approx(math.cos(0.3 * math.pi / 2), abs=1e-12)
+
+
 def test_transfer_rejects_malformed_bell_pair(tmp_path, capsys):
     rc = main(["transfer", "--engineered", "5", "--bell", "1-2", "phi+",
                "-o", str(tmp_path / "t.json")])
@@ -537,6 +549,27 @@ def test_module_entry_outputs_are_byte_identical(tmp_path):
     assert first.endswith(b"\n")
     # The automatic chain is the only strategy; there is no flag to name it.
     assert main(["decompose", "--engineered", "4", "--auto-chain"]) == 2
+
+
+def test_module_entry_fallback_peel_is_byte_identical(tmp_path):
+    # The canonical tower stalls on this product, so the peel re-chooses
+    # each child by weight; two interpreters must still agree byte for byte.
+    from test_decompose import FALLBACK_PRODUCT, rotation
+
+    U = np.eye(32, dtype=complex)
+    for word, angle in FALLBACK_PRODUCT:
+        U = U @ rotation(word, angle)
+    path = tmp_path / "fallback.npy"
+    np.save(path, U)
+    outputs = []
+    for name in ("first", "second"):
+        sub = tmp_path / name
+        sub.mkdir()
+        r = run_module("decompose", "--unitary", str(path), "-o", "dec.json", cwd=str(sub))
+        assert r.returncode == 0, r.stderr
+        outputs.append((sub / "dec.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["decomposition"]["factors"]) == 7
 
 
 def test_module_entry_grape_outputs_are_byte_identical(tmp_path):

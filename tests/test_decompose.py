@@ -41,6 +41,8 @@ from mirrorchain.pauli import (
     xz_traces,
 )
 
+from test_pauli import reference_coordinates
+
 P = PauliString
 
 
@@ -510,6 +512,34 @@ def test_heaviest_maximal_subgroup_against_every_functional():
         chosen = _heaviest_maximal_subgroup(xz_traces(U) / d, G)
         assert chosen.is_subgroup_of(G) and 2 * len(chosen) == len(G)
         assert sum(weight[w] for w in chosen) == pytest.approx(best, abs=1e-12)
+
+
+def test_heaviest_maximal_subgroup_breaks_ties_in_mask_order():
+    # Functionals 680 and 1020 keep exactly equal weight of this chain's
+    # 1024-word support group, summed exactly with fsum.  The first one in
+    # mask order within STALL_TOL of the best must win, whatever rounding
+    # the weights pick up on the way.
+    spec = ChainSpec(tuple(np.random.default_rng(4).uniform(0.5, 1.5, 5)), (0.0,) * 6)
+    U = chain_propagator(spec, MIRROR_TIME).dense()
+    G = support_group(U)
+    a = xz_traces(U) / U.shape[0]
+    assert len(G) == 1024
+    coords = reference_coordinates(G)
+    weights = [abs(a[w.masks]) ** 2 for w in G.sorted_elements]
+    kept = {v: math.fsum(w for w, c in zip(weights, coords) if not (v & c).bit_count() & 1)
+            for v in range(1, len(G))}
+    best = max(kept.values())
+    first = min(v for v, k in kept.items() if k >= best - STALL_TOL)
+    assert first == 680 and kept[680] == kept[1020] == best
+    want = frozenset(w for w, c in zip(G.sorted_elements, coords) if not (first & c).bit_count() & 1)
+    assert _heaviest_maximal_subgroup(a, G).elements == want
+
+    # Within STALL_TOL counts as a tie too: {II, ZZ} is the kernel of the
+    # first functional and keeps 5e-13 less than {II, XX}, the second.
+    a = np.zeros((4, 4), dtype=complex)
+    a[3, 3], a[0, 3], a[3, 0] = math.sqrt(0.2), math.sqrt(0.4), math.sqrt(0.4 + 5e-13)
+    chosen = _heaviest_maximal_subgroup(a, group_closure([P("XX"), P("ZZ")]))
+    assert set(chosen) == {P("II"), P("ZZ")}
 
 
 class TestProductDecomposition:

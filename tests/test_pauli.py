@@ -12,6 +12,8 @@ from mirrorchain.pauli import (
     PauliGroup,
     PauliString,
     SubgroupChain,
+    _echelon,
+    _walsh,
     apply_word_exponential,
     commutes,
     group_closure,
@@ -44,6 +46,67 @@ def random_word(rng, n, allow_identity=True) -> PauliString:
         w = PauliString("".join(LETTERS[k] for k in rng.integers(0, 4, n)))
         if allow_identity or not w.is_identity:
             return w
+
+
+def packed(word: PauliString) -> int:
+    x, z = word.masks
+    return x << word.n_sites | z
+
+
+def reference_rank(vectors) -> int:
+    """F2 rank of packed words, by a pivot table keyed on the leading bit."""
+    table: dict[int, int] = {}
+    for v in vectors:
+        while v and v.bit_length() - 1 in table:
+            v ^= table[v.bit_length() - 1]
+        if v:
+            table[v.bit_length() - 1] = v
+    return len(table)
+
+
+def reference_span(vectors) -> set[int]:
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+def reference_maximal_subgroup(G: PauliGroup) -> frozenset[PauliString]:
+    """The span of the first rank(G) - 1 independent non-identity elements in
+    canonical order, grown greedily one independent element at a time."""
+    vectors = [packed(e) for e in G.sorted_elements if not e.is_identity]
+    target = reference_rank(vectors) - 1
+    span, added = {0}, 0
+    for v in vectors:
+        if added == target:
+            break
+        if v not in span:
+            span |= {s ^ v for s in span}
+            added += 1
+    return frozenset(PauliString.from_masks(p >> G.n_sites, p & ((1 << G.n_sites) - 1),
+                                            G.n_sites) for p in span)
+
+
+def reference_coordinates(G: PauliGroup) -> list[int]:
+    """Each element's coordinates, as a bit mask, over the basis that Gaussian
+    elimination of the canonically ordered elements reduces them to."""
+    table: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, coordinates)
+    coords = []
+    for e in G.sorted_elements:
+        v, c = packed(e), 0
+        while v and v.bit_length() - 1 in table:
+            tv, tc = table[v.bit_length() - 1]
+            v, c = v ^ tv, c ^ tc
+        if v:
+            table[v.bit_length() - 1] = (v, 1 << len(table))
+            c |= 1 << (len(table) - 1)
+        coords.append(c)
+    return coords
+
+
+def random_group(rng, n: int) -> PauliGroup:
+    return group_closure([random_word(rng, n) for _ in range(int(rng.integers(0, 5)))],
+                         n_sites=n)
 
 
 def kron_exponential(word: PauliString, angle: float) -> np.ndarray:
@@ -187,6 +250,24 @@ class TestWordTrace:
             w = PauliString("".join(t))
             assert abs(c[w.masks] - word_trace(M, w)) <= 1e-12
 
+    @pytest.mark.parametrize("m", range(11))
+    def test_walsh_matches_direct_signed_sum(self, m):
+        # a[..., z] -> sum_i (-1)^{|i & z|} a[..., i], in place, for real
+        # vectors and for complex rows
+        rng = np.random.default_rng(70 + m)
+        i = np.arange(1 << m)
+        shared = i[:, None] & i
+        parity = np.zeros_like(shared)
+        while shared.any():
+            parity, shared = parity ^ (shared & 1), shared >> 1
+        H = 1.0 - 2.0 * parity
+        for a in (rng.standard_normal(1 << m),
+                  rng.standard_normal((3, 1 << m)) + 1j * rng.standard_normal((3, 1 << m))):
+            want = a @ H.T
+            out = _walsh(a)
+            assert out is a
+            assert np.abs(a - want).max() <= 1e-12 * (1 << m)
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,), (0, 0), (2, 2, 2)])
     def test_coefficient_array_rejects_non_power_of_two_squares(self, shape):
         with pytest.raises(ValueError):
@@ -256,6 +337,41 @@ class TestGroups:
                     (xa, za), (xb, zb) = a.masks, b.masks
                     assert PauliString.from_masks(xa ^ xb, za ^ zb, n) in g
 
+    def test_closure_matches_reference_span(self):
+        rng = np.random.default_rng(13)
+        for _ in range(80):
+            n = int(rng.integers(1, 5))
+            seeds = [random_word(rng, n) for _ in range(int(rng.integers(0, 6)))]
+            g = group_closure(seeds, n_sites=n)
+            assert {packed(e) for e in g} == reference_span(packed(s) for s in seeds)
+            assert len(g) == 1 << reference_rank(packed(s) for s in seeds)
+
+    def test_echelon_coordinates_rebuild_every_vector(self):
+        # basis[:j] spans the first j independent vectors, so each vector's
+        # coordinates stay below 2^(rank of the prefix ending at it)
+        rng = np.random.default_rng(14)
+        for _ in range(80):
+            width = int(rng.integers(1, 7))
+            vectors = [int(v) for v in rng.integers(0, 1 << width, int(rng.integers(1, 12)))]
+            basis, coords = _echelon(vectors)
+            assert len(basis) == reference_rank(vectors)
+            assert len({b.bit_length() for b in basis}) == len(basis)
+            for k, (v, c) in enumerate(zip(vectors, coords)):
+                rebuilt = 0
+                for j, b in enumerate(basis):
+                    if c >> j & 1:
+                        rebuilt ^= b
+                assert rebuilt == v
+                assert c < 1 << reference_rank(vectors[:k + 1])
+
+    def test_group_echelon_uses_canonical_order(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            g = random_group(rng, int(rng.integers(1, 5)))
+            basis, coords = g.echelon
+            assert len(g) == 1 << len(basis)
+            assert coords == reference_coordinates(g)
+
     def test_group_rejects_non_closed_sets(self):
         with pytest.raises(ValueError):
             PauliGroup(2, frozenset({PauliString("II"), PauliString("XX"),
@@ -312,6 +428,13 @@ class TestMaximalSubgroup:
             assert 2 * len(m) == len(g)
             assert m.is_subgroup_of(g)
 
+    def test_matches_reference_greedy_span(self):
+        rng = np.random.default_rng(11)
+        for _ in range(80):
+            g = random_group(rng, int(rng.integers(1, 5)))
+            if len(g) > 1:
+                assert maximal_subgroup(g).elements == reference_maximal_subgroup(g)
+
     def test_trivial_group_has_no_proper_subgroup(self):
         with pytest.raises(ValueError):
             maximal_subgroup(PauliGroup.identity_group(2))
@@ -329,6 +452,13 @@ class TestSubgroupChain:
             for a, b in zip(chain.levels, chain.levels[1:]):
                 assert b.is_subgroup_of(a)
                 assert 2 * len(b) == len(a)
+
+    def test_automatic_matches_reference_levels(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            chain = SubgroupChain.automatic(random_group(rng, int(rng.integers(1, 5))))
+            for a, b in zip(chain.levels, chain.levels[1:]):
+                assert b.elements == reference_maximal_subgroup(a)
 
     def test_rejects_non_nested_levels(self):
         a = group_closure([PauliString("XX")])

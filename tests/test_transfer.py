@@ -348,8 +348,8 @@ def test_report_metrics_equal_the_public_metrics():
 
 def test_each_report_computes_its_metric_terms_once(monkeypatch):
     # single-site deviation reports take their terms on the full register
-    # from unitarity; only a chain that is not engineered builds the
-    # engineered reference propagator as well
+    # from unitarity; a chain that is not engineered takes its engineered
+    # reference from the closed form, so every report builds one propagator
     calls = []
 
     def counted(name, original):
@@ -363,16 +363,16 @@ def test_each_report_computes_its_metric_terms_once(monkeypatch):
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     perturbed = perturbed_chain(5, np.random.default_rng(13))
     runs = [
-        (lambda: transfer_single(5, 2, np.array([1.0, 1j]), "pure"), "_metric_terms", 1),
-        (lambda: transfer_single(5, 2, x, "deviation"), "_register_terms", 1),
-        (lambda: transfer_single(5, 2, x, "deviation", perturbed), "_register_terms", 2),
-        (lambda: transfer_entangled(5, (1, 2), "phi+", "deviation"), "_metric_terms", 1),
+        (lambda: transfer_single(5, 2, np.array([1.0, 1j]), "pure"), "_metric_terms"),
+        (lambda: transfer_single(5, 2, x, "deviation"), "_register_terms"),
+        (lambda: transfer_single(5, 2, x, "deviation", perturbed), "_register_terms"),
+        (lambda: transfer_entangled(5, (1, 2), "phi+", "deviation"), "_metric_terms"),
     ]
-    for run, terms, n_propagators in runs:
+    for run, terms in runs:
         calls.clear()
         run()
         assert [c for c in calls if c != "chain_propagator"] == [terms]
-        assert calls.count("chain_propagator") == n_propagators
+        assert calls.count("chain_propagator") == 1
 
 
 def test_metric_on_identical_states_is_one():
