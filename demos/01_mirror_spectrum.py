@@ -34,7 +34,7 @@ for n in (4, 5, 8):
 # The propagator itself shows the inversion: column j of U is the mirror
 # basis state, up to a phase that depends only on the excitation count.
 n = 5
-U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
+U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
 print("engineered 5-site propagator, selected columns:")
 for label in ("10000", "11000", "01100"):
     col = U[:, basis_index(label)]

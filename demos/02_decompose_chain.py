@@ -31,7 +31,7 @@ def main():
 
     # The peel, starting from nothing but the matrix.
     n = 4
-    U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
+    U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
     dec, trace = decompose(U)
     show(dec, f"peeled from the dense {n}-site propagator")
     print(f"  reconstruction fidelity {gate_fidelity(reconstruct(dec), U):.12f}")

@@ -59,7 +59,6 @@ _EXPORTS = {
     "build_hamiltonian": ".chain",
     "single_excitation_matrix": ".chain",
     "propagator": ".chain",
-    "SectorPropagator": ".chain",
     "chain_propagator": ".chain",
     "check_mirror_condition": ".chain",
     # decompose (the function itself stays in the submodule)

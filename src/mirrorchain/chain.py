@@ -11,11 +11,13 @@ with k excitations.  Each block is built by bit-flip indexing: the hopping
 term maps a basis state to the one with sites i and i+1 exchanged, with
 amplitude J_i, wherever the two sites differ, and the field adds h_i on
 every excited site.  `chain_propagator` exponentiates each block on its
-own, so its cost is sum_k C(N, k)^3 rather than (2^N)^3, and returns a
-:class:`SectorPropagator` that evolves kets and matrices block by block,
-skipping the blocks of the input that are all zero, and reduces an
-evolved local operator onto chosen sites from the blocks alone.  Dense
-2^N matrices are assembled from the blocks only on request.
+own, so its cost is sum_k C(N, k)^3 rather than (2^N)^3, and assembles
+the dense 2^N unitary for `decompose` and the demos.
+
+The chain is a free-fermion model, so the N x N one-excitation block
+alone fixes the whole evolution: sector block k holds the k x k minors of
+its propagator.  State transfer works from that N x N matrix only (see
+:mod:`mirrorchain.transfer`), so it skips the dense site cap.
 
 The one-excitation block, in the basis |i> = '0...010...0' with the 1 at
 site i, is the real tridiagonal matrix with diagonal h and off-diagonal J.
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES, _json_int
-from .states import _site_index, excitation_numbers
+from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int
+from .states import excitation_numbers
 
 __all__ = [
     "ChainSpec",
@@ -51,7 +53,6 @@ __all__ = [
     "build_hamiltonian",
     "single_excitation_matrix",
     "propagator",
-    "SectorPropagator",
     "chain_propagator",
     "SpectralReport",
     "check_mirror_condition",
@@ -141,9 +142,11 @@ class ChainSpec:
         if engineered and "couplings" not in data and "fields" not in data:
             return cls.engineered(n)
         try:
-            spec = cls(tuple(data["couplings"]), tuple(data["fields"]))
-        except (KeyError, TypeError) as exc:
+            couplings = _json_array(data["couplings"], "couplings", _json_float)
+            fields = _json_array(data["fields"], "fields", _json_float)
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"malformed chain record: {exc}") from exc
+        spec = cls(couplings, fields)
         if spec.n_sites != n:
             raise ValueError(f"record claims {n} sites but lists {spec.n_sites} fields")
         if engineered and not spec.is_engineered:
@@ -219,123 +222,9 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
     return (evecs * phases) @ evecs.conj().T
 
 
-@dataclass(frozen=True, eq=False)
-class SectorPropagator:
-    """A chain propagator as one unitary block per excitation sector.
-
-    blocks[k] acts on the basis indices sectors[k], k = 0 .. N.  `evolve`
-    maps a ket or a 2^N matrix block by block; `reduced` gives the
-    reduction of U (L ⊗ I) U^dag onto a few sites for a local L, in time
-    proportional to the C(2N, N) nonzeros of U times 2^(|sites| + |keep|),
-    with no 2^N matrix formed.
-    """
-
-    sectors: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.sectors) - 1
-
-    def dense(self) -> np.ndarray:
-        """The full 2^N x 2^N unitary."""
-        return _assemble(self.sectors, self.blocks)
-
-    def entries(self, rows: np.ndarray) -> np.ndarray:
-        """U[rows[j], j] for every basis index j; rows must keep sectors."""
-        out = np.empty(len(rows), dtype=complex)
-        for idx, U in zip(self.sectors, self.blocks):
-            out[idx] = U[np.searchsorted(idx, rows[idx]), np.arange(len(idx))]
-        return out
-
-    def evolve(self, data: np.ndarray) -> np.ndarray:
-        """U psi for a ket, U rho U^dag for a matrix, block by block.
-
-        Sector blocks of the input that are all zero are skipped: a ket
-        touches only the sectors it occupies, and a matrix only its
-        nonzero (k, l) blocks, each mapped to U_k rho_kl U_l^dag.
-        """
-        data = np.asarray(data, dtype=complex)
-        d = 1 << self.n_sites
-        out = np.zeros_like(data)
-        if data.shape == (d,):
-            for idx, U in zip(self.sectors, self.blocks):
-                if (v := data[idx]).any():
-                    out[idx] = U @ v
-            return out
-        if data.shape != (d, d):
-            raise ValueError(f"state shape {data.shape} does not match {self.n_sites} sites")
-        daggers = [U.conj().T for U in self.blocks]
-        for rows, U in zip(self.sectors, self.blocks):
-            band = data[rows]
-            for cols, V in zip(self.sectors, daggers):
-                if (block := band[:, cols]).any():
-                    out[np.ix_(rows, cols)] = U @ block @ V
-        return out
-
-    def reduced(
-        self, local: np.ndarray, sites: tuple[int, ...], keep: tuple[int, ...]
-    ) -> np.ndarray:
-        """Tr_rest(U (local ⊗ I) U^dag) on the `keep` sites, with `local`
-        on the (1-based, ascending) `sites` and identity elsewhere.
-
-        With rows split into (kept label a, rest r) and columns into
-        (source label c, rest s),
-
-            rho[a, b] = sum_cd local[c, d] M[a, c, b, d],
-            M[a, c, b, d] = sum_rs U[(a, r), (c, s)] conj(U[(b, r), (d, s)]).
-
-        The (a, c) slab of block k covers the rest sectors m = k - exc(a)
-        of r and m' = k - exc(c) of s, ordered by rest index, so slabs
-        that share (m, m') stack into one matrix G whose Gram product
-        G G^dag fills their entries of M.  Every nonzero of U lands in one
-        slab, and a group's product costs its row count, at most
-        2^(|keep| + |sites|), times its size, so the work is
-        O(2^(|keep| + |sites|) C(2N, N)) and no 2^N operator is formed.
-        """
-        local = np.asarray(local)
-        if local.shape != (1 << len(sites),) * 2:
-            raise ValueError(
-                f"local operator shape {local.shape} does not cover {len(sites)} sites"
-            )
-        n = self.n_sites
-        position = np.empty(1 << n, dtype=np.intp)
-        for idx in self.sectors:
-            position[idx] = np.arange(len(idx))
-        exc = excitation_numbers(n)
-        exc_a, rows = _rest_sectors(_site_index(keep, n, "keep sites"), exc, position)
-        exc_c, cols = _rest_sectors(_site_index(sites, n), exc, position)
-        groups: dict[tuple[int, int], list] = {}
-        for a, c in np.ndindex(len(rows), len(cols)):
-            for m, r in enumerate(rows[a]):
-                m_s = m + exc_a[a] - exc_c[c]
-                if 0 <= m_s < len(cols[c]):
-                    slab = self.blocks[m + exc_a[a]][r[:, None], cols[c][m_s]]
-                    groups.setdefault((m, m_s), []).append((a, c, slab.ravel()))
-        M = np.zeros((len(rows), len(cols)) * 2, dtype=complex)
-        for members in groups.values():
-            a, c, slabs = (np.array(v) for v in zip(*members))
-            M[a[:, None], c[:, None], a, c] += slabs @ slabs.conj().T
-        return np.einsum("cd,acbd->ab", local, M)
-
-
-def _rest_sectors(P: np.ndarray, exc: np.ndarray, position: np.ndarray):
-    """Split a site-index map by the excitation count of its rest label.
-
-    Returns exc[l], the excitations of local label l, and pos[l][m], the
-    in-sector positions of the indices P[l, r] whose rest label r holds m
-    excitations, ascending in r.
-    """
-    # The last label on either side is all '0': no excitations.
-    exc_rest = exc[P[-1]]
-    order = np.argsort(exc_rest, kind="stable")
-    bounds = np.cumsum(np.bincount(exc_rest))[:-1]
-    return exc[P[:, -1]], [np.split(row, bounds) for row in position[P[:, order]]]
-
-
-def chain_propagator(spec: ChainSpec, tau: float) -> SectorPropagator:
-    """exp(-i H tau) of the chain, one `propagator` call per sector."""
-    return SectorPropagator(
+def chain_propagator(spec: ChainSpec, tau: float) -> np.ndarray:
+    """Dense 2^N exp(-i H tau) of the chain, one `propagator` call per sector."""
+    return _assemble(
         excitation_sectors(spec.n_sites),
         tuple(propagator(H, tau) for H in sector_hamiltonians(spec)),
     )

@@ -162,11 +162,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if not spec.is_engineered:
             raise ValueError("--closed-form only matches engineered couplings")
         dec, trace = closed_form(spec.n_sites), None
-        U = chain_propagator(spec, MIRROR_TIME).dense() if spec.n_sites <= MAX_DENSE_SITES else None
+        U = chain_propagator(spec, MIRROR_TIME) if spec.n_sites <= MAX_DENSE_SITES else None
     else:
         if spec is not None:
             tau = MIRROR_TIME if args.tau is None else args.tau
-            U = chain_propagator(spec, tau).dense()
+            U = chain_propagator(spec, tau)
             source["tau"] = tau
         try:
             dec, trace = decompose(U)

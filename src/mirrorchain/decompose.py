@@ -55,6 +55,8 @@ from .pauli import (
     SubgroupChain,
     _as_unitary,
     _check_support_sites,
+    _json_array,
+    _json_float,
     _json_int,
     _popcount,
     _support,
@@ -146,14 +148,12 @@ class ProductDecomposition:
     def from_json(cls, data: dict) -> "ProductDecomposition":
         try:
             n = _json_int(data["n"], "n")
-            re, im = data["global_phase"]
-            phase = complex(float(re), float(im))
-            factors = tuple(
-                (PauliString(f["word"]), float(f["angle"])) for f in data["factors"]
-            )
+            re, im = _json_array(data["global_phase"], "global_phase", _json_float)
+            factors = _json_array(data["factors"], "factors", lambda f, name: (
+                PauliString(f["word"]), _json_float(f["angle"], f"{name}.angle")))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed decomposition record: {exc}") from exc
-        return cls(n, factors, phase)
+        return cls(n, factors, complex(re, im))
 
 
 @dataclass(frozen=True)

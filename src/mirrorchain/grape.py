@@ -45,11 +45,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .decompose import gate_fidelity as fidelity_hs
-from .pauli import PauliString, _json_int, pauli_matrix
+from .pauli import PauliString, _json_array, _json_float, _json_int, pauli_matrix
 
 __all__ = [
     "NmrSystemSpec",
@@ -132,11 +133,13 @@ class NmrSystemSpec:
     def from_json(cls, data: dict) -> "NmrSystemSpec":
         try:
             n = _json_int(data["n"], "n")
+            row = partial(_json_array, item=_json_float)
+            spins = partial(_json_array, item=_json_int)
             spec = cls(
-                tuple(data["shifts_hz"]),
-                tuple(tuple(row) for row in data["couplings_hz"]),
-                tuple(tuple(ch) for ch in data["channels"]),
-                tuple(data["weights"]),
+                _json_array(data["shifts_hz"], "shifts_hz", _json_float),
+                _json_array(data["couplings_hz"], "couplings_hz", row),
+                _json_array(data["channels"], "channels", spins),
+                _json_array(data["weights"], "weights", _json_float),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed system record: {exc}") from exc

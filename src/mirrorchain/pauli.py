@@ -66,13 +66,6 @@ MAX_SUPPORT_SITES = 8
 
 UNITARITY_TOL = 1e-10
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 # (x, z) bit pair per letter; Y = i * X * Z.
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -85,6 +78,20 @@ def _json_int(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_float(value: object, name: str) -> float:
+    """A real record field; bools, strings and non-real values are malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_array(value: object, name: str, item: Callable) -> tuple:
+    """A JSON array record field, each element parsed as item(v, "name[i]")."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array, got {value!r}")
+    return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass(frozen=True, order=True)
@@ -148,14 +155,20 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 
 
 def pauli_matrix(word: PauliString) -> np.ndarray:
-    """Dense matrix of a word; site 1 is the most significant qubit."""
+    """Dense matrix of a word; site 1 is the most significant qubit.
+
+    The matrix is a signed permutation: column j is
+    i^{|x & z|} (-1)^{|j & z|} e_{j ^ x} for the word's masks (x, z).
+    """
     if word.n_sites > MAX_DENSE_SITES:
         raise ValueError(
             f"{word.n_sites} sites exceeds the dense-matrix cap of {MAX_DENSE_SITES}"
         )
-    out = np.ones((1, 1), dtype=complex)
-    for ch in word.letters:
-        out = np.kron(out, _PAULI_1Q[ch])
+    d = 1 << word.n_sites
+    j = np.arange(d)
+    out = np.zeros((d, d), dtype=complex)
+    # sin(pi/2) is exactly 1.0, so i times the factor phases are the entries.
+    out[j ^ word.masks[0], j] = 1j * _factor_phases(word, math.pi / 2)
     return out
 
 

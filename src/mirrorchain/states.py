@@ -1,7 +1,7 @@
 """State conventions, embeddings, and reduced density matrices.
 
-Site 1 occupies the most significant qubit slot of every kron product, and
-the computational label '1' denotes the sigma-z = +1 eigenstate.  So the
+Site 1 occupies the most significant qubit slot of every tensor product,
+and the computational label '1' denotes the sigma-z = +1 eigenstate.  So the
 basis index of a bit string b_1 ... b_n is sum_i (1 - b_i) * 2^(n-i): the
 all-ones label sits at index 0 and the all-zeros label at index 2^n - 1.
 
@@ -9,7 +9,8 @@ Embedding a local ket or operator and reducing onto kept sites all go
 through one site-index map, `_site_index`: P[l, r] is the basis index with
 local label l on the chosen sites and rest label r elsewhere.  Kets and
 operators are scattered into, and kets gathered from, those indices, with
-no `np.kron` and no loop over bit labels.
+no Kronecker product and no loop over bit labels.  These dense 2^N forms
+serve `QuantumState` and the tests; state transfer never builds them.
 
 Density matrices come in three flavors, tagged on :class:`QuantumState`:
 "pure" (a ket), "mixed" (a unit-trace PSD matrix), and "deviation" (the
@@ -221,16 +222,13 @@ class QuantumState:
             return np.outer(self.data, self.data.conj())
         return self.data
 
-    def evolved(self, U) -> "QuantumState":
-        """The state after the unitary U: a dense matrix, or a propagator
-        with an `evolve(data)` method such as a chain's SectorPropagator.
+    def evolved(self, U: np.ndarray) -> "QuantumState":
+        """The state after the dense unitary U.
 
         Not validated again: unitary evolution preserves the norm, trace,
         Hermiticity and spectrum that construction checked.
         """
-        if hasattr(U, "evolve"):
-            data = U.evolve(self.data)
-        elif self.kind == "pure":
+        if self.kind == "pure":
             data = U @ self.data
         else:
             data = U @ self.data @ U.conj().T

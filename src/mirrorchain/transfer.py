@@ -7,28 +7,31 @@ prepared in liquid-state magnetic resonance: a single-site input is a
 traceless 2x2 deviation operator tensored with identity on the spectators,
 while a Bell input is the Bell projector with maximally mixed spectators.
 
+The XY chain is a free-fermion model (Lieb, Schultz, Mattis 1961), so
+every number reported here follows from the N x N one-excitation
+propagator u, with no 2^N object formed.  The chain mirrors
+exactly when u = w R for the site reversal R.  Pure inputs carry at most
+two excitations, evolved as a vector (u v) and an antisymmetric matrix
+(u A u^T).  Deviation outputs are Pauli expansions whose coefficients are
+minors of the rotation R that U applies to the Majorana operators.
+
 Transfer fidelity is judged against the theoretical expectation.  For pure
 inputs that is the phase-adjusted input at the mirror site(s): each
 k-excitation component picks up the chain's k-sector phase, measured from
-the propagator when it is a true mirror and otherwise taken from the
-engineered reference pattern.  For single-site deviation inputs the
-transferred coherence is entangled with Z strings on the intervening
-spins, so the reduced matrix alone is blind to it; fidelity is then
-judged on the full register against the engineered chain's evolution
-without forming either 2^N matrix.  Unitarity gives both norms as
-2^(N-1) Tr(L^2), and the overlap is Tr(L R_V(L)), the input deviation L
-against its reduction R_V(L) under V = E^dag U.  The engineered chain's
-E is the site reversal times closed-form sector phases, so V is a phased
-row reversal of U, and no second propagator is built.
-
-Deviation outputs are reduced onto the mirrored sites straight from the
-propagator's sector blocks (`SectorPropagator.reduced`); no operator is
-lifted to the register and no 2^N matrix is evolved.
+u when it is a true mirror and otherwise taken from the engineered
+reference pattern.  For single-site deviation inputs the transferred
+coherence is entangled with Z strings on the intervening spins, so the
+reduced matrix alone is blind to it; fidelity is then judged on the full
+register against the engineered chain's evolution E.  Unitarity gives both
+norms as 2^(N-1) Tr(L^2), and the overlap is Tr(L R_V(L)), the input
+deviation L against its reduction R_V(L) under the free-fermion V = E^dag U.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +39,18 @@ import numpy as np
 from .chain import (
     MIRROR_TIME,
     ChainSpec,
-    SectorPropagator,
-    chain_propagator,
     excitation_sectors,
+    propagator,
+    single_excitation_matrix,
 )
-from .pauli import PauliString, pauli_matrix
+from .pauli import _I_POW, _LETTER_BITS, LETTERS, PauliString, pauli_matrix
 from .states import (
     BELL_KINDS,
     QuantumState,
     bell_state,
     bit_label,
-    embed_at,
     excitation_numbers,
     mirror_permutation,
-    partial_trace,
 )
 
 __all__ = [
@@ -95,26 +96,17 @@ class SectorPhaseTable:
         }
 
 
-def sector_phases(
-    U: np.ndarray | SectorPropagator, n_sites: int
-) -> SectorPhaseTable:
-    """Measure the per-sector phases of a mirror propagator.
+def sector_phases(U: np.ndarray, n_sites: int) -> SectorPhaseTable:
+    """Measure the per-sector phases of a dense 2^N mirror propagator.
 
-    `U` is a dense 2^N unitary or a chain's :class:`SectorPropagator`.
     Validates that every computational basis state maps to its site
     reversal up to a unit phase and that all states with the same
     excitation count share that phase; offenders are listed in the error.
     """
     d = 1 << n_sites
-    perm = mirror_permutation(n_sites)
-    if isinstance(U, SectorPropagator):
-        if U.n_sites != n_sites:
-            raise ValueError(f"propagator over {U.n_sites} sites does not match {n_sites} sites")
-        amps = U.entries(perm)
-    elif U.shape != (d, d):
+    if U.shape != (d, d):
         raise ValueError(f"matrix shape {U.shape} does not match {n_sites} sites")
-    else:
-        amps = U[perm, np.arange(d)]
+    amps = U[mirror_permutation(n_sites), np.arange(d)]
     bad = [bit_label(j, n_sites) for j in np.flatnonzero(np.abs(np.abs(amps) - 1.0) > SECTOR_TOL)]
     if bad:
         raise ValueError(
@@ -228,17 +220,24 @@ def _mat_json(M: np.ndarray) -> list:
     return [[[complex(z).real, complex(z).imag] for z in row] for row in M]
 
 
-def _engineered_reference_phases(n_sites: int) -> tuple[complex, ...]:
-    """Sector phases of the engineered chain at the mirror time.
+def _mirror_phases(w: complex, n_sites: int) -> tuple[complex, ...]:
+    """p_k = w^k (-1)^(k(k-1)/2) for a one-excitation block w R: each of k
+    excitations carries w, and reversing their order gives the sign."""
+    return tuple(w**k * (-1.0) ** ((k * (k - 1) // 2) % 2) for k in range(n_sites + 1))
 
-    Each excitation carries the one-excitation phase (-i)^(N-1), and fully
-    reversing the order of k excitations contributes the reordering sign
-    (-1)^(k(k-1)/2), so p_k = ((-i)^(N-1))^k * (-1)^(k(k-1)/2).
-    """
-    a = (-1j) ** (n_sites - 1)
-    return tuple(
-        a**k * (-1.0) ** ((k * (k - 1) // 2) % 2) for k in range(n_sites + 1)
-    )
+
+def _engineered_w(n_sites: int) -> complex:
+    """(-i)^(N-1): the engineered chain's one-excitation phase at the mirror time."""
+    return (-1j) ** ((n_sites - 1) % 4)
+
+
+def _phase_table(u: np.ndarray) -> SectorPhaseTable | None:
+    """The sector phases when u = w R for the site reversal R, else None."""
+    n = len(u)
+    w = complex(u[-1, 0])
+    if abs(abs(w) - 1.0) > SECTOR_TOL or np.abs(u[::-1] - w * np.eye(n)).max() > SECTOR_TOL:
+        return None
+    return SectorPhaseTable(n, _mirror_phases(w / abs(w), n))
 
 
 def transfer_single(
@@ -257,6 +256,9 @@ def transfer_single(
         raise ValueError(f"mode must be one of {_MODES}")
     if not 1 <= site <= n_sites:
         raise ValueError(f"site {site} out of range 1..{n_sites}")
+    if mode == "deviation" and n_sites > sys.float_info.max_exp:
+        raise ValueError(f"a single-site deviation output scales as 2^(N-1), which "
+                         f"exceeds the float range above {sys.float_info.max_exp} sites")
     data = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
     if mode == "pure":
         data = data / np.linalg.norm(data)
@@ -306,24 +308,21 @@ def _transfer(
         spec = ChainSpec.engineered(n_sites)
     elif spec.n_sites != n_sites:
         raise ValueError(f"chain has {spec.n_sites} sites, transfer asked for {n_sites}")
-    U = chain_propagator(spec, MIRROR_TIME)
-    try:
-        table = sector_phases(U, n_sites)
-    except ValueError:
-        table = None
+    u = propagator(single_excitation_matrix(spec), MIRROR_TIME)
+    table = _phase_table(u)
     dest = tuple(n_sites + 1 - s for s in reversed(sites))
     if local.ndim == 2:
         rho_in = local
-        rho_out = U.reduced(local, sites, dest)
-        metrics = _scores(*_register_terms(local, sites, spec, U))
+        rho_out = _reduced(_rotation(u), local, sites, dest) * 2.0 ** (n_sites - 1)
+        metrics = _scores(*_register_terms(local, sites, spec, u))
     else:
         rho_in = np.outer(local, local.conj())
         if mode == "pure":
-            rho_out = partial_trace(U.evolve(embed_at(local, sites, n_sites)), dest, n_sites)
+            rho_out = _pure_output(u, local, sites, dest)
         else:
-            rho_out = U.reduced(rho_in, sites, dest) / (1 << (n_sites - len(sites)))
-        phases = table.phases if table is not None else _engineered_reference_phases(n_sites)
-        ket_th = _mirrored_ket(local, phases)
+            rho_out = _reduced(_rotation(u), rho_in, sites, dest)
+        ref = table.phases if table is not None else _mirror_phases(_engineered_w(n_sites), n_sites)
+        ket_th = _mirrored_ket(local, ref)
         metrics = _report_metrics(np.outer(ket_th, ket_th.conj()), rho_out)
     return TransferReport(
         mode=mode,
@@ -337,30 +336,123 @@ def _transfer(
     )
 
 
-def _register_terms(
-    local: np.ndarray, site: tuple[int, ...], spec: ChainSpec, U: SectorPropagator
-) -> tuple[float, float, float]:
-    """(Tr(rho_th rho_out), Tr(rho_th^2), Tr(rho_out^2)) on the full register
-    for the deviation L = `local` on `site` with identity elsewhere.
+def _excited(sites: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For each local label l on the 1-based `sites`, the 0-based sites it
+    excites ('1' is a 0 bit; the first site is the most significant)."""
+    k = len(sites)
+    return [tuple(s - 1 for t, s in enumerate(sites) if not (label >> (k - 1 - t)) & 1)
+            for label in range(1 << k)]
 
-    rho_out = U (L ⊗ I) U^dag, and rho_th is the same under the engineered
-    chain's propagator E.  Unitarity gives both norms as 2^(N-1) Tr(L^2);
-    an engineered chain is its own reference, so the overlap equals them.
-    Otherwise Tr(rho_th rho_out) = Tr(L R_V(L)), with R_V(L) the reduction
-    onto `site` of V (L ⊗ I) V^dag for the block-diagonal V = E^dag U.
-    E maps basis state j of sector k to p_k |perm[j]>, so row j of V is
-    conj(p_k) U[perm[j]]: a phased row reversal of U's block, for any N.
+
+def _pure_output(
+    u: np.ndarray, ket: np.ndarray, sites: tuple[int, ...], keep: tuple[int, ...]
+) -> np.ndarray:
+    """Reduced output on `keep` of `ket` on `sites`, with |0> spectators.
+
+    The ket has at most two excitations, so one antisymmetric matrix B over
+    the N sites and two fixed extra modes N, N+1 holds every amplitude: the
+    excited set {p < q} at B[p, q], {p} at B[p, N] and the vacuum at
+    B[N, N+1].  The chain evolves B as u B u^T on the sites, that is v -> u v
+    and A -> u A u^T.  Row a of M holds amp(S_a) and amp(S_a + {r}) for the
+    excited set S_a of kept label a and each rest site r; pairs inside the
+    rest add to the all-'0' label only.
     """
-    n = U.n_sites
-    norm = float(np.vdot(local, local).real) * (1 << (n - 1))
+    n = len(u)
+    B = np.zeros((n + 2, n + 2), complex)
+    for amp, S in zip(ket, _excited(sites)):
+        p, q = (*S, n, n + 1)[:2]
+        B[p, q], B[q, p] = amp, -amp
+    ext = np.eye(n + 2, dtype=complex)
+    ext[:n, :n] = u
+    B = ext @ B @ ext.T
+    rest = np.setdiff1d(np.arange(n), np.subtract(keep, 1))
+    M = np.zeros((1 << len(keep), 1 + len(rest)), complex)
+    for row, S in zip(M, _excited(keep)):
+        row[0] = B[(*S, n, n + 1)[:2]]
+        if len(S) < 2:  # amp(S_a + {r}) = B[t, r] or B[r, t] = -B[t, r]
+            t = (*S, n)[0]
+            row[1:] = B[t, rest] * np.sign(rest - t)
+    rho = M @ M.conj().T
+    rho[-1, -1] += np.sum(np.abs(B[np.ix_(rest, rest)]) ** 2) / 2
+    return rho
+
+
+def _rotation(u: np.ndarray) -> np.ndarray:
+    """R with U g_k U^dag = sum_l R[l, k] g_l for the Majoranas
+    g_2j = Z...Z X_j and g_2j+1 = Z...Z Y_j (site j from 0).
+
+    Block (l, k) is [[Re v, Im v], [-Im v, Re v]] with
+    v_lk = (-1)^(l+k) u_lk; R is orthogonal because u is unitary.
+    """
+    n = len(u)
+    sign = (-1.0) ** np.arange(n)
+    v = sign[:, None] * u * sign
+    R = np.empty((2 * n, 2 * n))
+    R[0::2, 0::2] = R[1::2, 1::2] = v.real
+    R[0::2, 1::2] = v.imag
+    R[1::2, 0::2] = -v.imag
+    return R
+
+
+def _majorana_word(letters: str, sites: tuple[int, ...], n: int) -> tuple[complex, np.ndarray]:
+    """(c, S) with the word `letters` on the 1-based `sites`, identity
+    elsewhere, equal to c g_S for the ascending Majorana product g_S.
+
+    With (x_j, z_j) the word's bits at site j and p_j the parity of x above
+    j, site j holds g_2j when x_j ^ z_j ^ p_j and g_2j+1 when z_j ^ p_j,
+    and g_S = i^q W with q = sum_j (z_j ^ p_j) - x_j z_j.
+    """
+    x, z = np.zeros((2, n), dtype=int)
+    for site, letter in zip(sites, letters):
+        x[site - 1], z[site - 1] = _LETTER_BITS[letter]
+    b = z ^ (np.cumsum(x[::-1])[::-1] - x) & 1
+    q = int(b.sum() - (x & z).sum())
+    return _I_POW[-q % 4], np.flatnonzero(np.stack([x ^ b, b], axis=1))
+
+
+def _reduced(
+    R: np.ndarray, local: np.ndarray, sites: tuple[int, ...], keep: tuple[int, ...]
+) -> np.ndarray:
+    """Tr_rest(U (local ⊗ I) U^dag) / 2^(N - k) on the `keep` sites, for
+    `local` on k `sites` and U the Gaussian evolution with rotation R.
+
+    With P = p g_S and Q = q g_T words of the input and output sites,
+    Tr(Q U P U^dag) / 2^N = q p (-1)^(m(m-1)/2) det R[T, S] when
+    |S| = |T| = m, and 0 otherwise.
+    """
+    n = len(R) // 2
+    words = ["".join(w) for w in itertools.product(LETTERS, repeat=len(sites))]
+    mats = [pauli_matrix(PauliString(w)) for w in words]
+    ins = [(np.vdot(P, local), _majorana_word(w, sites, n)) for w, P in zip(words, mats)]
+    out = np.zeros_like(mats[0])
+    for w, Q in zip(words, mats):
+        q, T = _majorana_word(w, keep, n)
+        m = len(T)
+        sign = (-1.0) ** (m * (m - 1) // 2 % 2)
+        c = sum(a * p * np.linalg.det(R[np.ix_(T, S)])
+                for a, (p, S) in ins if a and len(S) == m)
+        out += (q * sign * c / len(Q)) * Q
+    return out
+
+
+def _register_terms(
+    local: np.ndarray, site: tuple[int, ...], spec: ChainSpec, u: np.ndarray
+) -> tuple[float, float, float]:
+    """(Tr(rho_th rho_out), Tr(rho_th^2), Tr(rho_out^2)) / 2^(N-1) on the full
+    register for the deviation L = `local` on `site`: rho_out = U (L ⊗ I)
+    U^dag and rho_th the same under the engineered chain E.  The scores
+    are scale-free, and 2^(N-1) would overflow their products from 513 sites.
+
+    Both norms are Tr(L^2), and an engineered chain is its own reference.
+    Otherwise the overlap is Tr(L R_V(L)) for V = E^dag U, whose
+    one-excitation block is conj(w) u[::-1] for u_E = w R, so its Majorana
+    rotation is R_E^T R_U.
+    """
+    norm = float(np.vdot(local, local).real)
     if spec.is_engineered:
         return norm, norm, norm
-    perm = mirror_permutation(n)
-    V = SectorPropagator(U.sectors, tuple(
-        np.conj(p) * u[np.searchsorted(idx, perm[idx])]
-        for idx, u, p in zip(U.sectors, U.blocks, _engineered_reference_phases(n))
-    ))
-    return float(np.vdot(local, V.reduced(local, site, site)).real), norm, norm
+    u_v = np.conj(_engineered_w(len(u))) * u[::-1]
+    return float(np.vdot(local, _reduced(_rotation(u_v), local, site, site)).real), norm, norm
 
 
 def _mirrored_ket(ket: np.ndarray, phases) -> np.ndarray:

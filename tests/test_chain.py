@@ -1,6 +1,5 @@
 """Chain Hamiltonians, propagators, and the spectral mirror test."""
 
-import itertools
 import math
 
 import numpy as np
@@ -14,25 +13,22 @@ from mirrorchain.chain import (
     chain_propagator,
     check_mirror_condition,
     engineered_couplings,
+    excitation_sectors,
     propagator,
     single_excitation_matrix,
 )
 from mirrorchain.pauli import PauliString, pauli_matrix
 from mirrorchain.states import (
-    QuantumState,
     basis_index,
     basis_ket,
-    bell_state,
     bit_label,
-    embed_at,
-    embed_operator,
     mirror_permutation,
-    partial_trace,
 )
 
 
 def kron_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Reference dense Hamiltonian, summed from kron-built Pauli words."""
+    """Reference dense Hamiltonian, summed from Pauli word matrices (checked
+    against Kronecker products in test_pauli)."""
     n = spec.n_sites
     d = 1 << n
     H = np.zeros((d, d), dtype=complex)
@@ -53,11 +49,6 @@ def oracle_chains(n: int, rng: np.random.Generator) -> list:
         ChainSpec.engineered(n),
         ChainSpec(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)),
     ]
-
-
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A + A.conj().T
 
 
 def test_engineered_couplings_values():
@@ -139,87 +130,31 @@ def test_sector_hamiltonians_match_kron_oracle():
 
 
 def test_sector_propagator_matches_dense_oracle():
-    # blocks, dense assembly and block-wise evolution of kets, deviation
-    # matrices and mixed matrices, at the mirror time and off it
+    # the assembled sector blocks, at the mirror time and off it
     rng = np.random.default_rng(35)
     for n in range(2, 9):
-        d = 1 << n
         for spec in oracle_chains(n, rng):
             for tau in (MIRROR_TIME, 0.37):
                 U = propagator(kron_hamiltonian(spec), tau)
-                prop = chain_propagator(spec, tau)
-                assert np.abs(prop.dense() - U).max() <= 1e-12, (n, spec, tau)
-                ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-                for psi in (ket / np.linalg.norm(ket), embed_at(plus, (1,), n)):
-                    assert np.abs(prop.evolve(psi) - U @ psi).max() <= 1e-12
-                traceless = random_hermitian(rng, d)
-                traceless -= np.trace(traceless) / d * np.eye(d)
-                projector = np.outer(bell_state("phi+"), bell_state("phi+").conj())
-                A = random_hermitian(rng, d)
-                mixed = A @ A / np.trace(A @ A).real
-                for rho in (
-                    embed_operator(pauli_matrix(PauliString("X")), (1,), n),
-                    traceless,
-                    embed_operator(projector, (1, 2), n) / (1 << (n - 2)),
-                    mixed,
-                ):
-                    want = U @ rho @ U.conj().T
-                    assert np.abs(prop.evolve(rho) - want).max() <= 1e-12, (n, tau)
+                assert np.abs(chain_propagator(spec, tau) - U).max() <= 1e-12, (n, spec, tau)
 
 
-def test_evolve_takes_sector_and_dense_propagators():
-    spec = ChainSpec((1.0, 0.5, 0.8), (0.2, -0.1, 0.0, 0.4))
-    prop = chain_propagator(spec, 0.37)
-    sx = embed_operator(pauli_matrix(PauliString("X")), (2,), 4)
-    for state in (QuantumState("pure", basis_ket("0100")), QuantumState("deviation", sx)):
-        got = state.evolved(prop)
-        assert got.kind == state.kind
-        assert np.abs(got.data - state.evolved(prop.dense()).data).max() <= 1e-12
-    for U in (prop, prop.dense()):
-        with pytest.raises(ValueError):
-            QuantumState("pure", basis_ket("010")).evolved(U)
-
-
-def test_sector_propagator_rejects_mismatched_states():
-    prop = chain_propagator(ChainSpec.engineered(3), MIRROR_TIME)
-    for bad in (np.zeros(4), np.zeros((8, 4)), np.zeros((16, 16))):
-        with pytest.raises(ValueError, match="does not match 3 sites"):
-            prop.evolve(bad)
-
-
-def test_reduced_matches_dense_oracle():
-    # Tr_rest(U (L ⊗ I) U^dag) from the sector slabs against embedding,
-    # block-wise evolution and partial trace, for every ascending source
-    # and kept set of one or two sites, on seeded chains with fields at a
-    # generic time and on engineered chains at the mirror time
-    rng = np.random.default_rng(41)
-    for n in range(1, 8):
-        chains = [(ChainSpec(rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1.0, 1.0, n)), 0.7)]
+def test_sector_blocks_are_minors_of_the_one_excitation_propagator():
+    # free fermions: the block of sector k holds det u[I, J] over the
+    # excited-site sets I, J, sorted by site, with no extra sign
+    rng = np.random.default_rng(42)
+    for n in range(1, 9):
+        specs = [ChainSpec(rng.uniform(-1.5, 1.5, n - 1), rng.uniform(-1.0, 1.0, n))]
         if n > 1:
-            chains.append((ChainSpec.engineered(n), MIRROR_TIME))
-        subsets = [s for k in (1, 2) for s in itertools.combinations(range(1, n + 1), k)]
-        for spec, tau in chains:
-            prop = chain_propagator(spec, tau)
-            for sites in subsets:
-                L = random_hermitian(rng, 1 << len(sites))
-                evolved = prop.evolve(embed_operator(L, sites, n))
-                for keep in subsets:
-                    want = partial_trace(evolved, keep, n)
-                    err = np.linalg.norm(prop.reduced(L, sites, keep) - want)
-                    assert err <= 1e-12 * np.linalg.norm(want), (n, tau, sites, keep)
-
-
-def test_reduced_rejects_bad_inputs():
-    prop = chain_propagator(ChainSpec.engineered(3), MIRROR_TIME)
-    for local, sites in ((np.eye(2), (1, 2)), (np.eye(4), (1,)), (np.ones(2), (1,))):
-        with pytest.raises(ValueError, match=f"does not cover {len(sites)} sites"):
-            prop.reduced(local, sites, (3,))
-    for sites in ((2, 1), (1, 4), (2, 2)):
-        with pytest.raises(ValueError, match=r"sites \(.*\) must be distinct, ascending"):
-            prop.reduced(np.eye(4), sites, (3,))
-        with pytest.raises(ValueError, match=r"keep sites \(.*\) must be distinct, ascending"):
-            prop.reduced(np.eye(2), (1,), sites)
+            specs.append(ChainSpec.engineered(n))
+        for spec in specs:
+            U = chain_propagator(spec, 0.7)
+            u = propagator(single_excitation_matrix(spec), 0.7)
+            for k, idx in enumerate(excitation_sectors(n)):
+                sets = [[i for i, b in enumerate(bit_label(j, n)) if b == "1"] for j in idx]
+                minors = np.array([[np.linalg.det(u[np.ix_(I, J)]) if k else 1.0
+                                    for J in sets] for I in sets])
+                assert np.abs(U[np.ix_(idx, idx)] - minors).max() <= 1e-12, (n, k)
 
 
 def test_field_offset_keeps_vacuum_static():
@@ -244,7 +179,7 @@ def test_propagator_against_expm():
 
 def test_chain_propagator_is_unitary():
     spec = ChainSpec.engineered(4)
-    U = chain_propagator(spec, 0.37).dense()
+    U = chain_propagator(spec, 0.37)
     assert np.allclose(U @ U.conj().T, np.eye(16), atol=1e-12)
 
 
@@ -260,7 +195,7 @@ def test_engineered_propagator_is_mirror_times_sector_phases():
     # phase that depends only on the excitation number k of the label:
     # p_k = w^k (-1)^(k(k-1)/2) with w = (-i)^(N-1)
     for n in range(2, 7):
-        U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
+        U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
         perm = mirror_permutation(n)
         w = (-1j) ** (n - 1)
         want = np.zeros_like(U)

@@ -295,6 +295,23 @@ def test_transfer_single_site_chain_deviation(tmp_path):
     assert report["fidelity"] == pytest.approx(math.cos(0.3 * math.pi / 2), abs=1e-12)
 
 
+def test_transfer_beyond_the_dense_site_count(tmp_path):
+    # transfer works from the N x N one-excitation propagator: no site cap
+    out = tmp_path / "transfer.json"
+    assert main(["-q", "transfer", "--engineered", "13", "--site", "1",
+                 "--mode", "deviation", "-o", str(out)]) == 0
+    assert load(out)["report"]["destination_sites"] == [13]
+    assert main(["-q", "transfer", "--engineered", "200", "--bell", "1,2", "psi-",
+                 "-o", str(out)]) == 0
+    rec = load(out)["report"]
+    assert rec["destination_sites"] == [199, 200]
+    assert rec["bell_label"] == "psi-"
+    assert len(rec["sector_phases"]["phases"]) == 201
+    # a single-site deviation output of 2^(N-1) scale is no float past 1024 sites
+    assert main(["-q", "transfer", "--engineered", "1025", "--site", "1",
+                 "--mode", "deviation", "-o", str(out)]) == 2
+
+
 def test_transfer_rejects_malformed_bell_pair(tmp_path, capsys):
     rc = main(["transfer", "--engineered", "5", "--bell", "1-2", "phi+",
                "-o", str(tmp_path / "t.json")])

@@ -59,7 +59,7 @@ def random_unitary(rng, d: int) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def mirror4():
-    return chain_propagator(ChainSpec.engineered(4), MIRROR_TIME).dense()
+    return chain_propagator(ChainSpec.engineered(4), MIRROR_TIME)
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +320,7 @@ class TestDecomposeMirror4:
 
 @pytest.fixture(scope="module")
 def mirror5():
-    return chain_propagator(ChainSpec.engineered(5), MIRROR_TIME).dense()
+    return chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +356,7 @@ class TestDecomposeMirror5:
 
 class TestDecomposeGeneral:
     def test_two_site_mirror(self):
-        U2 = chain_propagator(ChainSpec.engineered(2), MIRROR_TIME).dense()
+        U2 = chain_propagator(ChainSpec.engineered(2), MIRROR_TIME)
         dec, _ = decompose(U2)
         assert {w.letters for w in dec.words} == {"XX", "YY"}
         for _, a in dec.factors:
@@ -520,7 +520,7 @@ def test_heaviest_maximal_subgroup_breaks_ties_in_mask_order():
     # mask order within STALL_TOL of the best must win, whatever rounding
     # the weights pick up on the way.
     spec = ChainSpec(tuple(np.random.default_rng(4).uniform(0.5, 1.5, 5)), (0.0,) * 6)
-    U = chain_propagator(spec, MIRROR_TIME).dense()
+    U = chain_propagator(spec, MIRROR_TIME)
     G = support_group(U)
     a = xz_traces(U) / U.shape[0]
     assert len(G) == 1024
@@ -591,7 +591,7 @@ class TestClosedForm:
 
     def test_matches_propagator_exactly(self):
         for n in range(2, 7):
-            U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME).dense()
+            U = chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
             R = reconstruct(closed_form(n))
             assert np.abs(R - U).max() < 1e-7, f"N={n}"
 
@@ -705,7 +705,7 @@ def test_factor_sequence_is_pinned(name):
         spec = ChainSpec.engineered(n)
     else:
         spec = ChainSpec((1.0,) * (n - 1), (0.0,) * n)
-    dec, _ = decompose(chain_propagator(spec, MIRROR_TIME).dense())
+    dec, _ = decompose(chain_propagator(spec, MIRROR_TIME))
     assert [w.letters for w in dec.words] == [w for w, _ in PINNED_FACTORS[name]]
     for (_, got), (_, want) in zip(dec.factors, PINNED_FACTORS[name]):
         assert got == pytest.approx(want, abs=1e-12)

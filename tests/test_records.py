@@ -25,7 +25,7 @@ RECORDS = settings(max_examples=60, deadline=None, database=None, derandomize=Tr
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 #: Values no number, count or word field accepts.
-JUNK = (None, "x", [1.0], {"v": 1.0}, math.nan, math.inf, -math.inf)
+JUNK = (None, "x", "0.5", True, [1.0], {"v": 1.0}, math.nan, math.inf, -math.inf)
 #: Values no integer field accepts.
 BAD_INTS = (None, "3", 2.5, True, [], {}, math.nan, math.inf)
 
@@ -125,6 +125,8 @@ def malformed_chains(draw):
         _drop(record, draw(st.sampled_from(["couplings", "fields"]))),
         _set(record, ["n"], draw(st.sampled_from(BAD_INTS + (n + 1,)))),
         _set(record, ["couplings"], draw(st.sampled_from([None, 5, {"j": 1.0}, [None]]))),
+        _set(record, ["couplings"], "1" * (n - 1)),
+        _set(record, ["fields"], "0" * n),
         _set(record, ["fields", draw(st.integers(0, n - 1))], draw(st.sampled_from(JUNK))),
         _set(record, ["fields"], record["fields"] + [0.0]),
         _set(record, ["engineered"], draw(st.sampled_from(["yes", 1, None]))),
@@ -145,6 +147,9 @@ def malformed_systems(draw):
         _drop(record, draw(st.sampled_from(sorted(record)))),
         _set(record, ["n"], draw(st.sampled_from(BAD_INTS + (n + 1,)))),
         _set(record, ["shifts_hz", draw(st.integers(0, n - 1))], draw(st.sampled_from(JUNK))),
+        _set(record, ["shifts_hz"], "1" * n),
+        _set(record, ["couplings_hz", 0], "0" * n),
+        _set(record, ["weights"], "1" * len(spec.channels)),
         _set(record, ["couplings_hz", 0, 0], 1.0),
         _set(record, ["couplings_hz"], record["couplings_hz"][:-1]),
         _set(record, ["channels", 0, 0], draw(st.sampled_from(BAD_INTS + (0, n + 1)))),
@@ -169,7 +174,7 @@ def malformed_decompositions(draw):
         _set(record, ["n"], draw(st.sampled_from(BAD_INTS + (0, -1)))),
         _set(record, ["global_phase"], draw(st.sampled_from(
             [None, [1.0], [1.0, 0.0, 0.0], ["a", 0.0], [None, 0.0], [math.nan, 0.0],
-             [0.0, 0.0], [2.0, 0.0], {"re": 1.0}]))),
+             [0.0, 0.0], [2.0, 0.0], {"re": 1.0}, "10", ["1", 0.0], [True, 0.0]]))),
         _set(record, ["factors"], draw(st.sampled_from([None, 5, [None], [{"word": "X" * n}]]))),
         _set(record, ["factors"], [dict(factor, word=draw(st.sampled_from(
             ["", "Q" * n, "I" * n, "X" * (n + 1), 5, None])))]),

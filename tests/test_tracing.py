@@ -35,23 +35,24 @@ def test_every_traced_name_exists():
 def test_tracer_attaches_to_transfer_and_decompose(tmp_path):
     tracing = load_tracing()
     tracer = tracing.Tracer()
-    original = chain.chain_propagator
+    original = chain.propagator
     restore = tracing.install(tracer)
     try:
-        assert transfer.chain_propagator is not original
+        assert transfer.propagator is not original
         assert main(["-q", "transfer", "--engineered", "4", "--site", "1", "--mode",
                      "deviation", "-o", str(tmp_path / "transfer.json")]) == 0
         assert main(["-q", "decompose", "--engineered", "3",
                      "-o", str(tmp_path / "decompose.json")]) == 0
     finally:
         restore()
-    assert transfer.chain_propagator is chain.chain_propagator is original
+    assert transfer.propagator is chain.propagator is original
     summary = tracer.summary()
     assert not [name for name in summary if name.endswith(".failed")]
-    assert summary["chain.chain_propagator.calls"] == 2
+    # transfer builds only the one-excitation propagator; decompose the sectors
+    assert summary["chain.chain_propagator.calls"] == 1
     assert summary["transfer.transfer_single.calls"] == 1
     assert summary["decompose.decompose.calls"] == 1
     # The distinct-propagator hook reads (spec, tau) from positional args.
     assert tracer.distinct["chain.chain_propagator"] == {
-        (engineered_couplings(n), (0.0,) * n, MIRROR_TIME) for n in (3, 4)
+        (engineered_couplings(3), (0.0,) * 3, MIRROR_TIME)
     }

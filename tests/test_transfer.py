@@ -9,15 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mirrorchain import states, transfer
+from mirrorchain import chain, states, transfer
 from mirrorchain.chain import (
     MIRROR_TIME,
     ChainSpec,
-    SectorPropagator,
     chain_propagator,
     engineered_couplings,
-    excitation_sectors,
     propagator,
+    single_excitation_matrix,
 )
 from mirrorchain.pauli import PauliString, pauli_matrix
 from mirrorchain.states import (
@@ -132,6 +131,13 @@ def reference_mirrored_ket(ket, phases):
     return out
 
 
+def signed_chain(n, rng):
+    """Seeded couplings with alternating signs and a zero last coupling, plus fields."""
+    couplings = rng.uniform(0.2, 2.0, n - 1) * (-1.0) ** np.arange(1, n)
+    couplings[-1] = 0.0
+    return ChainSpec(couplings, rng.uniform(-1.0, 1.0, n))
+
+
 def perturbed_chain(n, rng):
     """Engineered couplings times (1 + 0.05 g), kept palindromic: not a mirror."""
     g = rng.standard_normal(n)
@@ -163,12 +169,10 @@ def test_sector_phases_match_dense_oracle():
         # mirror, a phase that varies inside a sector is not.
         R = np.eye(1 << n)[mirror_permutation(n)]
         k = excitation_numbers(n)
-        sectors = excitation_sectors(n)
         for phases in (np.exp(1j * rng.uniform(-3, 3, n + 1))[k],
                        np.exp(1j * rng.uniform(-3, 3, 1 << n))):
             U = R * phases
-            blocks = tuple(U[np.ix_(idx, idx)] for idx in sectors)
-            check_sector_phases(SectorPropagator(sectors, blocks), U, n)
+            check_sector_phases(U, U, n)
 
 
 def check_sector_phases(prop, U, n):
@@ -183,17 +187,19 @@ def check_sector_phases(prop, U, n):
 
 
 def test_transfer_reports_match_dense_oracle():
-    # engineered chains, seeded chains with fields (no phase table), and
-    # perturbed chains, whose deviation reference is the engineered chain;
-    # every source site and ascending pair up to six sites, site 1 and
-    # pair (1, 2) beyond
+    # engineered chains, seeded chains with fields (no phase table), chains
+    # with a zero and negative couplings, and perturbed chains, whose
+    # deviation reference is the engineered chain; every source site and
+    # ascending pair up to six sites, site 1 and pair (1, 2) beyond
     rng = np.random.default_rng(37)
+    signed_rng = np.random.default_rng(43)
     ket = single_qubit_state(0.6, 0.8j)
     sx = pauli_matrix(P("X"))
     for n in range(2, 9):
         sites = range(1, n + 1) if n <= 6 else (1,)
         pairs = list(itertools.combinations(range(1, n + 1), 2)) if n <= 6 else [(1, 2)]
-        for spec in oracle_chains(n, rng) + [perturbed_chain(n, rng)]:
+        chains = oracle_chains(n, rng) + [perturbed_chain(n, rng), signed_chain(n, signed_rng)]
+        for spec in chains:
             for mode, state in (("pure", ket), ("deviation", sx)):
                 for site in sites:
                     rep = transfer_single(n, site, state, mode=mode, spec=spec)
@@ -201,6 +207,70 @@ def test_transfer_reports_match_dense_oracle():
                 for pair, kind in itertools.product(pairs, ("phi+", "psi-")):
                     rep = transfer_entangled(n, pair, kind, mode=mode, spec=spec)
                     assert_report_matches(rep, reference_bell(n, pair, kind, mode, spec))
+
+
+def majorana_matrices(n):
+    """g_2j = Z...Z X_j and g_2j+1 = Z...Z Y_j as dense 2^N matrices."""
+    return [pauli_matrix(P("Z" * j + letter + "I" * (n - j - 1)))
+            for j in range(n) for letter in "XY"]
+
+
+def test_rotation_matches_numerical_majorana_traces():
+    # R[l, k] = Tr(g_l U g_k U^dag) / 2^N on seeded chains with fields,
+    # at a generic time and at the mirror time
+    rng = np.random.default_rng(44)
+    for n in range(1, 7):
+        g = majorana_matrices(n)
+        for tau in (0.7, MIRROR_TIME):
+            spec = ChainSpec(rng.uniform(-1.5, 1.5, n - 1), rng.uniform(-1.0, 1.0, n))
+            U = dense_propagator(spec, tau)
+            want = np.array([[np.vdot(gl, U @ gk @ U.conj().T).real for gk in g] for gl in g])
+            u = propagator(single_excitation_matrix(spec), tau)
+            assert np.abs(transfer._rotation(u) - want / (1 << n)).max() <= 1e-12, (n, tau)
+
+
+def test_transfer_phase_table_matches_sector_phases():
+    # the verdict from u = w R agrees with the per-basis-state check of the
+    # dense propagator, and so do the phases; the uniform field keeps the
+    # mirror but moves w
+    rng = np.random.default_rng(45)
+    ket = single_qubit_state(0.6, 0.8j)
+    for n in range(2, 11):
+        engineered_with_field = ChainSpec(engineered_couplings(n), (0.3,) * n)
+        chains = oracle_chains(n, rng) + [perturbed_chain(n, rng), engineered_with_field]
+        verdicts = []
+        for spec in chains:
+            try:
+                want = sector_phases(chain_propagator(spec, MIRROR_TIME), n)
+            except ValueError:
+                want = None
+            got = transfer_single(n, 1, ket, spec=spec).sector_phases
+            verdicts.append(got is not None)
+            assert (got is None) == (want is None), (n, spec)
+            if want is not None:
+                assert np.abs(np.array(got.phases) - want.phases).max() <= 1e-12, n
+        assert verdicts == [True, False, False, True], n
+    # a reversal whose middle site carries another phase is not a mirror
+    R = np.eye(3)[::-1]
+    assert transfer._phase_table(1j * R).phases == (1.0, 1j, 1.0, 1j)
+    assert transfer._phase_table(np.diag([1j, -1j, 1j]) @ R) is None
+
+
+def test_engineered_transfer_at_four_hundred_sites():
+    # no site cap: the engineered chain still inverts perfectly, and the
+    # Bell label follows the two-excitation phase, phi+ -> phi+ for even N
+    # and phi- for odd N; past 512 sites the register norms 2^(N-1) Tr(L^2)
+    # would overflow their product
+    sx = pauli_matrix(P("X"))
+    for n, label in ((400, "phi+"), (601, "phi-")):
+        for mode in ("pure", "deviation"):
+            rep = transfer_entangled(n, (1, 2), "phi+", mode=mode)
+            assert rep.destination_sites == (n - 1, n)
+            assert rep.fidelity >= 1 - 1e-9, (n, mode)
+            assert rep.bell_label == label, (n, mode)
+        rep = transfer_single(n, 1, sx, mode="deviation")
+        assert rep.destination_sites == (n,)
+        assert rep.fidelity >= 1 - 1e-9, n
 
 
 def test_mirrored_ket_reverses_bits_and_phases_sectors():
@@ -239,21 +309,18 @@ def test_transfer_calls_no_kron(monkeypatch):
 
 
 def test_deviation_transfer_forms_no_register_operator(monkeypatch):
-    # deviation outputs and metric terms come from the sector blocks: no
-    # operator is lifted to the register and no matrix is evolved
-    original = SectorPropagator.evolve
+    # outputs and metric terms come from the N x N one-excitation
+    # propagator: no sector block is built, no operator is lifted to the
+    # register and no register state is reduced
+    def refuse(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return raiser
 
-    def kets_only(self, data):
-        if np.ndim(data) == 2:
-            raise AssertionError("a 2^N matrix was evolved")
-        return original(self, data)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("embed_operator was called")
-
-    monkeypatch.setattr(SectorPropagator, "evolve", kets_only)
-    monkeypatch.setattr(states, "embed_operator", refuse)
-    monkeypatch.setattr(transfer, "embed_operator", refuse, raising=False)
+    for module, name in ((chain, "chain_propagator"), (chain, "sector_hamiltonians"),
+                         (states, "embed_operator"), (states, "partial_trace")):
+        monkeypatch.setattr(module, name, refuse(name))
+        monkeypatch.setattr(transfer, name, refuse(name), raising=False)
     sx = pauli_matrix(P("X"))
     perturbed = perturbed_chain(5, np.random.default_rng(40))
     for spec in (None, perturbed):
@@ -349,7 +416,8 @@ def test_report_metrics_equal_the_public_metrics():
 def test_each_report_computes_its_metric_terms_once(monkeypatch):
     # single-site deviation reports take their terms on the full register
     # from unitarity; a chain that is not engineered takes its engineered
-    # reference from the closed form, so every report builds one propagator
+    # reference from the closed form, so every report builds one N x N
+    # propagator
     calls = []
 
     def counted(name, original):
@@ -358,7 +426,7 @@ def test_each_report_computes_its_metric_terms_once(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_metric_terms", "_register_terms", "chain_propagator"):
+    for name in ("_metric_terms", "_register_terms", "propagator"):
         monkeypatch.setattr(transfer, name, counted(name, getattr(transfer, name)))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     perturbed = perturbed_chain(5, np.random.default_rng(13))
@@ -371,8 +439,8 @@ def test_each_report_computes_its_metric_terms_once(monkeypatch):
     for run, terms in runs:
         calls.clear()
         run()
-        assert [c for c in calls if c != "chain_propagator"] == [terms]
-        assert calls.count("chain_propagator") == 1
+        assert [c for c in calls if c != "propagator"] == [terms]
+        assert calls.count("propagator") == 1
 
 
 def test_metric_on_identical_states_is_one():
@@ -467,7 +535,7 @@ def test_deviation_transfer_site_one():
 
 def test_deviation_heisenberg_x_to_anti_phase_string():
     # sigma_x on site 1 evolves to Z Z Z Z sigma_x under the 5-site mirror
-    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME).dense()
+    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
     sx_full = embed_operator(pauli_matrix(P("X")), (1,), 5)
     evolved = U @ sx_full @ U.conj().T
     want = pauli_matrix(P("ZZZZX"))
