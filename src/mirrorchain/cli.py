@@ -192,6 +192,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if trace is None:
         _say(args, f"closed form: {len(dec.factors)} factors for {spec.n_sites} sites")
     else:
+        if trace.strategy == "heaviest":
+            _say(args, f"{trace.dropped}; peeled on heaviest subgroups instead")
         _say(args, f"{len(dec.factors)} factors:")
         for word, angle in dec.factors:
             _say(args, f"  exp(-i * {angle!r} * {word})")

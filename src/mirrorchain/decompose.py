@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .pauli import (
     _json_array,
     _json_float,
     _json_int,
-    _popcount,
+    _signs,
     _support,
     _walsh,
     apply_word_exponential,
@@ -182,9 +182,15 @@ class PeelStep:
 
 @dataclass(frozen=True)
 class PeelTrace:
-    """The per-factor record of a peel run, successful or not."""
+    """The per-factor record of a peel run, successful or not.
+
+    `strategy` is "tower", or "heaviest" when the canonical tower stalled
+    and `dropped` holds its message; neither goes into the JSON record.
+    """
 
     steps: tuple[PeelStep, ...]
+    strategy: str = "tower"
+    dropped: str | None = None
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps]}
@@ -199,13 +205,8 @@ def _traces(U: np.ndarray, n_sites: int) -> np.ndarray:
     return a
 
 
-def _masks(words: Sequence[PauliString]) -> tuple[np.ndarray, ...]:
-    """The words' x and z masks as index arrays into a coefficient array."""
-    return tuple(np.array([w.masks for w in words]).T)
-
-
 def _weight(a: np.ndarray, group: PauliGroup) -> float:
-    return float(np.sum(np.abs(a[_masks(group.sorted_elements)]) ** 2))
+    return float(np.sum(np.abs(a[group.xs, group.zs]) ** 2))
 
 
 def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
@@ -215,8 +216,13 @@ def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
             for w in group}
 
 
+def _candidates(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Candidate words (xs, zs) with their phases i^{-|x & z|}, for :func:`_weight_terms`."""
+    return xs, zs, np.take(_I_POW, -np.bitwise_count(xs & zs).astype(np.int64) % 4)
+
+
 def _weight_terms(
-    a: np.ndarray, candidates: Sequence[PauliString], child: PauliGroup
+    a: np.ndarray, candidates: tuple[np.ndarray, ...], child: PauliGroup
 ) -> tuple[np.ndarray, np.ndarray]:
     """(B, W) for every candidate word D, from a normalized phase-free trace array.
 
@@ -224,18 +230,19 @@ def _weight_terms(
     (x1 ^ cx, z1 ^ cz).  B sums |a_m|^2 (the weight of the coset D*child)
     and W sums Im(i^{-|x1 & z1|} (-1)^{|z1 & cx|} a_w conj(a_m)), which is
     the coefficient form Im(i^-k c_w conj(c_m)) for D w = i^k m with the
-    word phases cancelled.  Candidates are taken in blocks of about 2^16
-    candidate-child pairs, so memory stays bounded.
+    word phases cancelled.  Candidates, with their phases from
+    :func:`_candidates`, are taken in blocks of about 2^16 candidate-child
+    pairs, so memory stays bounded.
     """
-    cx, cz = _masks(child.sorted_elements)
+    dx, dz, dphase = candidates
+    cx, cz = child.xs, child.zs
     a_w = a[cx, cz]
-    dx, dz = _masks(candidates)
     B, W = np.empty(len(dx)), np.empty(len(dx))
     rows = max(1, (1 << 16) // len(cx))
     for lo in range(0, len(dx), rows):
         x1, z1 = dx[lo:lo + rows, None], dz[lo:lo + rows, None]
         a_m = a[x1 ^ cx, z1 ^ cz]
-        phase = np.take(_I_POW, -_popcount(x1 & z1) % 4) * (1 - 2 * (_popcount(z1 & cx) & 1))
+        phase = dphase[lo:lo + rows, None] * _signs(z1 & cx)
         B[lo:lo + rows] = np.sum(np.abs(a_m) ** 2, axis=1)
         W[lo:lo + rows] = np.sum((phase * a_w * a_m.conj()).imag, axis=1)
     return B, W
@@ -298,7 +305,12 @@ def _peel_level(
     """
     if not child.is_subgroup_of(parent) or len(child) >= len(parent):
         raise ValueError("child must be a strictly smaller subgroup of parent")
-    candidates = [e for e in parent.sorted_elements if e not in child.elements]
+    # The parent rows outside the child, in canonical order.  A lookup table
+    # of at most 4^n bools; isin's sort path first costs ~1.5 MB of peak RSS.
+    n = parent.n_sites
+    outside = ~np.isin(parent.xs << n | parent.zs, child.xs << n | child.zs, kind="table")
+    candidates = _candidates(parent.xs[outside], parent.zs[outside])
+    dx, dz, _ = candidates
     steps: list[PeelStep] = []
     max_passes = 4 * len(parent)
     A = _weight(a, child)
@@ -307,7 +319,7 @@ def _peel_level(
         if 1.0 - A <= PEEL_TOL:
             return U, tuple(steps)
 
-        Bs, Ws = _weight_terms(a, candidates, child)
+        Bs, Ws = (v.tolist() for v in _weight_terms(a, candidates, child))
         best = 0
         for k in range(1, len(Ws)):
             if abs(Ws[k]) > abs(Ws[best]) + STALL_TOL:
@@ -327,7 +339,8 @@ def _peel_level(
                     PeelTrace(tuple(steps)),
                 )
 
-        best_word, best_B, best_W = candidates[best], float(Bs[best]), float(Ws[best])
+        best_word = PauliString.from_masks(int(dx[best]), int(dz[best]), n)
+        best_B, best_W = Bs[best], Ws[best]
         theta, predicted = _stationary_angle(A, best_B, best_W)
         apply_word_exponential(U, best_word, -theta)
         update_xz_traces(a, best_word, -theta)
@@ -369,12 +382,13 @@ def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
     within STALL_TOL of the best, so rounding in the transform cannot
     choose between equal weights.
     """
-    f = np.zeros(1 << len(group.echelon[0]))
-    f[group.echelon[1]] = np.abs(a[_masks(group.sorted_elements)]) ** 2
+    f = np.zeros(1 << len(group.basis))
+    f[group.coords] = np.abs(a[group.xs, group.zs]) ** 2
     _walsh(f)
     kept = 0.5 * (f[0] + f[1:])
     best = 1 + int(np.argmax(kept >= kept.max() - STALL_TOL))
-    return group._where(lambda c: not (best & c).bit_count() & 1)
+    keep = (np.bitwise_count(group.coords & best) & 1) == 0
+    return PauliGroup._of(group.n_sites, group.xs[keep], group.zs[keep])
 
 
 def _peel_tower(
@@ -382,11 +396,13 @@ def _peel_tower(
     a: np.ndarray,
     top: PauliGroup,
     choose_child: Callable[[np.ndarray, PauliGroup], PauliGroup],
+    strategy: str = "tower",
+    dropped: str | None = None,
 ) -> tuple[np.ndarray, list[PeelStep]]:
     """Peel U from `top` to the identity; each child is choose_child(a, parent).
 
     U and its trace array a follow the residual in place.  A failing level
-    re-raises with every step taken so far.
+    re-raises with every step taken so far, labelled as in :class:`PeelTrace`.
     """
     steps: list[PeelStep] = []
     parent = top
@@ -398,7 +414,7 @@ def _peel_tower(
         except DecompositionError as exc:
             partial = exc.trace.steps if exc.trace is not None else ()
             raise DecompositionError(
-                str(exc), PeelTrace(tuple(steps) + tuple(partial))
+                str(exc), PeelTrace(tuple(steps) + tuple(partial), strategy, dropped)
             ) from None
         steps.extend(level_steps)
         parent = child
@@ -441,13 +457,16 @@ def decompose(
 
     U0 = U
     children = iter(chain.levels[1:])
+    strategy, dropped = "tower", None
     try:
         U, steps = _peel_tower(U0.copy(), a, chain.levels[0], lambda _a, _parent: next(children))
-    except DecompositionError:
+    except DecompositionError as exc:
         if top is None:
             raise
         # Re-choose each child to keep the most of the residual's weight.
-        U, steps = _peel_tower(U0.copy(), _traces(U0, n), top, _heaviest_maximal_subgroup)
+        strategy, dropped = "heaviest", str(exc)
+        U, steps = _peel_tower(U0.copy(), _traces(U0, n), top, _heaviest_maximal_subgroup,
+                               strategy, dropped)
 
     phase = complex(np.trace(U)) / d
     phase /= abs(phase)
@@ -460,9 +479,9 @@ def decompose(
     if abs(overlap - 1.0) > RECONSTRUCTION_TOL:
         raise DecompositionError(
             f"reconstruction overlap {overlap!r} deviates from unity",
-            PeelTrace(tuple(steps)),
+            PeelTrace(tuple(steps), strategy, dropped),
         )
-    return result, PeelTrace(tuple(steps))
+    return result, PeelTrace(tuple(steps), strategy, dropped)
 
 
 def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:

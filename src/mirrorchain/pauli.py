@@ -8,10 +8,12 @@ is kept.
 
 Internally a word is also viewed as a pair of bit masks (x, z) with site 1
 at the most significant bit, so that phase-free multiplication is XOR and
-every group generated by words is an F2-linear span.  One elimination,
-:func:`_echelon`, gives a group's rank, its reduced basis and each element's
-coordinates over it, so closures, closure checks and maximal subgroups
-(a filter on coordinates) are cheap and exact.
+every group generated by words is an F2-linear span.  A :class:`PauliGroup`
+is mask arrays in canonical order, the reduced basis of one elimination
+(:func:`_echelon`) and each element's coordinates over it.  Closures span a
+basis by XOR doubling; a maximal subgroup keeps the rows whose coordinates
+lack the last basis vector, with the basis prefix, so a whole tower is
+eliminated once.
 
 :func:`pauli_coefficients` gives every word trace Tr(U M) of a matrix U as
 one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``;
@@ -28,7 +30,6 @@ gather, one column gather and one phase per row.  Both are O(d^2).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -184,7 +185,7 @@ def _factor_phases(word: PauliString, angle: float) -> np.ndarray:
     x, z = word.masks
     j = np.arange(1 << word.n_sites)
     scale = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
-    return scale * (1.0 - 2.0 * (_popcount(j & z) & 1))
+    return scale * _signs(j & z)
 
 
 def apply_word_exponential(U: np.ndarray, word: PauliString, angle: float) -> None:
@@ -202,12 +203,10 @@ def apply_word_exponential(U: np.ndarray, word: PauliString, angle: float) -> No
     U += moved
 
 
-def _popcount(v: np.ndarray) -> np.ndarray:
-    """Number of set bits in each entry of a non-negative integer array."""
-    out = np.zeros_like(v)
-    while v.any():
-        out, v = out + (v & 1), v >> 1
-    return out
+def _signs(v: np.ndarray) -> np.ndarray:
+    """(-1)^{|v|} per entry of a non-negative integer array, as int8 (a uint8
+    bit count would wrap 1 - 2 to 255)."""
+    return 1 - 2 * (np.bitwise_count(v) & 1).astype(np.int8)
 
 
 def word_trace(U: np.ndarray, word: PauliString) -> complex:
@@ -217,9 +216,8 @@ def word_trace(U: np.ndarray, word: PauliString) -> complex:
     if d != 2**word.n_sites:
         raise ValueError(f"matrix of dimension {d} does not match {word.n_sites} sites")
     idx = np.arange(d)
-    signs = 1.0 - 2.0 * (_popcount(idx & z) & 1)
     pref = _I_POW[(x & z).bit_count() % 4]
-    return pref * complex(np.dot(U[idx, idx ^ x], signs))
+    return pref * complex(np.dot(U[idx, idx ^ x], _signs(idx & z)))
 
 
 def xz_traces(U: np.ndarray) -> np.ndarray:
@@ -292,15 +290,6 @@ def _bit_views(a: np.ndarray) -> Iterator[np.ndarray]:
         yield a.reshape(d // (2 * h), 2, h, d // (2 * h), 2, h)
 
 
-def _pack(word: PauliString, n: int) -> int:
-    x, z = word.masks
-    return (x << n) | z
-
-
-def _unpack(packed: int, n: int) -> PauliString:
-    return PauliString.from_masks(packed >> n, packed & ((1 << n) - 1), n)
-
-
 def _echelon(packed: Iterable[int]) -> tuple[list[int], list[int]]:
     """Gaussian elimination over F2 of packed vectors, in order: the reduced
     basis, where basis[:j] spans the first j independent vectors, and each
@@ -324,69 +313,123 @@ def _echelon(packed: Iterable[int]) -> tuple[list[int], list[int]]:
     return basis, coords
 
 
-@dataclass(frozen=True)
+def _mask_dtype(n_sites: int) -> type:
+    """int64 holds the masks of words up to 63 sites; wider words keep Python ints."""
+    return np.int64 if n_sites < 64 else object
+
+
+def _canonical_order(xs: np.ndarray, zs: np.ndarray, n_sites: int) -> np.ndarray:
+    """The permutation that sorts the words (xs, zs) by their letters: a
+    lexsort over per-site letter codes I=0, X=1, Y=2, Z=3, site 1 first."""
+    bits = np.arange(n_sites)[:, None]
+    x, z = (xs >> bits) & 1, (zs >> bits) & 1
+    return np.lexsort(2 * z + (x ^ z))
+
+
 class PauliGroup:
-    """A set of words closed under phase-free multiplication."""
+    """A set of words closed under phase-free multiplication, held as arrays:
+    ``xs`` and ``zs`` are the elements' masks in canonical order, ``basis``
+    is :func:`_echelon`'s reduced basis of the packed elements x << n | z in
+    that order and ``coords`` their coordinates over it.  The word views
+    ``sorted_elements`` and ``elements`` are built only when asked for."""
 
-    n_sites: int
-    elements: frozenset[PauliString]
-
-    def __post_init__(self) -> None:
-        if not self.elements:
+    def __init__(self, n_sites: int, elements: Iterable[PauliString]) -> None:
+        words = frozenset(elements)
+        if not words:
             raise ValueError("a group needs at least the identity")
-        for e in self.elements:
-            if e.n_sites != self.n_sites:
-                raise ValueError("mixed site counts in group elements")
-        if PauliString.identity(self.n_sites) not in self.elements:
+        if any(e.n_sites != n_sites for e in words):
+            raise ValueError("mixed site counts in group elements")
+        self._fill(n_sites, *np.array([e.masks for e in words], dtype=_mask_dtype(n_sites)).T)
+        if self.xs[0] | self.zs[0]:  # the identity sorts first
             raise ValueError("group is missing the identity word")
-        rank = len(self.echelon[0])
-        if len(self.elements) != 1 << rank:
+        if len(words) != 1 << len(self.basis):
             raise ValueError(
-                f"{len(self.elements)} elements do not form a closed group "
-                f"(span has {1 << rank})"
+                f"{len(words)} elements do not form a closed group "
+                f"(span has {1 << len(self.basis)})"
             )
 
+    @classmethod
+    def _of(cls, *arrays) -> "PauliGroup":
+        """The group of the words (xs, zs), unchecked; see :meth:`_fill`."""
+        return cls.__new__(cls)._fill(*arrays)
+
+    def _fill(self, n_sites: int, xs: np.ndarray, zs: np.ndarray,
+              basis: tuple[int, ...] | None = None,
+              coords: np.ndarray | None = None) -> "PauliGroup":
+        """Sort the words into canonical order and eliminate them once, unless
+        basis and coords are given, for words already in canonical order."""
+        if basis is None:
+            order = _canonical_order(xs, zs, n_sites)
+            xs, zs = xs[order], zs[order]
+            basis, coords = _echelon(x << n_sites | z for x, z in zip(xs.tolist(), zs.tolist()))
+        coords = np.asarray(coords, dtype=np.int64)
+        for v in (xs, zs, coords):
+            v.flags.writeable = False
+        self.__dict__.update(n_sites=n_sites, xs=xs, zs=zs, basis=tuple(basis), coords=coords)
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"a PauliGroup is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"PauliGroup(n_sites={self.n_sites}, size={len(self)}, basis={self.basis})"
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.xs)
+
+    def __eq__(self, other: object) -> bool:
+        # One span has one canonical order, hence one basis.
+        return isinstance(other, PauliGroup) and (self.n_sites, self.basis) == (
+            other.n_sites, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.n_sites, self.basis))
 
     def __contains__(self, word: PauliString) -> bool:
-        return word in self.elements
+        x, z = word.masks
+        return word.n_sites == self.n_sites and self._spans(x << self.n_sites | z)
 
     def __iter__(self) -> Iterator[PauliString]:
         return iter(self.sorted_elements)
 
     @cached_property
     def sorted_elements(self) -> tuple[PauliString, ...]:
-        return tuple(sorted(self.elements, key=lambda w: w.letters))
+        return tuple(PauliString.from_masks(x, z, self.n_sites)
+                     for x, z in zip(self.xs.tolist(), self.zs.tolist()))
 
     @cached_property
-    def echelon(self) -> tuple[list[int], list[int]]:
-        """:func:`_echelon` of the packed elements in canonical order: the
-        reduced basis, of length rank(G), and each element's coordinates."""
-        return _echelon(_pack(e, self.n_sites) for e in self.sorted_elements)
+    def elements(self) -> frozenset[PauliString]:
+        return frozenset(self.sorted_elements)
 
-    def _where(self, keep: Callable[[int], bool]) -> "PauliGroup":
-        """The elements whose echelon coordinates pass `keep`, as a group."""
-        return PauliGroup(self.n_sites, frozenset(
-            e for e, c in zip(self.sorted_elements, self.echelon[1]) if keep(c)
-        ))
+    def _spans(self, *packed: int) -> bool:
+        """Whether the packed words x << n | z lie in the group: they add no rank."""
+        return len(_echelon(self.basis + packed)[0]) == len(self.basis)
 
     def is_subgroup_of(self, other: "PauliGroup") -> bool:
-        return self.n_sites == other.n_sites and self.elements <= other.elements
+        return self.n_sites == other.n_sites and other._spans(*self.basis)
 
     @classmethod
     def identity_group(cls, n_sites: int) -> "PauliGroup":
-        return cls(n_sites, frozenset({PauliString.identity(n_sites)}))
+        return _span(n_sites, ())
 
     @classmethod
     def complete(cls, n_sites: int) -> "PauliGroup":
         """The full 4^n-element word group (small n only)."""
         if n_sites > 6:
             raise ValueError("complete group is too large beyond 6 sites")
-        words = frozenset(
-            PauliString("".join(t)) for t in itertools.product(LETTERS, repeat=n_sites)
-        )
-        return cls(n_sites, words)
+        return _span(n_sites, (1 << b for b in range(2 * n_sites)))
+
+
+def _span(n_sites: int, packed: Iterable[int]) -> PauliGroup:
+    """The group of every product of the packed words x << n | z: their
+    echelon basis, spanned by XOR doubling of the mask arrays."""
+    xs = zs = np.zeros(1, dtype=_mask_dtype(n_sites))
+    low = (1 << n_sites) - 1
+    for v in _echelon(packed)[0]:
+        xs, zs = np.concatenate([xs, xs ^ (v >> n_sites)]), np.concatenate([zs, zs ^ (v & low)])
+    return PauliGroup._of(n_sites, xs, zs)
 
 
 def group_closure(
@@ -400,10 +443,7 @@ def group_closure(
         n_sites = seeds[0].n_sites
     if any(s.n_sites != n_sites for s in seeds):
         raise ValueError("mixed site counts in seeds")
-    packed = [0]
-    for vec in _echelon(_pack(s, n_sites) for s in seeds)[0]:
-        packed.extend([p ^ vec for p in packed])
-    return PauliGroup(n_sites, frozenset(_unpack(p, n_sites) for p in packed))
+    return _span(n_sites, (s.masks[0] << n_sites | s.masks[1] for s in seeds))
 
 
 def _as_unitary(U: np.ndarray) -> tuple[np.ndarray, int]:
@@ -431,8 +471,8 @@ def _check_support_sites(n_sites: int) -> None:
 def _support(a: np.ndarray, n_sites: int) -> PauliGroup:
     """Group generated by the words (x, z) of the d x d array a = xz_traces(U)
     with |a[x, z]| above 1e-10 d."""
-    found = np.argwhere(np.abs(a) > 1e-10 * a.shape[0]).tolist()
-    return group_closure((PauliString.from_masks(x, z, n_sites) for x, z in found), n_sites)
+    x, z = np.nonzero(np.abs(a) > 1e-10 * a.shape[0])
+    return _span(n_sites, (x << n_sites | z).tolist())
 
 
 def support_group(U: np.ndarray) -> PauliGroup:
@@ -451,8 +491,9 @@ def maximal_subgroup(G: PauliGroup) -> PauliGroup:
     """
     if len(G) == 1:
         raise ValueError("the identity group has no proper subgroup")
-    half = 1 << (len(G.echelon[0]) - 1)
-    return G._where(lambda c: c < half)
+    r = len(G.basis) - 1
+    keep = G.coords < 1 << r
+    return PauliGroup._of(G.n_sites, G.xs[keep], G.zs[keep], G.basis[:r], G.coords[keep])
 
 
 @dataclass(frozen=True)

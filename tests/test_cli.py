@@ -177,6 +177,22 @@ def test_decompose_unitary_file(tmp_path):
     assert rec["source"] == {"unitary": str(path)}
 
 
+def test_decompose_says_when_the_fallback_ran(tmp_path, capsys):
+    from test_decompose import FALLBACK_PRODUCT, rotation
+
+    U = np.eye(32, dtype=complex)
+    for word, angle in FALLBACK_PRODUCT:
+        U = U @ rotation(word, angle)
+    path = tmp_path / "fallback.npy"
+    np.save(path, U)
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--unitary", str(path), "-o", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("peel stalled at level")
+    assert lines[0].endswith("; peeled on heaviest subgroups instead")
+    assert "heaviest" not in out.read_text()
+
+
 def test_decompose_dense_unitary_round_trip(tmp_path):
     # A Haar-ish unitary is not a short product, but repeated peeling
     # still reassembles it exactly.

@@ -17,6 +17,7 @@ from mirrorchain.decompose import (
     STALL_TOL,
     DecompositionError,
     ProductDecomposition,
+    _candidates,
     _heaviest_maximal_subgroup,
     _stationary_angle,
     _weight,
@@ -30,6 +31,7 @@ from mirrorchain.decompose import (
 )
 from mirrorchain.grape import fidelity_hs
 from mirrorchain.pauli import (
+    _I_POW,
     PauliGroup,
     PauliString,
     SubgroupChain,
@@ -55,6 +57,12 @@ def random_unitary(rng, d: int) -> np.ndarray:
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(A)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def weight_terms(a, words, child):
+    """_weight_terms over candidates given as word objects."""
+    xs, zs = (np.array(v, dtype=np.int64) for v in zip(*(w.masks for w in words)))
+    return _weight_terms(a, _candidates(xs, zs), child)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +135,7 @@ class TestWValue:
                             # one level down both survivors tie
                             (g2, {"XZZX": -0.25, "YZZY": -0.25})):
             words = [P(w) for w in want]
-            _, W = _weight_terms(a, words, child)
+            _, W = weight_terms(a, words, child)
             for word, got in zip(words, W):
                 assert got == pytest.approx(want[word.letters], abs=1e-12)
                 _, _, oracle = weight_terms_oracle(mirror4, word, child)
@@ -140,7 +148,7 @@ class TestWValue:
         for _ in range(20):
             U = random_unitary(rng, 4)
             D = P("XY")
-            _, (W,) = _weight_terms(xz_traces(U) / 4, [D], child)
+            _, (W,) = weight_terms(xz_traces(U) / 4, [D], child)
             h = 1e-6
             f = rotated_weight(U, D, child)
             deriv = (f(h) - f(-h)) / (2 * h)
@@ -170,7 +178,7 @@ class TestOptimalAngle:
             D = P("ZI")
             a = xz_traces(U) / 4
             A = _weight(a, child)
-            (B,), (W,) = _weight_terms(a, [D], child)
+            (B,), (W,) = weight_terms(a, [D], child)
             if math.hypot(0.5 * (A - B), W) < STALL_TOL:
                 continue
             theta, predicted = _stationary_angle(A, B, W)
@@ -228,11 +236,51 @@ def test_coefficient_slices_match_the_per_word_oracle(n):
             sum(abs(c) ** 2 for c in want.values()), abs=1e-12)
         A_got = _weight(a, child)
         candidates = [D for D in parent if D not in child]
-        for D, B_got, W_got in zip(candidates, *_weight_terms(a, candidates, child)):
+        for D, B_got, W_got in zip(candidates, *weight_terms(a, candidates, child)):
             A, B, W = weight_terms_oracle(U, D, child)
             assert A_got == pytest.approx(A, abs=1e-12)
             assert 0.5 * (A_got - B_got) == pytest.approx(0.5 * (A - B), abs=1e-12)
             assert W_got == pytest.approx(W, abs=1e-12)
+
+
+def popcount(v: np.ndarray) -> np.ndarray:
+    """Number of set bits in each entry of a non-negative integer array."""
+    out = np.zeros_like(v)
+    while v.any():
+        out, v = out + (v & 1), v >> 1
+    return out
+
+
+def reference_weight_terms(a, words, child):
+    """(B, W) summed over every candidate-child pair at once, with the phase
+    i^{-|x1 & z1|} (-1)^{|z1 & cx|} counted bit by bit."""
+    dx, dz = (np.array(v)[:, None] for v in zip(*(w.masks for w in words)))
+    cx, cz = (np.array(v) for v in zip(*(w.masks for w in child)))
+    a_m = a[dx ^ cx, dz ^ cz]
+    phase = np.take(_I_POW, -popcount(dx & dz) % 4) * (1 - 2 * (popcount(dz & cx) & 1))
+    B = np.sum(np.abs(a_m) ** 2, axis=1)
+    W = np.sum((phase * a[cx, cz] * a_m.conj()).imag, axis=1)
+    return B, W, (popcount(dz & cx) & 1).any()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_weight_terms_match_the_pair_reference(n):
+    rng = np.random.default_rng(80 + n)
+    groups = [PauliGroup.complete(n)] + [
+        group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
+                       for _ in range(n + 2)], n) for _ in range(6)]
+    odd = False
+    for parent in groups:
+        if len(parent) == 1:
+            continue
+        a = xz_traces(random_unitary(rng, 1 << n)) / (1 << n)
+        for child in (maximal_subgroup(parent), PauliGroup.identity_group(n)):
+            words = [D for D in parent if D not in child]
+            B, W, has_odd = reference_weight_terms(a, words, child)
+            got_B, got_W = weight_terms(a, words, child)
+            assert np.abs(got_B - B).max() <= 1e-15 and np.abs(got_W - W).max() <= 1e-15
+            odd |= has_odd
+    assert odd
 
 
 class TestPeelLevel:
@@ -468,6 +516,33 @@ def test_fallback_peel_factors_are_pinned():
     for (_, got), (_, want) in zip(dec.factors, FALLBACK_FACTORS):
         assert got == pytest.approx(want, abs=1e-12)
     assert gate_fidelity(reconstruct(dec), U) >= 1 - 1e-9
+
+
+def test_trace_names_the_strategy():
+    U = np.eye(32, dtype=complex)
+    for word, angle in FALLBACK_PRODUCT:
+        U = U @ rotation(word, angle)
+    with pytest.raises(DecompositionError) as stalled:
+        decompose(U, SubgroupChain.automatic(support_group(U)))
+    _, trace = decompose(U)
+    assert trace.strategy == "heaviest"
+    assert trace.dropped == str(stalled.value) and "stalled" in trace.dropped
+    _, trace = decompose(chain_propagator(ChainSpec.engineered(4), MIRROR_TIME))
+    assert (trace.strategy, trace.dropped) == ("tower", None)
+    assert list(trace.to_json()) == ["steps"]
+
+
+def test_peel_builds_words_only_for_its_factors(monkeypatch):
+    # The groups and the peel work on mask arrays: a word object is built
+    # for each pass's chosen word and nowhere else.
+    built = []
+    original = P.__post_init__
+    monkeypatch.setattr(P, "__post_init__", lambda self: built.append(original(self)))
+    U = chain_propagator(ChainSpec.engineered(6), MIRROR_TIME)
+    built.clear()
+    dec, trace = decompose(U)
+    assert len(dec.factors) == 6
+    assert len(built) <= len(trace.steps) + len(dec.factors)
 
 
 @pytest.mark.parametrize("source, transforms", [("engineered", 1), ("fallback", 2)])

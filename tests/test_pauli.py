@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from mirrorchain.pauli import (
@@ -12,6 +14,7 @@ from mirrorchain.pauli import (
     PauliGroup,
     PauliString,
     SubgroupChain,
+    _canonical_order,
     _echelon,
     _walsh,
     apply_word_exponential,
@@ -368,9 +371,8 @@ class TestGroups:
         rng = np.random.default_rng(15)
         for _ in range(40):
             g = random_group(rng, int(rng.integers(1, 5)))
-            basis, coords = g.echelon
-            assert len(g) == 1 << len(basis)
-            assert coords == reference_coordinates(g)
+            assert len(g) == 1 << len(g.basis)
+            assert g.coords.tolist() == reference_coordinates(g)
 
     def test_group_rejects_non_closed_sets(self):
         with pytest.raises(ValueError):
@@ -465,3 +467,78 @@ class TestSubgroupChain:
         b = group_closure([PauliString("ZZ")])
         with pytest.raises(ValueError):
             SubgroupChain((a, b))
+
+
+def mask_arrays(words) -> tuple[np.ndarray, np.ndarray]:
+    xs, zs = zip(*(w.masks for w in words))
+    return np.array(xs, dtype=np.int64), np.array(zs, dtype=np.int64)
+
+
+class TestPackedGroups:
+    """Groups held as mask arrays against their word-object definitions."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_canonical_order_is_letter_order_for_every_word(self, n):
+        words = [PauliString("".join(t)) for t in itertools.product(LETTERS, repeat=n)]
+        shuffled = [words[k] for k in np.random.default_rng(n).permutation(len(words))]
+        order = _canonical_order(*mask_arrays(shuffled), n)
+        assert [shuffled[k].letters for k in order] == [w.letters for w in words]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.text(alphabet=LETTERS, min_size=n, max_size=n), min_size=1, max_size=40, unique=True)))
+    def test_canonical_order_is_letter_order(self, letters):
+        words = [PauliString(w) for w in letters]
+        order = _canonical_order(*mask_arrays(words), words[0].n_sites)
+        assert [words[k].letters for k in order] == sorted(letters)
+
+    def test_tower_levels_match_re_elimination(self):
+        # Each level of the automatic tower keeps its parent's rows, basis
+        # prefix and coordinates; rebuilding it from its word set, which
+        # sorts and eliminates again, must give the same arrays.
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            top = group_closure([random_word(rng, n) for _ in range(int(rng.integers(0, 7)))],
+                                n_sites=n)
+            chain = SubgroupChain.automatic(top)
+            assert len(chain) == len(top.basis) + 1
+            for parent, level in zip(chain.levels, chain.levels[1:]):
+                rebuilt = PauliGroup(n, level.elements)
+                for want in (maximal_subgroup(PauliGroup(n, parent.elements)), rebuilt):
+                    assert level.elements == want.elements and level.basis == want.basis
+                    assert np.array_equal(level.coords, want.coords)
+                    assert np.array_equal(level.xs, want.xs) and np.array_equal(level.zs, want.zs)
+                assert level == rebuilt and hash(level) == hash(rebuilt)
+
+    def test_membership_works_on_masks(self):
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            g = random_group(rng, n)
+            for t in itertools.product(LETTERS, repeat=n):
+                w = PauliString("".join(t))
+                assert (w in g) == (w in g.elements)
+            assert PauliString("I" * (n + 1)) not in g
+
+    @pytest.mark.parametrize("n", [63, 64, 100])
+    def test_words_wider_than_a_machine_integer(self, n):
+        g = group_closure([PauliString("X" * n), PauliString("Z" * (n - 1) + "I")])
+        assert [w.letters for w in g] == sorted(w.letters for w in g.elements)
+        assert PauliString("Y" * (n - 1) + "X") in g and PauliString("Y" * n) not in g
+        assert g == PauliGroup(n, g.elements)
+        chain = SubgroupChain.automatic(g)
+        assert [len(level) for level in chain.levels] == [4, 2, 1]
+
+    def test_groups_are_immutable_and_print_their_shape(self):
+        g = group_closure([PauliString("XZ"), PauliString("ZX")])
+        hashed = hash(g)
+        for name in ("n_sites", "basis", "xs", "zs", "coords"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        with pytest.raises(ValueError):
+            g.xs[0] = 1
+        assert hash(g) == hashed and g.elements == PauliGroup(2, g.elements).elements
+        assert repr(g) == f"PauliGroup(n_sites=2, size=4, basis={g.basis})"
