@@ -19,12 +19,17 @@ The human-readable summary goes to standard output only.
 The environment variable MIRRORCHAIN_THREADS, when set, seeds the usual
 BLAS/OpenMP thread-count variables before numpy is imported; for that
 reason the numeric modules are imported inside the command functions.
+
+`main(argv)` may be called any number of times in one process: the
+parser is built on the first call and reused, and each call parses into a
+fresh namespace, so a flag given to one call never reaches the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -139,7 +144,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         gate_fidelity,
         reconstruct,
     )
-    from .pauli import MAX_DENSE_SITES
+    from .pauli import MAX_DENSE_SITES, _check_support_sites
 
     spec = None
     if args.unitary is not None:
@@ -163,8 +168,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise ValueError("--closed-form only matches engineered couplings")
         dec, trace = closed_form(spec.n_sites), None
         U = chain_propagator(spec, MIRROR_TIME) if spec.n_sites <= MAX_DENSE_SITES else None
+        fidelity = None if U is None else gate_fidelity(reconstruct(dec), U)
     else:
         if spec is not None:
+            # The peel would refuse this size anyway; refuse before the 2^N propagator.
+            _check_support_sites(spec.n_sites)
             tau = MIRROR_TIME if args.tau is None else args.tau
             U = chain_propagator(spec, tau)
             source["tau"] = tau
@@ -180,8 +188,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             _say(args, f"decomposition failed: {exc}")
             _say(args, f"partial trace written to {args.output}")
             return 1
+        fidelity = trace.fidelity
 
-    fidelity = None if U is None else gate_fidelity(reconstruct(dec), U)
     payload = {
         "source": source,
         "decomposition": dec.to_json(),
@@ -394,7 +402,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="mirrorchain",
         description="mirror-inversion chains, Pauli-product synthesis, pulse control",

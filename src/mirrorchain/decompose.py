@@ -185,12 +185,16 @@ class PeelTrace:
     """The per-factor record of a peel run, successful or not.
 
     `strategy` is "tower", or "heaviest" when the canonical tower stalled
-    and `dropped` holds its message; neither goes into the JSON record.
+    and `dropped` holds its message.  `fidelity` is the phase-insensitive
+    overlap |Tr(P^dag U)| / d of the reassembled product P with the input U,
+    equal to ``gate_fidelity(reconstruct(dec), U)``; it is None on a failed
+    run.  None of the three goes into the JSON record.
     """
 
     steps: tuple[PeelStep, ...]
     strategy: str = "tower"
     dropped: str | None = None
+    fidelity: float | None = None
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps]}
@@ -481,7 +485,7 @@ def decompose(
             f"reconstruction overlap {overlap!r} deviates from unity",
             PeelTrace(tuple(steps), strategy, dropped),
         )
-    return result, PeelTrace(tuple(steps), strategy, dropped)
+    return result, PeelTrace(tuple(steps), strategy, dropped, abs(overlap))
 
 
 def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:

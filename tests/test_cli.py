@@ -14,12 +14,21 @@ import sys
 import numpy as np
 import pytest
 
-from mirrorchain.cli import main
-from mirrorchain.decompose import DecompositionError, PeelTrace
+from mirrorchain.chain import MIRROR_TIME, ChainSpec, chain_propagator
+from mirrorchain.cli import build_parser, main
+from mirrorchain.decompose import (
+    DecompositionError,
+    PeelTrace,
+    closed_form,
+    decompose,
+    gate_fidelity,
+    reconstruct,
+)
 from mirrorchain.pauli import PauliString, pauli_matrix
 
 ENGINEERED_4 = [math.sqrt(i * (4 - i)) for i in range(1, 4)]
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
 
 
 def write_json(path, payload):
@@ -32,7 +41,7 @@ def load(path):
         return json.load(fh)
 
 
-def run_module(*args, env=None, cwd=None):
+def run_python(*args, env=None, cwd=None):
     full_env = dict(os.environ)
     full_env.pop("MIRRORCHAIN_THREADS", None)
     # The child may run in another directory, where a relative path would not resolve.
@@ -42,12 +51,16 @@ def run_module(*args, env=None, cwd=None):
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "mirrorchain", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=full_env,
         cwd=cwd,
     )
+
+
+def run_module(*args, env=None, cwd=None):
+    return run_python("-m", "mirrorchain", *args, env=env, cwd=cwd)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -103,8 +116,13 @@ def test_quiet_flag_works_in_both_positions(tmp_path, capsys):
     out = tmp_path / "spectrum.json"
     assert main(["-q", "spectrum", "--engineered", "3", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
+    # The parser is shared between calls; a quiet call leaves the next one loud.
+    assert main(["spectrum", "--engineered", "3", "-o", str(out)]) == 0
+    assert "mirror condition satisfied" in capsys.readouterr().out
     assert main(["spectrum", "-q", "--engineered", "3", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""
+    assert main(["spectrum", "--engineered", "3", "-o", str(out)]) == 0
+    assert "mirror condition satisfied" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------- decompose
@@ -139,6 +157,8 @@ def test_decompose_closed_form_five_sites(tmp_path):
     assert dec["global_phase"] == pytest.approx([0.0, 1.0])
     assert rec["trace"] is None
     assert rec["reconstruction_fidelity"] >= 1.0 - 1e-9
+    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
+    assert rec["reconstruction_fidelity"] == gate_fidelity(reconstruct(closed_form(5)), U)
 
 
 def test_decompose_closed_form_rejects_tau(tmp_path, capsys):
@@ -191,6 +211,65 @@ def test_decompose_says_when_the_fallback_ran(tmp_path, capsys):
     assert lines[0].startswith("peel stalled at level")
     assert lines[0].endswith("; peeled on heaviest subgroups instead")
     assert "heaviest" not in out.read_text()
+
+
+def peel_source(tmp_path, kind, n):
+    """The CLI source flags for a peel job, and the matrix the peel is given."""
+    if kind == "engineered":
+        return ["--engineered", str(n)], chain_propagator(ChainSpec.engineered(n), MIRROR_TIME)
+    if kind == "fallback":
+        from test_decompose import FALLBACK_PRODUCT, rotation
+
+        U = np.eye(1 << n, dtype=complex)
+        for word, angle in FALLBACK_PRODUCT:
+            U = U @ rotation(word, angle)
+        path = tmp_path / "fallback.npy"
+        np.save(path, U)
+        return ["--unitary", str(path)], np.load(path)
+    if kind == "uniform":
+        path = os.path.join(REPO, "demos", "specs", f"uniform_{n}.json")
+    else:
+        rng = np.random.default_rng(n)
+        path = write_json(tmp_path / "seeded.json", {
+            "n": n,
+            "couplings": rng.uniform(0.5, 1.5, n - 1).tolist(),
+            "fields": rng.uniform(-0.5, 0.5, n).tolist(),
+        })
+    return ["--spec", path], chain_propagator(ChainSpec.load(path), MIRROR_TIME)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("engineered", n) for n in range(2, 9)]
+    + [("uniform", 5), ("seeded", 4), ("seeded", 5), ("seeded", 6), ("fallback", 5)],
+)
+def test_decompose_reports_the_peel_fidelity(tmp_path, kind, n):
+    # The report carries the overlap the peel checked, not a second dense rebuild;
+    # d is a power of two, so the two agree to the bit.
+    source, U = peel_source(tmp_path, kind, n)
+    out = tmp_path / "dec.json"
+    assert main(["-q", "decompose", *source, "-o", str(out)]) == 0
+    dec, trace = decompose(U)
+    fidelity = gate_fidelity(reconstruct(dec), U)
+    assert trace.fidelity == fidelity
+    assert load(out)["reconstruction_fidelity"] == fidelity
+
+
+def test_decompose_refuses_an_oversized_chain_before_the_propagator(
+    tmp_path, monkeypatch, capsys
+):
+    def propagator_not_allowed(*args):
+        raise AssertionError("chain_propagator ran for a chain the peel refuses")
+
+    monkeypatch.setattr("mirrorchain.chain.chain_propagator", propagator_not_allowed)
+    spec = write_json(
+        tmp_path / "uniform_9.json", {"n": 9, "couplings": [1.0] * 8, "fields": [0.0] * 9}
+    )
+    out = tmp_path / "dec.json"
+    for source in (["--engineered", "9"], ["--spec", spec]):
+        assert main(["decompose", *source, "-o", str(out)]) == 2
+        assert "support scan beyond 8 sites is not supported" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decompose_dense_unitary_round_trip(tmp_path):
@@ -567,7 +646,102 @@ def test_selftest_reports_all_suites(tmp_path, capsys):
     assert all(s["passed"] == s["trials"] == 4 for s in rec["suites"])
 
 
+# ------------------------------------------------- repeated main() calls
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Drop the cached parser and list the prog of every parser built after that."""
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    yield built
+    build_parser.cache_clear()
+
+
+def test_parser_is_built_once_across_calls(tmp_path, parsers_built, capsys):
+    runs = [
+        (["spectrum", "--engineered", "3", "-o", str(tmp_path / "s.json")], 0),
+        (["decompose", "--engineered", "2", "-o", str(tmp_path / "d.json")], 0),
+        (["decompose", "-o", str(tmp_path / "d.json")], 2),
+        (["transfer", "--engineered", "3", "--site", "1", "-o", str(tmp_path / "t.json")], 0),
+        (["selftest", "--trials", "1", "-o", str(tmp_path / "st.json")], 0),
+        (["spectrum", "--engineered", "4", "-o", str(tmp_path / "s.json")], 0),
+    ]
+    assert parsers_built == []
+    assert main(runs[0][0]) == runs[0][1]
+    first = list(parsers_built)
+    for argv, code in runs[1:]:
+        assert main(argv) == code
+    assert parsers_built == first
+    assert first.count("mirrorchain") == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    r = run_python(
+        "-c", "import mirrorchain.cli as c; print(c.build_parser.cache_info().currsize)"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"
+
+
+def test_usage_error_leaves_the_next_call_intact(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    r = run_module("decompose", "--engineered", "3", "-o", "dec.json", cwd=str(fresh))
+    assert r.returncode == 0, r.stderr
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "-o", str(out)]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert main(["decompose", "--engineered", "3", "-o", str(out)]) == 0
+    assert out.read_bytes() == (fresh / "dec.json").read_bytes()
+
+
+def test_help_exits_zero_and_later_calls_work(tmp_path, capsys):
+    assert main(["-h"]) == 0
+    assert main(["decompose", "-h"]) == 0
+    assert "--closed-form" in capsys.readouterr().out
+    assert main(["spectrum", "--engineered", "3", "-o", str(tmp_path / "s.json")]) == 0
+    assert "mirror condition satisfied" in capsys.readouterr().out
+
+
+def test_each_parse_gets_fresh_defaults():
+    parser = build_parser()
+    assert build_parser() is parser
+    grape = ["grape", "--system", "sys.json", "--target-gate", "identity"]
+    given = parser.parse_args([*grape, "--rf-scales", "1.0", "--min-fidelity", "0.5"])
+    assert (given.rf_scales, given.min_fidelity) == ((1.0,), 0.5)
+    first, second = parser.parse_args(grape), parser.parse_args(grape)
+    assert first is not second
+    for args in (first, second):
+        # The string default is converted again on each parse.
+        assert args.rf_scales == (0.95, 1.0, 1.05)
+        assert args.min_fidelity == 0.99
+    transfer = ["transfer", "--engineered", "3", "--site", "1"]
+    assert parser.parse_args([*transfer, "--min-fidelity", "0.5"]).min_fidelity == 0.5
+    assert parser.parse_args(transfer).min_fidelity == 1.0 - 1e-9
+
+
 # -------------------------------------------------- module entry point
+
+def test_module_entry_matches_the_in_process_call(tmp_path, capsys):
+    child = tmp_path / "child"
+    child.mkdir()
+    r = run_module("-q", "spectrum", "--engineered", "3", "-o", "spectrum.json", cwd=str(child))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ""
+    out = tmp_path / "spectrum.json"
+    assert main(["-q", "spectrum", "--engineered", "3", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (child / "spectrum.json").read_bytes()
+
 
 def test_module_entry_outputs_are_byte_identical(tmp_path):
     paths = []
