@@ -28,7 +28,6 @@ _EXPORTS = {
     "commutes": ".pauli",
     "pauli_matrix": ".pauli",
     "word_trace": ".pauli",
-    "pauli_coefficients": ".pauli",
     "xz_traces": ".pauli",
     "update_xz_traces": ".pauli",
     "word_exponential": ".pauli",

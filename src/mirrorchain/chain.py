@@ -327,22 +327,23 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
 def _mirror_check_direct(
     tau: float, evals: np.ndarray, evecs: np.ndarray
 ) -> SpectralReport:
-    """Degenerate fallback: compare R @ U1 against a phase times identity."""
-    U1 = (evecs * np.exp(-1j * float(tau) * evals)) @ evecs.conj().T
-    M = U1[::-1, :]  # R @ U1 with R the index-reversal permutation
-    diag = np.diag(M)
-    phase = diag[np.argmax(np.abs(diag))]
-    ok = (
-        abs(abs(phase) - 1.0) < PHASE_TOL
-        and np.abs(M - phase * np.eye(len(evals))).max() < PHASE_TOL
-    )
-    phi0 = math.remainder(float(np.angle(phase)), 2.0 * math.pi) if ok else None
+    """Degenerate fallback: test the propagator itself with :func:`_mirror_phase`."""
+    w = _mirror_phase((evecs * np.exp(-1j * float(tau) * evals)) @ evecs.conj().T)
     return SpectralReport(
         mirror_time=float(tau),
         eigenvalues=tuple(float(e) for e in evals),
         parities=(),
-        satisfied=bool(ok),
-        global_phase=phi0,
+        satisfied=w is not None,
+        global_phase=None if w is None else math.remainder(float(np.angle(w)), 2.0 * math.pi),
         witnesses=None,
         degenerate=True,
     )
+
+
+def _mirror_phase(u: np.ndarray) -> complex | None:
+    """w when the N x N one-excitation propagator u equals w R for the site
+    reversal R and a unit w, within PHASE_TOL; else None."""
+    w = complex(u[-1, 0])
+    if abs(abs(w) - 1.0) > PHASE_TOL or np.abs(u[::-1] - w * np.eye(len(u))).max() > PHASE_TOL:
+        return None
+    return w

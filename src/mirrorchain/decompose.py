@@ -31,12 +31,12 @@ All weights are slices of one array per residual, the phase-free traces
 ``a[x, z] = Tr(U X^x Z^z) / 2^n`` (``xz_traces(U) / 2^n``), indexed by a
 word's bit masks with site 1 at the most significant bit; a word's
 coefficient differs from its entry only by the phase i^{|x & z|}.  The
-array is transformed once per decomposition and then follows the residual
-factor by factor: ``U exp(+i theta D)`` is a signed column permutation of U
-(``apply_word_exponential``) and the same factor moves ``a`` by one row and
-one column gather (``update_xz_traces``), both in place, so no word matrix
-is built and no dense product runs.  Only the adaptive fallback, which restarts from
-the input, transforms it again.
+array is the peel's only form of the residual: it is transformed once per
+decomposition, and each factor ``exp(+i theta D)`` moves it in place by one
+row and one column gather (``update_xz_traces``), so no word matrix is
+built and no dense product runs.  The global phase c is the final
+``a[0, 0] = Tr(U_res) / 2^n``.  Only the adaptive fallback, which restarts
+from the input, transforms it again.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .pauli import (
     PauliString,
     SubgroupChain,
     _as_unitary,
-    _check_support_sites,
     _json_array,
     _json_float,
     _json_int,
@@ -296,16 +295,19 @@ def peel_level(
     in the child's span).
     """
     U = np.array(U, dtype=complex)
-    return _peel_level(U, _traces(U, parent.n_sites), parent, child, level)
+    steps = _peel_level(_traces(U, parent.n_sites), parent, child, level)
+    for s in steps:
+        apply_word_exponential(U, s.word, -s.angle)
+    return U, steps
 
 
 def _peel_level(
-    U: np.ndarray, a: np.ndarray, parent: PauliGroup, child: PauliGroup, level: int
-) -> tuple[np.ndarray, tuple[PeelStep, ...]]:
-    """:func:`peel_level` on U and its normalized trace array a, both updated in place.
+    a: np.ndarray, parent: PauliGroup, child: PauliGroup, level: int
+) -> tuple[PeelStep, ...]:
+    """:func:`peel_level` on the residual's normalized trace array a, updated in place.
 
-    Each factor moves U and a in O(d^2), so a keeps matching the residual
-    and is never re-transformed.
+    Each factor moves a in O(d^2), so a keeps matching the residual and is
+    never re-transformed; the steps alone say how to move a dense U.
     """
     if not child.is_subgroup_of(parent) or len(child) >= len(parent):
         raise ValueError("child must be a strictly smaller subgroup of parent")
@@ -321,7 +323,7 @@ def _peel_level(
 
     for _ in range(max_passes):
         if 1.0 - A <= PEEL_TOL:
-            return U, tuple(steps)
+            return tuple(steps)
 
         Bs, Ws = (v.tolist() for v in _weight_terms(a, candidates, child))
         best = 0
@@ -346,7 +348,6 @@ def _peel_level(
         best_word = PauliString.from_masks(int(dx[best]), int(dz[best]), n)
         best_B, best_W = Bs[best], Ws[best]
         theta, predicted = _stationary_angle(A, best_B, best_W)
-        apply_word_exponential(U, best_word, -theta)
         update_xz_traces(a, best_word, -theta)
         norm_after = _weight(a, child)
         if norm_after < A - 1e-9 or abs(norm_after - predicted) > 1e-8:
@@ -396,17 +397,17 @@ def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
 
 
 def _peel_tower(
-    U: np.ndarray,
     a: np.ndarray,
     top: PauliGroup,
     choose_child: Callable[[np.ndarray, PauliGroup], PauliGroup],
     strategy: str = "tower",
     dropped: str | None = None,
-) -> tuple[np.ndarray, list[PeelStep]]:
-    """Peel U from `top` to the identity; each child is choose_child(a, parent).
+) -> list[PeelStep]:
+    """Peel the trace array a from `top` to the identity; each child is
+    choose_child(a, parent).
 
-    U and its trace array a follow the residual in place.  A failing level
-    re-raises with every step taken so far, labelled as in :class:`PeelTrace`.
+    a follows the residual in place.  A failing level re-raises with every
+    step taken so far, labelled as in :class:`PeelTrace`.
     """
     steps: list[PeelStep] = []
     parent = top
@@ -414,16 +415,15 @@ def _peel_tower(
     while len(parent) > 1:
         child = choose_child(a, parent)
         try:
-            U, level_steps = _peel_level(U, a, parent, child, level)
+            steps.extend(_peel_level(a, parent, child, level))
         except DecompositionError as exc:
             partial = exc.trace.steps if exc.trace is not None else ()
             raise DecompositionError(
                 str(exc), PeelTrace(tuple(steps) + tuple(partial), strategy, dropped)
             ) from None
-        steps.extend(level_steps)
         parent = child
         level += 1
-    return U, steps
+    return steps
 
 
 def decompose(
@@ -438,11 +438,10 @@ def decompose(
     (with the partial trace attached) when the input is not supported in
     the top group or every descent stalls.
     """
-    U, n = _as_unitary(U)
+    # Without a chain the support scan runs, so its site cap is checked first.
+    U, n = _as_unitary(U, chain is None)
     d = 1 << n
-    if chain is None:
-        _check_support_sites(n)
-    elif chain.n_sites != n:
+    if chain is not None and chain.n_sites != n:
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
     # One transform serves the support scan and the peel.
@@ -459,27 +458,27 @@ def decompose(
             PeelTrace(()),
         )
 
-    U0 = U
     children = iter(chain.levels[1:])
     strategy, dropped = "tower", None
     try:
-        U, steps = _peel_tower(U0.copy(), a, chain.levels[0], lambda _a, _parent: next(children))
+        steps = _peel_tower(a, chain.levels[0], lambda _a, _parent: next(children))
     except DecompositionError as exc:
         if top is None:
             raise
         # Re-choose each child to keep the most of the residual's weight.
         strategy, dropped = "heaviest", str(exc)
-        U, steps = _peel_tower(U0.copy(), _traces(U0, n), top, _heaviest_maximal_subgroup,
-                               strategy, dropped)
+        a = _traces(U, n)
+        steps = _peel_tower(a, top, _heaviest_maximal_subgroup, strategy, dropped)
 
-    phase = complex(np.trace(U)) / d
+    # a[0, 0] is the identity word's entry: Tr(U_res) / d.
+    phase = complex(a[0, 0])
     phase /= abs(phase)
     factors = tuple(
         (s.word, s.angle) for s in reversed(steps) if abs(s.angle) > ZERO_ANGLE_TOL
     )
     result = ProductDecomposition(n_sites=n, factors=factors, global_phase=phase)
 
-    overlap = complex(np.vdot(reconstruct(result), U0)) / d
+    overlap = complex(np.vdot(reconstruct(result), U)) / d
     if abs(overlap - 1.0) > RECONSTRUCTION_TOL:
         raise DecompositionError(
             f"reconstruction overlap {overlap!r} deviates from unity",

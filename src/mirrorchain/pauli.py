@@ -15,10 +15,10 @@ basis by XOR doubling; a maximal subgroup keeps the rows whose coordinates
 lack the last basis vector, with the basis prefix, so a whole tower is
 eliminated once.
 
-:func:`pauli_coefficients` gives every word trace Tr(U M) of a matrix U as
-one array indexed ``[x, z]`` by those masks, i.e. ``c[word.masks]``;
-:func:`xz_traces` is the same transform without the word phases i^{|x & z|},
-i.e. the traces Tr(U X^x Z^z).
+:func:`xz_traces` is the one all-words transform: the phase-free traces
+Tr(U X^x Z^z) of a matrix U as one array indexed ``[x, z]`` by those masks.
+A word M = i^{|x & z|} X^x Z^z, so its trace Tr(U M) is the entry at
+``word.masks`` times the word phase i^{|x & z|}.
 
 A word matrix is a signed permutation, so word exponentials are applied,
 never built densely or multiplied: :func:`apply_word_exponential` turns U
@@ -49,7 +49,6 @@ __all__ = [
     "word_exponential",
     "apply_word_exponential",
     "word_trace",
-    "pauli_coefficients",
     "xz_traces",
     "update_xz_traces",
     "group_closure",
@@ -250,18 +249,6 @@ def _walsh(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def pauli_coefficients(U: np.ndarray) -> np.ndarray:
-    """All 4^n word traces: ``c[x, z] = Tr(U @ M)`` for the word M with masks (x, z).
-
-    M = i^{|x & z|} X^x Z^z, so this is :func:`xz_traces` with the entries
-    whose x and z share a bit multiplied by i once per shared bit.
-    """
-    c = xz_traces(U)
-    for v in _bit_views(c):
-        v[:, 1, :, :, 1, :] *= 1j
-    return c
-
-
 def update_xz_traces(a: np.ndarray, word: PauliString, angle: float) -> None:
     """Turn a = xz_traces(U) into xz_traces(U @ exp(-i angle M)) in place, in O(d^2).
 
@@ -281,13 +268,6 @@ def update_xz_traces(a: np.ndarray, word: PauliString, angle: float) -> None:
     moved *= _factor_phases(word, angle)[:, None]
     a *= math.cos(angle)
     a += moved
-
-
-def _bit_views(a: np.ndarray) -> Iterator[np.ndarray]:
-    """Views of a d x d array splitting both indices at each bit, lowest first."""
-    d = a.shape[0]
-    for h in (1 << bit for bit in range(d.bit_length() - 1)):
-        yield a.reshape(d // (2 * h), 2, h, d // (2 * h), 2, h)
 
 
 def _echelon(packed: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -446,10 +426,12 @@ def group_closure(
     return _span(n_sites, (s.masks[0] << n_sites | s.masks[1] for s in seeds))
 
 
-def _as_unitary(U: np.ndarray) -> tuple[np.ndarray, int]:
+def _as_unitary(U: np.ndarray, support_scan: bool = False) -> tuple[np.ndarray, int]:
     """U as a complex array, and its site count n >= 1.
 
-    Raises ValueError unless U is a numeric, finite 2^n x 2^n unitary.
+    Raises ValueError unless U is a numeric, finite 2^n x 2^n unitary.  For
+    a support scan, n is checked against its cap first, so an oversized
+    input is refused before the O(d^3) unitarity product.
     """
     U = np.asarray(U)
     if U.dtype.kind not in "biufc":
@@ -457,6 +439,8 @@ def _as_unitary(U: np.ndarray) -> tuple[np.ndarray, int]:
     d = U.shape[0] if U.ndim == 2 else 0
     if U.shape != (d, d) or d < 2 or d & (d - 1):
         raise ValueError(f"unitary must be a 2^n x 2^n matrix with n >= 1, got shape {U.shape}")
+    if support_scan:
+        _check_support_sites(d.bit_length() - 1)
     U = U.astype(complex, copy=False)
     if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
         raise ValueError("input matrix is not a finite unitary")
@@ -477,8 +461,7 @@ def _support(a: np.ndarray, n_sites: int) -> PauliGroup:
 
 def support_group(U: np.ndarray) -> PauliGroup:
     """Group generated by the words on which the unitary U has weight."""
-    U, n = _as_unitary(U)
-    _check_support_sites(n)
+    U, n = _as_unitary(U, support_scan=True)
     return _support(xz_traces(U), n)
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from .chain import (
     MIRROR_TIME,
     ChainSpec,
+    _mirror_phase,
     excitation_sectors,
     propagator,
     single_excitation_matrix,
@@ -233,11 +234,8 @@ def _engineered_w(n_sites: int) -> complex:
 
 def _phase_table(u: np.ndarray) -> SectorPhaseTable | None:
     """The sector phases when u = w R for the site reversal R, else None."""
-    n = len(u)
-    w = complex(u[-1, 0])
-    if abs(abs(w) - 1.0) > SECTOR_TOL or np.abs(u[::-1] - w * np.eye(n)).max() > SECTOR_TOL:
-        return None
-    return SectorPhaseTable(n, _mirror_phases(w / abs(w), n))
+    w = _mirror_phase(u)
+    return None if w is None else SectorPhaseTable(len(u), _mirror_phases(w / abs(w), len(u)))
 
 
 def transfer_single(

@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg
 
 from mirrorchain.chain import (
+    DEGENERACY_TOL,
     MIRROR_TIME,
     ChainSpec,
+    _mirror_check_direct,
     build_hamiltonian,
     chain_propagator,
     check_mirror_condition,
@@ -284,6 +286,23 @@ class TestMirrorCondition:
                 and np.abs(M - phase * np.eye(n)).max() < 1e-7
             )
             assert rep.satisfied == direct
+
+    def test_near_degenerate_spectrum_takes_the_direct_check(self):
+        # Wilkinson's W21+ (unit couplings, fields |11 - i|) has eigenvalue
+        # pairs 7.1e-14 apart, so the spectral test defers to the operator,
+        # which is no mirror at pi/2.
+        spec = ChainSpec((1.0,) * 20, tuple(float(abs(11 - i)) for i in range(1, 22)))
+        assert np.diff(np.linalg.eigvalsh(single_excitation_matrix(spec))).min() < DEGENERACY_TOL
+        rep = check_mirror_condition(spec, MIRROR_TIME)
+        assert rep.degenerate is True and rep.satisfied is False
+        assert rep.parities == () and rep.global_phase is None and rep.witnesses is None
+
+    def test_direct_check_finds_the_engineered_mirror_phase(self):
+        for n in range(2, 13):
+            evals, evecs = np.linalg.eigh(single_excitation_matrix(ChainSpec.engineered(n)))
+            rep = _mirror_check_direct(MIRROR_TIME, evals, evecs)
+            assert rep.satisfied and rep.degenerate, f"N={n}"
+            assert abs(np.exp(1j * rep.global_phase) - (-1j) ** (n - 1)) < 1e-9
 
     def test_satisfied_report_reconstructs_the_propagator(self):
         # when satisfied, the witnesses and phase pin every eigenphase exactly

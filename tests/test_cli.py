@@ -272,6 +272,17 @@ def test_decompose_refuses_an_oversized_chain_before_the_propagator(
     assert not out.exists()
 
 
+def test_decompose_refuses_an_oversized_unitary_before_the_unitarity_check(tmp_path, capsys):
+    # The site count comes from the shape, so a 9-site file is refused as
+    # too large for the support scan, not after an O(d^3) product as non-unitary.
+    path = tmp_path / "zeros_9.npy"
+    np.save(path, np.zeros((512, 512)))
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--unitary", str(path), "-o", str(out)]) == 2
+    assert "support scan beyond 8 sites is not supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_dense_unitary_round_trip(tmp_path):
     # A Haar-ish unitary is not a short product, but repeated peeling
     # still reassembles it exactly.

@@ -6,6 +6,7 @@ known in closed form, so every stage of the peel can be pinned exactly.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from mirrorchain.pauli import (
     PauliGroup,
     PauliString,
     SubgroupChain,
+    apply_word_exponential,
     group_closure,
     maximal_subgroup,
     pauli_matrix,
@@ -564,6 +566,56 @@ def test_boundary_work_runs_once(monkeypatch, mirror4, source, transforms):
             monkeypatch.setattr(module, name, counted)
     decompose(U)
     assert calls == {"_as_unitary": 1, "xz_traces": transforms}
+
+
+PEEL_CASES = ([("engineered", n) for n in range(2, 9)]
+              + [("uniform", 5), ("seeded", 4), ("seeded", 5), ("seeded", 6), ("fallback", 5)])
+
+
+def peel_input(kind: str, n: int) -> np.ndarray:
+    """The unitary of one peel case: a chain at the mirror time, or the fallback product."""
+    if kind == "fallback":
+        U = np.eye(1 << n, dtype=complex)
+        for word, angle in FALLBACK_PRODUCT:
+            U = U @ rotation(word, angle)
+        return U
+    if kind == "engineered":
+        spec = ChainSpec.engineered(n)
+    elif kind == "uniform":
+        spec = ChainSpec.load(str(Path(__file__).resolve().parents[1] / "demos" / "specs"
+                                  / f"uniform_{n}.json"))
+    else:
+        rng = np.random.default_rng(n)
+        spec = ChainSpec(tuple(rng.uniform(0.5, 1.5, n - 1)), tuple(rng.uniform(-0.5, 0.5, n)))
+    return chain_propagator(spec, MIRROR_TIME)
+
+
+@pytest.mark.parametrize("kind, n", PEEL_CASES)
+def test_global_phase_matches_the_dense_residual(kind, n):
+    # The peel keeps its residual only as the trace array; applying every
+    # step to a dense copy of the input must leave the phase it reports.
+    U = peel_input(kind, n)
+    dec, trace = decompose(U)
+    assert trace.strategy == ("heaviest" if kind == "fallback" else "tower")
+    residual = U.copy()
+    for s in trace.steps:
+        apply_word_exponential(residual, s.word, -s.angle)
+    phase = np.trace(residual) / len(U)
+    assert abs(dec.global_phase - phase / abs(phase)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, n", [("engineered", 6), ("fallback", 5)])
+def test_peel_applies_word_exponentials_only_to_reconstruct(monkeypatch, kind, n):
+    # Only reconstruct() moves a dense matrix: once per output factor.
+    calls = []
+    for module in (pauli_module, decompose_module):
+        def counted(*args, _original=module.apply_word_exponential):
+            calls.append(args[1])
+            return _original(*args)
+        monkeypatch.setattr(module, "apply_word_exponential", counted)
+    dec, trace = decompose(peel_input(kind, n))
+    assert len(trace.steps) > 0
+    assert calls == list(dec.words)
 
 
 def test_heaviest_maximal_subgroup_against_every_functional():

@@ -21,7 +21,6 @@ from mirrorchain.pauli import (
     commutes,
     group_closure,
     maximal_subgroup,
-    pauli_coefficients,
     pauli_matrix,
     support_group,
     update_xz_traces,
@@ -135,6 +134,12 @@ def random_matrix(rng, d: int) -> np.ndarray:
 def word_phases(d: int) -> np.ndarray:
     """i^{|x & z|} at [x, z]: the word phase between xz_traces and pauli_coefficients."""
     return np.array([[1j ** ((x & z).bit_count() % 4) for z in range(d)] for x in range(d)])
+
+
+def pauli_coefficients(M: np.ndarray) -> np.ndarray:
+    """All 4^n word traces ``c[x, z] = Tr(M W)`` for the word W with masks (x, z)."""
+    a = xz_traces(M)
+    return a * word_phases(len(a))
 
 
 class TestPauliString:
