@@ -259,6 +259,12 @@ def _phase_distance(a: float) -> float:
     return abs(math.remainder(a, 2.0 * math.pi))
 
 
+def _principal_angle(a: float) -> float:
+    """The angle `a` reduced to (-pi, pi]; `math.remainder` keeps -pi on the tie."""
+    r = math.remainder(a, 2.0 * math.pi)
+    return math.pi if r == -math.pi else r
+
+
 def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     """Decide whether exp(-i H1 tau) equals a phase times site reversal.
 
@@ -301,7 +307,7 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     phi0 = -float(evals[0]) * tau
     if parities[0] < 0:
         phi0 += math.pi
-    phi0 = math.remainder(phi0, 2.0 * math.pi)
+    phi0 = _principal_angle(phi0)
 
     witnesses = []
     ok = True
@@ -334,7 +340,7 @@ def _mirror_check_direct(
         eigenvalues=tuple(float(e) for e in evals),
         parities=(),
         satisfied=w is not None,
-        global_phase=None if w is None else math.remainder(float(np.angle(w)), 2.0 * math.pi),
+        global_phase=None if w is None else _principal_angle(float(np.angle(w))),
         witnesses=None,
         degenerate=True,
     )

@@ -154,8 +154,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise ValueError("--tau evolves a chain; a raw unitary file takes no --tau")
         try:
             U = np.load(args.unitary)
-        except ValueError as exc:
+        except (ValueError, EOFError) as exc:
             raise ValueError(f"unitary file {args.unitary!r}: {exc}") from None
+        if isinstance(U, np.lib.npyio.NpzFile):
+            U.close()
+            raise ValueError(f"unitary file {args.unitary!r}: an .npz archive, not one .npy array")
         source = {"unitary": args.unitary}
     else:
         spec = _load_chain(args)
@@ -285,7 +288,7 @@ def cmd_grape(args: argparse.Namespace) -> int:
     if args.target_decomposition is not None:
         with open(args.target_decomposition, "r", encoding="utf-8") as fh:
             record = json.load(fh)
-        if "decomposition" in record:
+        if isinstance(record, dict) and "decomposition" in record:
             record = record["decomposition"]
         dec = ProductDecomposition.from_json(record)
         if dec.n_sites != system.n_spins:

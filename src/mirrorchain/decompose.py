@@ -148,11 +148,18 @@ class ProductDecomposition:
         try:
             n = _json_int(data["n"], "n")
             re, im = _json_array(data["global_phase"], "global_phase", _json_float)
-            factors = _json_array(data["factors"], "factors", lambda f, name: (
-                PauliString(f["word"]), _json_float(f["angle"], f"{name}.angle")))
+            factors = _json_array(data["factors"], "factors", _json_factor)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed decomposition record: {exc}") from exc
         return cls(n, factors, complex(re, im))
+
+
+def _json_factor(value: dict, name: str) -> tuple[PauliString, float]:
+    """One {"word", "angle"} factor record; the word must be a string."""
+    word = value["word"]
+    if not isinstance(word, str):
+        raise ValueError(f"{name}.word must be a string, got {word!r}")
+    return PauliString(word), _json_float(value["angle"], f"{name}.angle")
 
 
 @dataclass(frozen=True)

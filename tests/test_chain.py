@@ -303,6 +303,14 @@ class TestMirrorCondition:
             rep = _mirror_check_direct(MIRROR_TIME, evals, evecs)
             assert rep.satisfied and rep.degenerate, f"N={n}"
             assert abs(np.exp(1j * rep.global_phase) - (-1j) ** (n - 1)) < 1e-9
+            assert -math.pi < rep.global_phase <= math.pi
+
+    def test_phase_on_the_minus_pi_tie_reports_pi(self):
+        # one site with field 2 at pi/2: phi0 = -pi exactly, which the
+        # (-pi, pi] range reports as pi
+        rep = check_mirror_condition(ChainSpec((), (2.0,)), MIRROR_TIME)
+        assert rep.satisfied and rep.witnesses == (1,)
+        assert rep.global_phase == math.pi
 
     def test_satisfied_report_reconstructs_the_propagator(self):
         # when satisfied, the witnesses and phase pin every eigenphase exactly

@@ -105,6 +105,13 @@ def test_spectrum_honors_tau(tmp_path):
     assert main(args) == 1
 
 
+def test_spectrum_reports_the_minus_pi_tie_as_pi(tmp_path):
+    spec = write_json(tmp_path / "one.json", {"n": 1, "couplings": [], "fields": [2.0]})
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--spec", spec, "-o", str(out)]) == 0
+    assert load(out)["report"]["global_phase"] == math.pi
+
+
 def test_spectrum_rejects_single_site(tmp_path, capsys):
     out = tmp_path / "spectrum.json"
     assert main(["spectrum", "--engineered", "1", "-o", str(out)]) == 2
@@ -315,6 +322,33 @@ def test_decompose_unitary_rejects_tau(tmp_path, capsys):
     assert rc == 2
     assert "--tau" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_decompose_empty_unitary_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "gate.npy"
+    path.write_bytes(b"")
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--unitary", str(path), "-o", str(out)]) == 2
+    assert f"unitary file {str(path)!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decompose_npz_unitary_file_is_refused_and_closed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gate.npz"
+    np.savez(path, U=np.eye(4, dtype=complex))
+    loaded = []
+    real_load = np.load
+
+    def load(*args, **kwargs):
+        loaded.append(real_load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(np, "load", load)
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--unitary", str(path), "-o", str(out)]) == 2
+    assert f"unitary file {str(path)!r}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert loaded[0].fid is None  # NpzFile.close() drops its file handle
 
 
 def test_decompose_failure_writes_partial_trace(tmp_path, monkeypatch, capsys):
@@ -614,6 +648,26 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
     err = capsys.readouterr().err
     assert field in err
     assert "did not converge" not in err
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (5, "malformed decomposition record"),
+        (None, "malformed decomposition record"),
+        ({"n": 1, "global_phase": [1.0, 0.0], "factors": [{"word": 7, "angle": 0.5}]},
+         "factors[0].word"),
+    ],
+)
+def test_grape_malformed_target_decomposition_is_a_usage_error(tmp_path, capsys, record, message):
+    system = write_json(tmp_path / "sys.json", ONE_SPIN)
+    dec = write_json(tmp_path / "dec.json", record)
+    rc = main([
+        "grape", "--system", system, "--target-decomposition", dec,
+        "-o", str(tmp_path / "g.json"), "--pulse-csv", str(tmp_path / "p.csv"),
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_grape_rejects_word_size_mismatch(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Every exported name resolves, and every demo runs.
+"""Every exported name resolves, the CLI imports without numpy, and every demo runs.
 
 A deleted or renamed function can leave a stale entry in a module's
-``__all__``, in the package's lazy ``_EXPORTS`` table, or in a demo script;
-none of these fail any other test.
+``__all__`` or in a demo script; neither fails any other test.  The
+command-line entry point must load without numpy, so that it can set the
+thread variables first.
 """
 
 import importlib
@@ -13,10 +14,8 @@ from pathlib import Path
 
 import pytest
 
-import mirrorchain
-
 ROOT = Path(__file__).resolve().parents[1]
-SUBMODULES = sorted(set(mirrorchain._EXPORTS.values()) | {".cli"})
+SUBMODULES = [".chain", ".cli", ".decompose", ".grape", ".pauli", ".states", ".transfer"]
 DEMOS = [
     "01_mirror_spectrum.py",
     "02_decompose_chain.py",
@@ -25,18 +24,30 @@ DEMOS = [
 ]
 
 
-def test_package_exports_resolve():
-    for name, module in mirrorchain._EXPORTS.items():
-        owner = importlib.import_module(module, "mirrorchain")
-        assert name in owner.__all__, f"{name} is not in mirrorchain{module}.__all__"
-        assert getattr(mirrorchain, name) is getattr(owner, name)
-
-
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_submodule_all_resolves(module):
     owner = importlib.import_module(module, "mirrorchain")
     missing = [name for name in owner.__all__ if not hasattr(owner, name)]
     assert not missing
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = (
+        "import sys, mirrorchain.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "from mirrorchain import grape\n"
+        "print(grape.__name__)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "mirrorchain.grape"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)
