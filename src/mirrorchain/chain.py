@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int
+from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int, _json_object
 from .states import excitation_numbers
 
 __all__ = [
@@ -131,6 +131,7 @@ class ChainSpec:
     @classmethod
     def from_json(cls, data: dict) -> "ChainSpec":
         """Parse the chain record; engineered records may omit the arrays."""
+        _json_object(data, "chain record")
         try:
             n = _json_int(data["n"], "n")
             engineered = data.get("engineered", False)

@@ -12,8 +12,9 @@ selftest    seeded randomized property checks
 Exit codes: 0 success (and any requested expectation met), 1 a computed
 result missed a requested expectation, 2 usage, parse, or domain error.
 
-Every command writes a machine-readable JSON file (plus a CSV pulse table
-for `grape`); identical inputs and seed produce byte-identical outputs.
+Every command writes a machine-readable JSON file, one line of sorted-key
+JSON (plus a CSV pulse table for `grape`); identical inputs and seed
+produce byte-identical outputs.
 The human-readable summary goes to standard output only.
 
 The environment variable MIRRORCHAIN_THREADS, when set, seeds the usual
@@ -53,14 +54,19 @@ def _apply_thread_override() -> str | None:
     if not raw.isdigit() or int(raw) < 1:
         return f"MIRRORCHAIN_THREADS must be a positive integer, got {raw!r}"
     for var in _THREAD_VARS:
-        os.environ[var] = raw
+        if os.environ.get(var) != raw:
+            os.environ[var] = raw
     return None
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    """One line of sorted-key JSON; `python -m json.tool` indents it.
+
+    Without `indent` the json module takes its C encoder.
+    """
+    text = json.dumps(payload, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def _finite(text: str) -> float:

@@ -57,6 +57,7 @@ from .pauli import (
     _json_array,
     _json_float,
     _json_int,
+    _json_object,
     _signs,
     _support,
     _walsh,
@@ -147,19 +148,25 @@ class ProductDecomposition:
     def from_json(cls, data: dict) -> "ProductDecomposition":
         try:
             n = _json_int(data["n"], "n")
-            re, im = _json_array(data["global_phase"], "global_phase", _json_float)
+            phase = _json_array(data["global_phase"], "global_phase", _json_float)
+            if len(phase) != 2:
+                raise ValueError(f"global_phase must be two numbers [re, im], got {len(phase)}")
             factors = _json_array(data["factors"], "factors", _json_factor)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed decomposition record: {exc}") from exc
-        return cls(n, factors, complex(re, im))
+        return cls(n, factors, complex(*phase))
 
 
 def _json_factor(value: dict, name: str) -> tuple[PauliString, float]:
-    """One {"word", "angle"} factor record; the word must be a string."""
-    word = value["word"]
+    """One {"word", "angle"} factor record; the word must be a string of Pauli letters."""
+    word = _json_object(value, name)["word"]
     if not isinstance(word, str):
         raise ValueError(f"{name}.word must be a string, got {word!r}")
-    return PauliString(word), _json_float(value["angle"], f"{name}.angle")
+    try:
+        word = PauliString(word)
+    except ValueError as exc:
+        raise ValueError(f"{name}.word: {exc}") from None
+    return word, _json_float(value["angle"], f"{name}.angle")
 
 
 @dataclass(frozen=True)

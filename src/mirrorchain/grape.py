@@ -50,7 +50,7 @@ from functools import partial
 import numpy as np
 
 from .decompose import gate_fidelity as fidelity_hs
-from .pauli import PauliString, _json_array, _json_float, _json_int, pauli_matrix
+from .pauli import PauliString, _json_array, _json_float, _json_int, _json_object, pauli_matrix
 
 __all__ = [
     "NmrSystemSpec",
@@ -131,6 +131,7 @@ class NmrSystemSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "NmrSystemSpec":
+        _json_object(data, "system record")
         try:
             n = _json_int(data["n"], "n")
             row = partial(_json_array, item=_json_float)

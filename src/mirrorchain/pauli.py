@@ -87,6 +87,13 @@ def _json_float(value: object, name: str) -> float:
     return float(value)
 
 
+def _json_object(value: object, name: str) -> dict:
+    """A JSON object record; arrays, numbers, strings and null are malformed."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _json_array(value: object, name: str, item: Callable) -> tuple:
     """A JSON array record field, each element parsed as item(v, "name[i]")."""
     if not isinstance(value, list):

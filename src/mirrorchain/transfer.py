@@ -11,9 +11,16 @@ The XY chain is a free-fermion model (Lieb, Schultz, Mattis 1961), so
 every number reported here follows from the N x N one-excitation
 propagator u, with no 2^N object formed.  The chain mirrors
 exactly when u = w R for the site reversal R.  Pure inputs carry at most
-two excitations, evolved as a vector (u v) and an antisymmetric matrix
-(u A u^T).  Deviation outputs are Pauli expansions whose coefficients are
-minors of the rotation R that U applies to the Majorana operators.
+two excitations, evolved as a vector (C v) and an antisymmetric matrix
+(C A C^T), where C holds only the k <= 2 input columns of u.  Deviation
+outputs are Pauli expansions whose coefficients are minors det R[T, S] of
+the rotation R that U applies to the Majorana operators, for the Majorana
+sets S and T of the input and output words.  The minors of each size are
+taken in one batched determinant.  A set of more than N of the 2N
+Majoranas is swapped for its complement, since R is in SO(2N):
+det R[T, S] = (-1)^(sum T + sum S) det R[T^c, S^c].  So no determinant has
+more than N rows, and a report costs the same however far apart its sites
+are (fermionic linear optics: Terhal and DiVincenzo, PRA 65, 032325, 2002).
 
 Transfer fidelity is judged against the theoretical expectation.  For pure
 inputs that is the phase-adjusted input at the mirror site(s): each
@@ -29,7 +36,6 @@ deviation L against its reduction R_V(L) under the free-fermion V = E^dag U.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ from .chain import (
     propagator,
     single_excitation_matrix,
 )
-from .pauli import _I_POW, _LETTER_BITS, LETTERS, PauliString, pauli_matrix
+from .pauli import _I_POW, PauliString, _walsh, pauli_matrix, xz_traces
 from .states import (
     BELL_KINDS,
     QuantumState,
@@ -68,6 +74,9 @@ __all__ = [
 SECTOR_TOL = 1e-9
 #: Minimum Bell-projector overlap for the reduced output to earn a label.
 BELL_LABEL_THRESHOLD = 1.0 - 1e-6
+#: Matrix entries per batched determinant call in :func:`_minors` (8 MiB of
+#: float64), so a long chain stacks at most this much of its minors at once.
+_MINOR_BLOCK = 1 << 20
 
 _MODES = ("pure", "deviation")
 
@@ -218,7 +227,7 @@ class TransferReport:
 
 
 def _mat_json(M: np.ndarray) -> list:
-    return [[[complex(z).real, complex(z).imag] for z in row] for row in M]
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def _mirror_phases(w: complex, n_sites: int) -> tuple[complex, ...]:
@@ -334,11 +343,10 @@ def _transfer(
     )
 
 
-def _excited(sites: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """For each local label l on the 1-based `sites`, the 0-based sites it
-    excites ('1' is a 0 bit; the first site is the most significant)."""
-    k = len(sites)
-    return [tuple(s - 1 for t, s in enumerate(sites) if not (label >> (k - 1 - t)) & 1)
+def _excited(k: int) -> list[tuple[int, ...]]:
+    """For each local label l on k sites, the positions it excites ('1' is
+    a 0 bit; the first site is the most significant)."""
+    return [tuple(t for t in range(k) if not (label >> (k - 1 - t)) & 1)
             for label in range(1 << k)]
 
 
@@ -347,31 +355,41 @@ def _pure_output(
 ) -> np.ndarray:
     """Reduced output on `keep` of `ket` on `sites`, with |0> spectators.
 
-    The ket has at most two excitations, so one antisymmetric matrix B over
-    the N sites and two fixed extra modes N, N+1 holds every amplitude: the
-    excited set {p < q} at B[p, q], {p} at B[p, N] and the vacuum at
-    B[N, N+1].  The chain evolves B as u B u^T on the sites, that is v -> u v
-    and A -> u A u^T.  Row a of M holds amp(S_a) and amp(S_a + {r}) for the
-    excited set S_a of kept label a and each rest site r; pairs inside the
-    rest add to the all-'0' label only.
+    The ket has at most two excitations: a vacuum amplitude, a vector v and
+    an antisymmetric A over the k input sites.  The chain takes them to
+    y = C v and W = C A C^T for the k input columns C of u.  Row a of M
+    holds amp(S_a) and amp(S_a + {r}) for the excited set S_a of kept label
+    a and each rest site r, which needs y and the kept rows of W only.
+    Pairs inside the rest add |W_rest|^2 / 2 to the all-'0' label, with
+    |C_r A C_r^T|^2 = Tr(A^H K A conj(K)) for K = C_r^H C_r.
     """
-    n = len(u)
-    B = np.zeros((n + 2, n + 2), complex)
-    for amp, S in zip(ket, _excited(sites)):
-        p, q = (*S, n, n + 1)[:2]
-        B[p, q], B[q, p] = amp, -amp
-    ext = np.eye(n + 2, dtype=complex)
-    ext[:n, :n] = u
-    B = ext @ B @ ext.T
-    rest = np.setdiff1d(np.arange(n), np.subtract(keep, 1))
-    M = np.zeros((1 << len(keep), 1 + len(rest)), complex)
-    for row, S in zip(M, _excited(keep)):
-        row[0] = B[(*S, n, n + 1)[:2]]
-        if len(S) < 2:  # amp(S_a + {r}) = B[t, r] or B[r, t] = -B[t, r]
-            t = (*S, n)[0]
-            row[1:] = B[t, rest] * np.sign(rest - t)
+    n, k = len(u), len(sites)
+    C = u[:, np.subtract(sites, 1)]
+    v, A = np.zeros(k, complex), np.zeros((k, k), complex)
+    for amp, S in zip(ket, _excited(k)):
+        if len(S) == 0:
+            vacuum = amp
+        elif len(S) == 1:
+            v[S] = amp
+        else:
+            A[S], A[S[::-1]] = amp, -amp
+    kept = np.subtract(keep, 1)
+    rest = np.delete(np.arange(n), kept)
+    y = C @ v
+    W = C[kept] @ A @ C.T
+    M = np.zeros((1 << k, 1 + n - k), complex)
+    for row, S in zip(M, _excited(k)):
+        if len(S) == 0:
+            row[0], row[1:] = vacuum, y[rest]
+        elif len(S) == 1:  # amp(S_a + {r}) = W[t, r] or W[r, t] = -W[t, r]
+            t = kept[S[0]]
+            row[0] = y[t]
+            row[1:] = W[S[0], rest] * np.sign(rest - t)
+        else:
+            row[0] = W[S[0], kept[S[1]]]
     rho = M @ M.conj().T
-    rho[-1, -1] += np.sum(np.abs(B[np.ix_(rest, rest)]) ** 2) / 2
+    K = C[rest].conj().T @ C[rest]
+    rho[-1, -1] += np.trace(A.conj().T @ K @ A @ K.conj()).real / 2
     return rho
 
 
@@ -380,7 +398,8 @@ def _rotation(u: np.ndarray) -> np.ndarray:
     g_2j = Z...Z X_j and g_2j+1 = Z...Z Y_j (site j from 0).
 
     Block (l, k) is [[Re v, Im v], [-Im v, Re v]] with
-    v_lk = (-1)^(l+k) u_lk; R is orthogonal because u is unitary.
+    v_lk = (-1)^(l+k) u_lk; R is orthogonal because u is unitary, and
+    det R = |det v|^2 = 1.
     """
     n = len(u)
     sign = (-1.0) ** np.arange(n)
@@ -392,20 +411,51 @@ def _rotation(u: np.ndarray) -> np.ndarray:
     return R
 
 
-def _majorana_word(letters: str, sites: tuple[int, ...], n: int) -> tuple[complex, np.ndarray]:
-    """(c, S) with the word `letters` on the 1-based `sites`, identity
-    elsewhere, equal to c g_S for the ascending Majorana product g_S.
+def _majorana_sets(sites: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, member) for all 4^k words on the 1-based `sites`, identity
+    elsewhere, indexed x 2^k + z by their masks: word w equals c[w] g_S for
+    the ascending Majorana product g_S over S = flatnonzero(member[w]).
 
     With (x_j, z_j) the word's bits at site j and p_j the parity of x above
     j, site j holds g_2j when x_j ^ z_j ^ p_j and g_2j+1 when z_j ^ p_j,
     and g_S = i^q W with q = sum_j (z_j ^ p_j) - x_j z_j.
     """
-    x, z = np.zeros((2, n), dtype=int)
-    for site, letter in zip(sites, letters):
-        x[site - 1], z[site - 1] = _LETTER_BITS[letter]
-    b = z ^ (np.cumsum(x[::-1])[::-1] - x) & 1
-    q = int(b.sum() - (x & z).sum())
-    return _I_POW[-q % 4], np.flatnonzero(np.stack([x ^ b, b], axis=1))
+    k = len(sites)
+    words = np.arange(1 << 2 * k)
+    x, z = np.zeros((2, len(words), n), dtype=np.int64)
+    for t, site in enumerate(sites):
+        x[:, site - 1] = words >> (2 * k - 1 - t) & 1
+        z[:, site - 1] = words >> (k - 1 - t) & 1
+    b = z ^ (np.cumsum(x[:, ::-1], axis=1)[:, ::-1] - x) & 1
+    q = b.sum(axis=1) - (x & z).sum(axis=1)
+    member = np.stack([x ^ b, b], axis=2).reshape(len(words), 2 * n).astype(bool)
+    return np.take(_I_POW, -q % 4), member
+
+
+def _minors(R: np.ndarray, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """det R[T_i, S_j] for the boolean rows T and S, all of one size m.
+
+    Past m = n rows the complements are taken instead: R is in SO(2n), so
+    Jacobi's identity with R^-1 = R^T gives
+    det R[T, S] = (-1)^(sum T + sum S) det R[T^c, S^c].  The minors are
+    gathered in blocks of about _MINOR_BLOCK entries.
+    """
+    sign = None
+    if 2 * np.count_nonzero(T[0]) > len(R):
+        idx = np.arange(len(R))
+        sign = np.outer((-1.0) ** (T @ idx % 2), (-1.0) ** (S @ idx % 2))
+        T, S = ~T, ~S
+    m = np.count_nonzero(T[0])
+    rows = np.nonzero(T)[1].reshape(len(T), m)
+    cols = np.nonzero(S)[1].reshape(len(S), m)
+    i, j = np.divmod(np.arange(len(T) * len(S)), len(S))
+    out = np.empty(len(i))
+    step = max(1, _MINOR_BLOCK // max(1, m * m))
+    for lo in range(0, len(i), step):
+        r, c = rows[i[lo:lo + step]], cols[j[lo:lo + step]]
+        out[lo:lo + step] = np.linalg.det(R[r[:, :, None], c[:, None, :]])
+    out = out.reshape(len(T), len(S))
+    return out if sign is None else out * sign
 
 
 def _reduced(
@@ -416,20 +466,30 @@ def _reduced(
 
     With P = p g_S and Q = q g_T words of the input and output sites,
     Tr(Q U P U^dag) / 2^N = q p (-1)^(m(m-1)/2) det R[T, S] when
-    |S| = |T| = m, and 0 otherwise.
+    |S| = |T| = m, and 0 otherwise.  The input coefficients Tr(P local)
+    are one :func:`xz_traces`, the minors of each size m are batched, and
+    the output is summed over its words by one Walsh transform.
     """
-    n = len(R) // 2
-    words = ["".join(w) for w in itertools.product(LETTERS, repeat=len(sites))]
-    mats = [pauli_matrix(PauliString(w)) for w in words]
-    ins = [(np.vdot(P, local), _majorana_word(w, sites, n)) for w, P in zip(words, mats)]
-    out = np.zeros_like(mats[0])
-    for w, Q in zip(words, mats):
-        q, T = _majorana_word(w, keep, n)
-        m = len(T)
-        sign = (-1.0) ** (m * (m - 1) // 2 % 2)
-        c = sum(a * p * np.linalg.det(R[np.ix_(T, S)])
-                for a, (p, S) in ins if a and len(S) == m)
-        out += (q * sign * c / len(Q)) * Q
+    n, k = len(R) // 2, len(sites)
+    d = 1 << k
+    words = np.arange(d * d)
+    phase = np.take(_I_POW, np.bitwise_count(words >> k & words) % 4)
+    p, S = _majorana_sets(sites, n)
+    q, T = _majorana_sets(keep, n)
+    a = xz_traces(local).ravel() * phase * p
+    m_in, m_out = S.sum(axis=1), T.sum(axis=1)
+    c = np.zeros(d * d, complex)
+    for m in np.unique(m_in[a != 0]):
+        ins = np.flatnonzero((m_in == m) & (a != 0))
+        outs = np.flatnonzero(m_out == m)
+        if len(outs):
+            c[outs] = (_minors(R, T[outs], S[ins]) * a[ins]).sum(axis=1)
+    c *= q * (-1.0) ** (m_out * (m_out - 1) // 2 % 2) / d * phase
+    # Word (x, z) adds c (-1)^|j & z| at [j ^ x, j] for each column j.
+    b = _walsh(c.reshape(d, d))
+    j = np.arange(d)
+    out = np.empty((d, d), complex)
+    out[j ^ j[:, None], j] = b
     return out
 
 

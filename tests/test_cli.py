@@ -670,6 +670,35 @@ def test_grape_malformed_target_decomposition_is_a_usage_error(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+BAD_RECORD_CASES = {
+    "bad-letter": ("decomposition", {"n": 1, "global_phase": [1.0, 0.0],
+                                     "factors": [{"word": "Q", "angle": 0.5}]},
+                   "factors[0].word: invalid Pauli letters"),
+    "short-phase": ("decomposition", {"n": 1, "global_phase": [1.0],
+                                      "factors": [{"word": "X", "angle": 0.5}]},
+                    "global_phase must be two numbers"),
+    "factor-not-object": ("decomposition", {"n": 1, "global_phase": [1.0, 0.0], "factors": [5]},
+                          "factors[0] must be an object"),
+    "chain-array": ("spec", [1, 2], "chain record must be an object"),
+    "system-array": ("system", [], "system record must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORD_CASES)
+def test_record_errors_name_the_field(tmp_path, capsys, case):
+    kind, record, message = BAD_RECORD_CASES[case]
+    path = write_json(tmp_path / "record.json", record)
+    system = write_json(tmp_path / "sys.json", ONE_SPIN)
+    grape = ["grape", "--pulse-csv", str(tmp_path / "p.csv")]
+    argv = {
+        "decomposition": [*grape, "--system", system, "--target-decomposition", path],
+        "spec": ["spectrum", "--spec", path],
+        "system": [*grape, "--system", path, "--target-gate", "X"],
+    }[kind]
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_grape_rejects_word_size_mismatch(tmp_path, capsys):
     system = write_json(tmp_path / "sys.json", ONE_SPIN)
     rc = main([
@@ -792,6 +821,29 @@ def test_each_parse_gets_fresh_defaults():
     transfer = ["transfer", "--engineered", "3", "--site", "1"]
     assert parser.parse_args([*transfer, "--min-fidelity", "0.5"]).min_fidelity == 0.5
     assert parser.parse_args(transfer).min_fidelity == 1.0 - 1e-9
+
+
+# ------------------------------------------------------- report format
+
+def test_every_report_is_one_line_of_sorted_json(tmp_path):
+    # one line of sorted-key JSON plus a newline, which json.loads round-trips
+    system = write_json(tmp_path / "sys.json", ONE_SPIN)
+    runs = {
+        "spectrum": ["spectrum", "--engineered", "4"],
+        "decompose": ["decompose", "--engineered", "3"],
+        "transfer": ["transfer", "--engineered", "5", "--bell", "1,5", "phi+",
+                     "--mode", "deviation"],
+        "grape": ["grape", "--system", system, "--target-gate", "X", "--steps", "4",
+                  "--max-iterations", "3", "--min-fidelity", "0",
+                  "--pulse-csv", str(tmp_path / "p.csv")],
+        "selftest": ["selftest", "--trials", "2"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["-q", *argv, "-o", str(out)]) == 0, name
+        text = out.read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n"), name
+        assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text, name
 
 
 # -------------------------------------------------- module entry point

@@ -18,7 +18,7 @@ from mirrorchain.chain import (
     propagator,
     single_excitation_matrix,
 )
-from mirrorchain.pauli import PauliString, pauli_matrix
+from mirrorchain.pauli import _I_POW, _LETTER_BITS, LETTERS, PauliString, pauli_matrix
 from mirrorchain.states import (
     BELL_KINDS,
     basis_index,
@@ -190,14 +190,18 @@ def test_transfer_reports_match_dense_oracle():
     # engineered chains, seeded chains with fields (no phase table), chains
     # with a zero and negative couplings, and perturbed chains, whose
     # deviation reference is the engineered chain; every source site and
-    # ascending pair up to six sites, site 1 and pair (1, 2) beyond
+    # ascending pair up to six sites, then site 1 and the pairs (1, 2),
+    # (1, n) and (n - 1, n), whose Majorana sets span the chain
     rng = np.random.default_rng(37)
     signed_rng = np.random.default_rng(43)
     ket = single_qubit_state(0.6, 0.8j)
     sx = pauli_matrix(P("X"))
     for n in range(2, 9):
         sites = range(1, n + 1) if n <= 6 else (1,)
-        pairs = list(itertools.combinations(range(1, n + 1), 2)) if n <= 6 else [(1, 2)]
+        if n <= 6:
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+        else:
+            pairs = [(1, 2), (1, n), (n - 1, n)]
         chains = oracle_chains(n, rng) + [perturbed_chain(n, rng), signed_chain(n, signed_rng)]
         for spec in chains:
             for mode, state in (("pure", ket), ("deviation", sx)):
@@ -227,6 +231,86 @@ def test_rotation_matches_numerical_majorana_traces():
             want = np.array([[np.vdot(gl, U @ gk @ U.conj().T).real for gk in g] for gl in g])
             u = propagator(single_excitation_matrix(spec), tau)
             assert np.abs(transfer._rotation(u) - want / (1 << n)).max() <= 1e-12, (n, tau)
+
+
+def reference_majorana_word(letters, sites, n):
+    """(c, S) with the word `letters` on the 1-based `sites`, identity
+    elsewhere, equal to c g_S for the ascending Majorana product g_S.
+
+    With (x_j, z_j) the word's bits at site j and p_j the parity of x above
+    j, site j holds g_2j when x_j ^ z_j ^ p_j and g_2j+1 when z_j ^ p_j,
+    and g_S = i^q W with q = sum_j (z_j ^ p_j) - x_j z_j.
+    """
+    x, z = np.zeros((2, n), dtype=int)
+    for site, letter in zip(sites, letters):
+        x[site - 1], z[site - 1] = _LETTER_BITS[letter]
+    b = z ^ (np.cumsum(x[::-1])[::-1] - x) & 1
+    q = int(b.sum() - (x & z).sum())
+    return _I_POW[-q % 4], np.flatnonzero(np.stack([x ^ b, b], axis=1))
+
+
+def reference_reduced(R, local, sites, keep):
+    """Per-word, per-pair reduction: one Pauli matrix and one trace per
+    word, one direct determinant per pair of equal-size Majorana sets."""
+    n = len(R) // 2
+    words = ["".join(w) for w in itertools.product(LETTERS, repeat=len(sites))]
+    mats = [pauli_matrix(P(w)) for w in words]
+    ins = [(np.vdot(M, local), reference_majorana_word(w, sites, n)) for w, M in zip(words, mats)]
+    out = np.zeros_like(mats[0])
+    for w, Q in zip(words, mats):
+        q, T = reference_majorana_word(w, keep, n)
+        m = len(T)
+        sign = (-1.0) ** (m * (m - 1) // 2 % 2)
+        c = sum(a * p * np.linalg.det(R[np.ix_(T, S)])
+                for a, (p, S) in ins if a and len(S) == m)
+        out += (q * sign * c / len(Q)) * Q
+    return out
+
+
+def seeded_rotations(n, rng):
+    """Majorana rotations of the engineered chain at the mirror time and of
+    a seeded chain with fields at a generic time."""
+    specs = ((ChainSpec.engineered(n), MIRROR_TIME),
+             (ChainSpec(rng.uniform(-1.5, 1.5, n - 1), rng.uniform(-1.0, 1.0, n)), 0.7))
+    return [transfer._rotation(propagator(single_excitation_matrix(spec), tau))
+            for spec, tau in specs]
+
+
+def test_complementary_minors_equal_direct_minors():
+    # det R[T, S] = (-1)^(sum T + sum S) det R[T^c, S^c] for R in SO(2N),
+    # for every size m; _minors takes the complement past N rows
+    rng = np.random.default_rng(46)
+    for n in range(2, 9):
+        for R in seeded_rotations(n, rng):
+            for m in range(2 * n + 1):
+                sets = np.zeros((6, 2 * n), bool)
+                for row in sets:
+                    row[rng.choice(2 * n, m, replace=False)] = True
+                T, S = sets[:3], sets[3:]
+                want = np.array([[np.linalg.det(R[np.ix_(t, s)]) for s in S] for t in T])
+                sign = np.array([[(-1.0) ** (np.flatnonzero(t).sum() + np.flatnonzero(s).sum())
+                                  for s in S] for t in T])
+                comp = np.array([[np.linalg.det(R[np.ix_(~t, ~s)]) for s in S] for t in T])
+                assert np.abs(sign * comp - want).max() <= 1e-12, (n, m)
+                assert np.abs(transfer._minors(R, T, S) - want).max() <= 1e-12, (n, m)
+
+
+def test_batched_reduction_matches_per_word_reduction():
+    # every choice of k = 1 or 2 input sites and kept sites up to six sites,
+    # for a dense Hermitian input (all 4^k words) and a Bell projector
+    rng = np.random.default_rng(47)
+    for n in range(2, 7):
+        for R in seeded_rotations(n, rng):
+            for k in (1, 2):
+                H = rng.standard_normal((1 << k, 1 << k)) + 1j * rng.standard_normal((1 << k, 1 << k))
+                locals_ = [H + H.conj().T]
+                if k == 2:
+                    locals_.append(np.outer(bell_state("psi-"), bell_state("psi-").conj()))
+                choices = list(itertools.combinations(range(1, n + 1), k))
+                for sites, keep, local in itertools.product(choices, choices, locals_):
+                    want = reference_reduced(R, local, sites, keep)
+                    got = transfer._reduced(R, local, sites, keep)
+                    assert np.abs(got - want).max() <= 1e-12, (n, sites, keep)
 
 
 def test_transfer_phase_table_matches_sector_phases():
@@ -263,11 +347,11 @@ def test_engineered_transfer_at_four_hundred_sites():
     # would overflow their product
     sx = pauli_matrix(P("X"))
     for n, label in ((400, "phi+"), (601, "phi-")):
-        for mode in ("pure", "deviation"):
-            rep = transfer_entangled(n, (1, 2), "phi+", mode=mode)
-            assert rep.destination_sites == (n - 1, n)
-            assert rep.fidelity >= 1 - 1e-9, (n, mode)
-            assert rep.bell_label == label, (n, mode)
+        for mode, pair in itertools.product(("pure", "deviation"), ((1, 2), (1, n))):
+            rep = transfer_entangled(n, pair, "phi+", mode=mode)
+            assert rep.destination_sites == (n + 1 - pair[1], n + 1 - pair[0])
+            assert rep.fidelity >= 1 - 1e-9, (n, mode, pair)
+            assert rep.bell_label == label, (n, mode, pair)
         rep = transfer_single(n, 1, sx, mode="deviation")
         assert rep.destination_sites == (n,)
         assert rep.fidelity >= 1 - 1e-9, n
