@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int, _json_object
+from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int, _json_key, _json_object
 from .states import excitation_numbers
 
 __all__ = [
@@ -84,15 +84,14 @@ class ChainSpec:
     fields: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "couplings", tuple(float(j) for j in self.couplings))
-        object.__setattr__(self, "fields", tuple(float(h) for h in self.fields))
-        if len(self.fields) != len(self.couplings) + 1:
+        couplings = _json_array(self.couplings, "couplings", _json_float)
+        fields = _json_array(self.fields, "fields", _json_float)
+        object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "fields", fields)
+        if len(fields) != len(couplings) + 1:
             raise ValueError(
-                f"{len(self.couplings)} couplings need {len(self.couplings) + 1} fields, "
-                f"got {len(self.fields)}"
+                f"{len(couplings)} couplings need {len(couplings) + 1} fields, got {len(fields)}"
             )
-        if not all(math.isfinite(v) for v in self.couplings + self.fields):
-            raise ValueError("couplings and fields must be finite")
 
     @property
     def n_sites(self) -> int:
@@ -131,23 +130,17 @@ class ChainSpec:
     @classmethod
     def from_json(cls, data: dict) -> "ChainSpec":
         """Parse the chain record; engineered records may omit the arrays."""
-        _json_object(data, "chain record")
         try:
-            n = _json_int(data["n"], "n")
+            _json_object(data, "chain record")
+            n = _json_int(_json_key(data, "n"), "n")
             engineered = data.get("engineered", False)
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(engineered, bool):
+                raise ValueError(f"engineered must be true or false, got {engineered!r}")
+            if engineered and "couplings" not in data and "fields" not in data:
+                return cls.engineered(n)
+            spec = cls(_json_key(data, "couplings"), _json_key(data, "fields"))
+        except ValueError as exc:
             raise ValueError(f"malformed chain record: {exc}") from exc
-        if not isinstance(engineered, bool):
-            raise ValueError(f"malformed chain record: engineered must be true or false, "
-                             f"got {engineered!r}")
-        if engineered and "couplings" not in data and "fields" not in data:
-            return cls.engineered(n)
-        try:
-            couplings = _json_array(data["couplings"], "couplings", _json_float)
-            fields = _json_array(data["fields"], "fields", _json_float)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"malformed chain record: {exc}") from exc
-        spec = cls(couplings, fields)
         if spec.n_sites != n:
             raise ValueError(f"record claims {n} sites but lists {spec.n_sites} fields")
         if engineered and not spec.is_engineered:

@@ -270,20 +270,16 @@ def _parse_gate(text: str, n_spins: int):
 
     if text == "identity":
         return np.eye(1 << n_spins, dtype=complex)
-    if ":" in text:
-        word_text, _, angle_text = text.partition(":")
+    word_text, colon, angle_text = text.partition(":")
+    if colon:
         try:
             angle = _finite(angle_text)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"--target-gate angle: {exc}") from None
-        word = PauliString(word_text)
-        if word.n_sites != n_spins:
-            raise ValueError(f"gate word {word_text!r} is not {n_spins} spins")
-        return word_exponential(word, angle)
-    word = PauliString(text)
+    word = PauliString(word_text)
     if word.n_sites != n_spins:
-        raise ValueError(f"gate word {text!r} is not {n_spins} spins")
-    return pauli_matrix(word)
+        raise ValueError(f"gate word {word_text!r} is not {n_spins} spins")
+    return word_exponential(word, angle) if colon else pauli_matrix(word)
 
 
 def cmd_grape(args: argparse.Namespace) -> int:
@@ -348,7 +344,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(args.seed)
     trials = args.trials
-    suites = []
 
     def random_word(n: int, allow_identity: bool = False) -> PauliString:
         while True:
@@ -356,49 +351,46 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             if allow_identity or not w.is_identity:
                 return w
 
-    passed = 0
-    for _ in range(trials):
+    def parseval() -> bool:
         n = int(rng.integers(1, 4))
         d = 1 << n
         M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         Q, _ = np.linalg.qr(M)
-        if abs(np.sum(np.abs(xz_traces(Q)) ** 2) / d**2 - 1.0) <= 1e-10:
-            passed += 1
-    suites.append({"name": "parseval", "trials": trials, "passed": passed})
+        return abs(np.sum(np.abs(xz_traces(Q)) ** 2) / d**2 - 1.0) <= 1e-10
 
-    passed = 0
-    for _ in range(trials):
+    def closure_power_of_two() -> bool:
         n = int(rng.integers(1, 5))
         seeds = [random_word(n, allow_identity=True) for _ in range(int(rng.integers(1, 4)))]
         size = len(group_closure(seeds, n_sites=n))
-        if size & (size - 1) == 0:
-            passed += 1
-    suites.append({"name": "closure-power-of-two", "trials": trials, "passed": passed})
+        return size & (size - 1) == 0
 
-    passed = 0
-    for _ in range(trials):
+    def commutation() -> bool:
         n = int(rng.integers(1, 5))
         a, b = random_word(n, True), random_word(n, True)
         A, B = pauli_matrix(a), pauli_matrix(b)
-        same = np.allclose(A @ B, B @ A)
-        if commutes(a, b) == same:
-            passed += 1
-    suites.append({"name": "commutation", "trials": trials, "passed": passed})
+        return commutes(a, b) == np.allclose(A @ B, B @ A)
 
-    passed = 0
-    for _ in range(trials):
+    def peel_roundtrip() -> bool:
         n = int(rng.integers(1, 4))
         U = np.eye(1 << n, dtype=complex)
         for _ in range(int(rng.integers(1, 5))):
             apply_word_exponential(U, random_word(n), float(rng.uniform(-1.4, 1.4)))
         dec, trace = decompose(U)
-        ok = gate_fidelity(reconstruct(dec), U) >= 1.0 - 1e-9
-        ok = ok and all(
+        return gate_fidelity(reconstruct(dec), U) >= 1.0 - 1e-9 and all(
             step.norm_after >= step.norm_before - 1e-9 for step in trace.steps
         )
-        if ok:
-            passed += 1
-    suites.append({"name": "peel-roundtrip", "trials": trials, "passed": passed})
+
+    # Each suite draws all its trials before the next one starts.  The checks
+    # return numpy bools, whose sum json cannot encode, so it is cast.
+    suites = [
+        {"name": name, "trials": trials, "passed": int(sum(check() for _ in range(trials)))}
+        for name, check in (
+            ("parseval", parseval),
+            ("closure-power-of-two", closure_power_of_two),
+            ("commutation", commutation),
+            ("peel-roundtrip", peel_roundtrip),
+        )
+    ]
 
     all_passed = all(s["passed"] == s["trials"] for s in suites)
     _write_json(

@@ -57,6 +57,7 @@ from .pauli import (
     _json_array,
     _json_float,
     _json_int,
+    _json_key,
     _json_object,
     _signs,
     _support,
@@ -110,20 +111,11 @@ class ProductDecomposition:
     global_phase: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "factors",
-            tuple((w, float(a)) for w, a in self.factors),
-        )
-        if self.n_sites < 1:
-            raise ValueError(f"n must be at least 1, got {self.n_sites!r}")
-        for word, angle in self.factors:
-            if word.n_sites != self.n_sites:
-                raise ValueError(f"factor word {word} does not have {self.n_sites} sites")
-            if word.is_identity:
-                raise ValueError("factor words must be non-identity")
-            if not math.isfinite(angle):
-                raise ValueError(f"factor {word} angle must be finite, got {angle!r}")
+        object.__setattr__(self, "n_sites", n := _json_int(self.n_sites, "n"))
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n!r}")
+        factors = _json_array(self.factors, "factors", lambda f, name: _factor(f, name, n))
+        object.__setattr__(self, "factors", factors)
         phase = complex(self.global_phase)
         if not cmath.isfinite(phase):
             raise ValueError(f"global_phase must be finite, got {phase!r}")
@@ -147,26 +139,33 @@ class ProductDecomposition:
     @classmethod
     def from_json(cls, data: dict) -> "ProductDecomposition":
         try:
-            n = _json_int(data["n"], "n")
-            phase = _json_array(data["global_phase"], "global_phase", _json_float)
+            _json_object(data, "decomposition record")
+            n, phase, factors = (_json_key(data, k) for k in ("n", "global_phase", "factors"))
+            phase = _json_array(phase, "global_phase", _json_float)
             if len(phase) != 2:
                 raise ValueError(f"global_phase must be two numbers [re, im], got {len(phase)}")
-            factors = _json_array(data["factors"], "factors", _json_factor)
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(n, _json_array(factors, "factors", _json_factor), complex(*phase))
+        except ValueError as exc:
             raise ValueError(f"malformed decomposition record: {exc}") from exc
-        return cls(n, factors, complex(*phase))
 
 
-def _json_factor(value: dict, name: str) -> tuple[PauliString, float]:
-    """One {"word", "angle"} factor record; the word must be a string of Pauli letters."""
-    word = _json_object(value, name)["word"]
-    if not isinstance(word, str):
-        raise ValueError(f"{name}.word must be a string, got {word!r}")
+def _factor(value: tuple, name: str, n_sites: int) -> tuple[PauliString, float]:
+    """One (word, angle) factor: a non-identity n-site PauliString and a finite angle."""
+    word, angle = value
+    if not isinstance(word, PauliString) or word.n_sites != n_sites or word.is_identity:
+        raise ValueError(
+            f"{name}.word must be a non-identity {n_sites}-site Pauli word, got {word!r}")
+    return word, _json_float(angle, f"{name}.angle")
+
+
+def _json_factor(value: object, name: str) -> tuple[PauliString, object]:
+    """One {"word", "angle"} factor record as a (word, angle) pair for :func:`_factor`."""
+    word = _json_key(_json_object(value, name), "word", f"{name}.")
     try:
         word = PauliString(word)
     except ValueError as exc:
         raise ValueError(f"{name}.word: {exc}") from None
-    return word, _json_float(value["angle"], f"{name}.angle")
+    return word, _json_key(value, "angle", f"{name}.")
 
 
 @dataclass(frozen=True)
@@ -459,12 +458,11 @@ def decompose(
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
     # One transform serves the support scan and the peel.
-    a = xz_traces(U)
+    a = _traces(U, n)
     top = None
     if chain is None:
         top = _support(a, n)
         chain = SubgroupChain.automatic(top)
-    a /= d
     top_weight = _weight(a, chain.levels[0])
     if 1.0 - top_weight > PEEL_TOL:
         raise DecompositionError(

@@ -43,14 +43,21 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .decompose import gate_fidelity as fidelity_hs
-from .pauli import PauliString, _json_array, _json_float, _json_int, _json_object, pauli_matrix
+from .pauli import (
+    PauliString,
+    _json_array,
+    _json_float,
+    _json_int,
+    _json_key,
+    _json_object,
+    pauli_matrix,
+)
 
 __all__ = [
     "NmrSystemSpec",
@@ -83,10 +90,11 @@ class NmrSystemSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        shifts = tuple(float(v) for v in self.shifts_hz)
-        coup = tuple(tuple(float(v) for v in row) for row in self.couplings_hz)
-        chans = tuple(tuple(_json_int(s, "channel spin") for s in ch) for ch in self.channels)
-        weights = tuple(float(w) for w in self.weights)
+        shifts = _json_array(self.shifts_hz, "shifts_hz", _json_float)
+        rows = partial(_json_array, item=_json_float)
+        coup = _json_array(self.couplings_hz, "couplings_hz", rows)
+        chans = _json_array(self.channels, "channels", partial(_json_array, item=_json_int))
+        weights = _json_array(self.weights, "weights", _json_float)
         object.__setattr__(self, "shifts_hz", shifts)
         object.__setattr__(self, "couplings_hz", coup)
         object.__setattr__(self, "channels", chans)
@@ -94,10 +102,6 @@ class NmrSystemSpec:
         n = len(shifts)
         if n < 1:
             raise ValueError("need at least one spin")
-        for name, values in (("shifts_hz", shifts), ("couplings_hz", sum(coup, ())),
-                             ("weights", weights)):
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} must be finite")
         if len(coup) != n or any(len(row) != n for row in coup):
             raise ValueError(f"coupling matrix must be {n} x {n}")
         for i in range(n):
@@ -131,18 +135,12 @@ class NmrSystemSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "NmrSystemSpec":
-        _json_object(data, "system record")
         try:
-            n = _json_int(data["n"], "n")
-            row = partial(_json_array, item=_json_float)
-            spins = partial(_json_array, item=_json_int)
-            spec = cls(
-                _json_array(data["shifts_hz"], "shifts_hz", _json_float),
-                _json_array(data["couplings_hz"], "couplings_hz", row),
-                _json_array(data["channels"], "channels", spins),
-                _json_array(data["weights"], "weights", _json_float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            _json_object(data, "system record")
+            n = _json_int(_json_key(data, "n"), "n")
+            spec = cls(*(_json_key(data, key) for key in
+                         ("shifts_hz", "couplings_hz", "channels", "weights")))
+        except ValueError as exc:
             raise ValueError(f"malformed system record: {exc}") from exc
         if spec.n_spins != n:
             raise ValueError(f"record claims {n} spins but lists {spec.n_spins} shifts")
@@ -394,12 +392,11 @@ class GrapeConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rf_scales", _rf_scales(self.rf_scales))
         for name, low in (("steps", 1), ("max_iterations", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            object.__setattr__(self, name, value := _json_int(getattr(self, name), name))
+            if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("dt", "amp_max_hz", "stop_fidelity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _json_float(getattr(self, name), name))
         if self.dt <= 0.0 or self.amp_max_hz <= 0.0:
             raise ValueError("dt and amp_max_hz must be positive")
         if self.init not in ("random", "zero"):

@@ -75,16 +75,19 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 def _json_int(value: object, name: str) -> int:
     """An integer record field; bools, floats and strings are malformed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # Built-in types go first: an isinstance check against an abstract class is far slower.
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _json_float(value: object, name: str) -> float:
-    """A real record field; bools, strings and non-real values are malformed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A finite real record field; bools, strings, non-real and non-finite values are malformed."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _json_object(value: object, name: str) -> dict:
@@ -94,9 +97,17 @@ def _json_object(value: object, name: str) -> dict:
     return value
 
 
+def _json_key(record: dict, key: str, prefix: str = "") -> object:
+    """record[key]; a missing key is malformed and named prefix + key."""
+    try:
+        return record[key]
+    except KeyError:
+        raise ValueError(f"{prefix}{key} is missing") from None
+
+
 def _json_array(value: object, name: str, item: Callable) -> tuple:
-    """A JSON array record field, each element parsed as item(v, "name[i]")."""
-    if not isinstance(value, list):
+    """A list, tuple or 1-d array field, each element parsed as item(v, "name[i]")."""
+    if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
         raise ValueError(f"{name} must be an array, got {value!r}")
     return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
 
@@ -113,6 +124,8 @@ class PauliString:
     letters: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.letters, str):
+            raise ValueError(f"a Pauli word must be a string, got {self.letters!r}")
         if not self.letters:
             raise ValueError("empty Pauli word")
         bad = set(self.letters) - set(LETTERS)
@@ -460,16 +473,16 @@ def _check_support_sites(n_sites: int) -> None:
 
 
 def _support(a: np.ndarray, n_sites: int) -> PauliGroup:
-    """Group generated by the words (x, z) of the d x d array a = xz_traces(U)
-    with |a[x, z]| above 1e-10 d."""
-    x, z = np.nonzero(np.abs(a) > 1e-10 * a.shape[0])
+    """Group generated by the words (x, z) of the normalized d x d array
+    a = xz_traces(U) / d with |a[x, z]| above 1e-10."""
+    x, z = np.nonzero(np.abs(a) > 1e-10)
     return _span(n_sites, (x << n_sites | z).tolist())
 
 
 def support_group(U: np.ndarray) -> PauliGroup:
     """Group generated by the words on which the unitary U has weight."""
     U, n = _as_unitary(U, support_scan=True)
-    return _support(xz_traces(U), n)
+    return _support(xz_traces(U) / (1 << n), n)
 
 
 def maximal_subgroup(G: PauliGroup) -> PauliGroup:

@@ -681,6 +681,18 @@ BAD_RECORD_CASES = {
                           "factors[0] must be an object"),
     "chain-array": ("spec", [1, 2], "chain record must be an object"),
     "system-array": ("system", [], "system record must be an object"),
+    "factor-without-word": ("decomposition", {"n": 1, "global_phase": [1.0, 0.0], "factors": [
+        {"word": "X", "angle": 0.1}, {"angle": 0.2}]}, "factors[1].word is missing"),
+    "factor-without-angle": ("decomposition", {"n": 1, "global_phase": [1.0, 0.0],
+                                               "factors": [{"word": "X"}]},
+                             "factors[0].angle is missing"),
+    "chain-without-n": ("spec", {"couplings": [1.0], "fields": [0.0, 0.0]}, "n is missing"),
+    "system-without-n": ("system", {k: v for k, v in ONE_SPIN.items() if k != "n"},
+                         "n is missing"),
+    "decomposition-without-n": ("decomposition", {"global_phase": [1.0, 0.0], "factors": []},
+                                "n is missing"),
+    "chain-nan-coupling": ("spec", {"n": 2, "couplings": [math.nan], "fields": [0.0, 0.0]},
+                           "couplings[0] must be finite"),
 }
 
 

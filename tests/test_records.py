@@ -2,15 +2,18 @@
 
 Chain specs, NMR system specs and product decompositions come back
 unchanged from their JSON text.  A malformed record makes `from_json`
-raise ValueError, and the CLI turns that into exit code 2.
+raise ValueError, and the CLI turns that into exit code 2.  The
+constructors are the validators, so Python callers get the same checks.
 """
 
 import cmath
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from mirrorchain.chain import ChainSpec
 from mirrorchain.cli import main
 from mirrorchain.decompose import ProductDecomposition
-from mirrorchain.grape import NmrSystemSpec
+from mirrorchain.grape import GrapeConfig, NmrSystemSpec
 from mirrorchain.pauli import PauliString
 
 RECORDS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -217,3 +220,32 @@ def test_malformed_decomposition_records_are_usage_errors(record, tmp_path_facto
         (100.0, -50.0), ((0.0, 10.0), (10.0, 0.0)), ((1, 2),), (1.0,)).to_json()))
     assert _exit_code(
         ["grape", "--system", str(system), "--target-decomposition"], record) == 2
+
+
+def test_constructors_refuse_bools_strings_and_generators_by_path():
+    def system(shift=0.0, coupling=0.0, spin=1, weight=1.0):
+        return NmrSystemSpec((shift,), ((coupling,),), ((spin,),), (weight,))
+
+    def config(**field):
+        return GrapeConfig(**{"steps": 5, "dt": 1e-4, "amp_max_hz": 100.0, **field})
+
+    for bad in (True, "0.5"):
+        cases = [
+            (lambda: ChainSpec((bad,), (0.0, 0.0)), "couplings[0]"),
+            (lambda: ChainSpec((1.0,), (0.0, bad)), "fields[1]"),
+            (lambda: system(shift=bad), "shifts_hz[0]"),
+            (lambda: system(coupling=bad), "couplings_hz[0][0]"),
+            (lambda: system(spin=bad), "channels[0][0]"),
+            (lambda: system(weight=bad), "weights[0]"),
+            *((lambda name=name: config(**{name: bad}), name)
+              for name in ("steps", "max_iterations", "dt", "amp_max_hz", "stop_fidelity")),
+        ]
+        for build, path in cases:
+            with pytest.raises(ValueError, match=re.escape(path) + " must be an? "):
+                build()
+    # Lists, tuples and 1-d arrays are arrays; generators and 2-d arrays are not.
+    assert ChainSpec([1.0], np.zeros(2)) == ChainSpec((1.0,), (0.0, 0.0))
+    with pytest.raises(ValueError, match="couplings must be an array"):
+        ChainSpec((j for j in (1.0,)), (0.0, 0.0))
+    with pytest.raises(ValueError, match="fields must be an array"):
+        ChainSpec((1.0,), np.zeros((1, 2)))
