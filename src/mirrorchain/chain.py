@@ -57,6 +57,7 @@ __all__ = [
     "SpectralReport",
     "check_mirror_condition",
     "MIRROR_TIME",
+    "MAX_CHAIN_SITES",
 ]
 
 #: Evolution time at which the engineered chain realizes site reversal.
@@ -67,12 +68,28 @@ PHASE_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 MAX_WITNESS = 64
+#: Longest chain accepted: the mirror test and transfer hold dense N x N
+#: arrays, a few hundred MB at this cap.
+MAX_CHAIN_SITES = 2048
+
+
+def _check_chain_length(n_sites: int) -> None:
+    """Refuse a chain past MAX_CHAIN_SITES before any of its arrays is built."""
+    if n_sites > MAX_CHAIN_SITES:
+        raise ValueError(f"{n_sites} sites exceeds the chain-length cap of {MAX_CHAIN_SITES}")
+
+
+def _check_phases(evals: np.ndarray, tau: float) -> None:
+    """Refuse a tau that is not finite or whose phases tau * eigenvalue overflow."""
+    if not math.isfinite(tau * float(np.abs(evals).max())):
+        raise ValueError(f"tau must be finite, and so must tau * eigenvalue, got tau={tau!r}")
 
 
 def engineered_couplings(n_sites: int) -> tuple[float, ...]:
     """J_i = sqrt(i (N - i)) for i = 1 .. N-1."""
     if n_sites < 2:
         raise ValueError("engineered couplings need at least 2 sites")
+    _check_chain_length(n_sites)
     return tuple(math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
 
 
@@ -88,6 +105,7 @@ class ChainSpec:
         fields = _json_array(self.fields, "fields", _json_float)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "fields", fields)
+        _check_chain_length(len(fields))
         if len(fields) != len(couplings) + 1:
             raise ValueError(
                 f"{len(couplings)} couplings need {len(couplings) + 1} fields, got {len(fields)}"
@@ -133,6 +151,7 @@ class ChainSpec:
         try:
             _json_object(data, "chain record")
             n = _json_int(_json_key(data, "n"), "n")
+            _check_chain_length(n)
             engineered = data.get("engineered", False)
             if not isinstance(engineered, bool):
                 raise ValueError(f"engineered must be true or false, got {engineered!r}")
@@ -212,6 +231,7 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
     if np.abs(H - H.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(H)
+    _check_phases(evals, float(t))
     phases = np.exp(-1j * float(t) * evals)
     return (evecs * phases) @ evecs.conj().T
 
@@ -273,14 +293,13 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     2 pi lattice.  phi0 carries the only phase freedom and is fixed by the
     bottom level, then reduced to (-pi, pi].
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
     if not spec.mirror_symmetric:
         raise ValueError("mirror condition requires a mirror-symmetric chain")
     if any(j <= 0.0 for j in spec.couplings):
         raise ValueError("mirror condition requires strictly positive couplings")
     H1 = single_excitation_matrix(spec)
     evals, evecs = np.linalg.eigh(H1)
+    _check_phases(evals, tau)
     degenerate = bool(len(evals) > 1 and np.diff(evals).min() < DEGENERACY_TOL)
     if degenerate:
         # Positive palindromic couplings forbid degeneracy; this path only

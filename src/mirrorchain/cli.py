@@ -51,7 +51,8 @@ def _apply_thread_override() -> str | None:
     raw = os.environ.get("MIRRORCHAIN_THREADS")
     if raw is None or raw == "":
         return None
-    if not raw.isdigit() or int(raw) < 1:
+    # ASCII only: str.isdigit() also takes '²' (which int() refuses) and '٣'.
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         return f"MIRRORCHAIN_THREADS must be a positive integer, got {raw!r}"
     for var in _THREAD_VARS:
         if os.environ.get(var) != raw:

@@ -14,9 +14,9 @@ The objective is the Hilbert-Schmidt gate fidelity |Tr(V^dag U)| / 2^n,
 averaged over a set of RF scale factors that multiply all control
 amplitudes (robustness to coil inhomogeneity).  Per pulse and scale, one
 batched eigh diagonalizes all T step Hamiltonians, H_t = Q diag(l) Q^dag,
-and the value pass multiplies the step propagators pairwise into
-F_T = U_{T-1} ... U_0 in ceil(log2 T) batched rounds.  `propagate` is that
-product.
+and the value pass multiplies the step propagators U_t one by one into the
+prefixes F_0 = I, F_{t+1} = U_t F_t, up to F_T = U_{T-1} ... U_0.
+`propagate` is the last prefix.
 
 Gradients are exact (Khaneja et al., J. Magn. Reson. 172, 296, 2005).
 With the divided differences Gamma_ab = (e^{-i dt l_a} - e^{-i dt l_b}) /
@@ -34,8 +34,8 @@ every control.
 Ascent uses backtracking line search with amplitude clipping, so accepted
 fidelities never decrease.  A trial runs the value pass only; the gradient
 pass runs once per accepted trial, on that trial's eigendecompositions and
-step propagators, so no eigh runs twice and a rejected trial costs no
-gradient.
+prefixes, so no eigh and no step product runs twice and a rejected trial
+costs no gradient.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ class PulseSequence:
             raise ValueError("amplitudes must have shape (steps, channels, 2)")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if (dt := _json_float(self.dt, "dt")) <= 0.0:
+            raise ValueError(f"dt must be positive, got {dt!r}")
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -243,20 +244,12 @@ def _steps(Hd: np.ndarray, ops: np.ndarray, u: np.ndarray, dt: float,
     return evals, Q, (Q * np.exp(-1j * dt * evals)[:, None, :]) @ Q.conj().transpose(0, 2, 1)
 
 
-def _product(Us: np.ndarray) -> np.ndarray:
-    """U_{T-1} ... U_0, multiplied pairwise in ceil(log2 T) batched rounds."""
-    while len(Us) > 1:
-        pairs = Us[1::2] @ Us[:len(Us) - 1:2]
-        Us = np.concatenate((pairs, Us[-1:])) if len(Us) % 2 else pairs
-    return Us[0]
-
-
 def _prefixes(Us: np.ndarray) -> np.ndarray:
-    """F[t] = U_{t-1} ... U_0 for t < T, the steps before step t (F[0] = I)."""
-    F = np.empty_like(Us)
+    """F[t] = U_{t-1} ... U_0 for t = 0 .. T, the steps before step t (F[0] = I)."""
+    F = np.empty((len(Us) + 1,) + Us.shape[1:], dtype=Us.dtype)
     F[0] = np.eye(Us.shape[1])
-    for t in range(1, len(Us)):
-        np.matmul(Us[t - 1], F[t - 1], out=F[t])
+    for t in range(len(Us)):
+        np.matmul(Us[t], F[t], out=F[t + 1])
     return F
 
 
@@ -290,7 +283,7 @@ def _rf_scales(values) -> tuple[float, ...]:
 def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
     """Time-ordered product of the per-step exponentials (step 0 first)."""
     Hd, ops = _plant(spec, pulse)
-    return _product(_steps(Hd, ops, pulse.amplitudes, pulse.dt, 1.0)[2])
+    return _prefixes(_steps(Hd, ops, pulse.amplitudes, pulse.dt, 1.0)[2])[-1]
 
 
 def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -334,28 +327,29 @@ def _value(
     dt: float,
     scales: tuple[float, ...],
 ) -> tuple[float, list]:
-    """Mean fidelity, with each scale's (s, l, Q, U_t, V^dag F_T) for `_gradient`."""
+    """Mean fidelity, with each scale's (s, l, Q, F_t, V^dag F_T) for `_gradient`."""
     d = Hd.shape[0]
     phi, parts = 0.0, []
     for s in scales:
         evals, Q, Us = _steps(Hd, ops, u, dt, s)
-        X = Vh @ _product(Us)
+        F = _prefixes(Us)
+        X = Vh @ F[-1]
         phi += abs(complex(np.trace(X))) / d
-        parts.append((s, evals, Q, Us, X))
+        parts.append((s, evals, Q, F, X))
     return phi / len(scales), parts
 
 
 def _gradient(ops: np.ndarray, dt: float, parts: list) -> np.ndarray:
     """Exact amplitude gradient of the mean fidelity from `_value`'s parts."""
-    T, d = parts[0][3].shape[:2]
+    T, d = parts[0][2].shape[:2]
     # Tr(Y E) = sum_ij Y_ij conj(E_ij), since every control generator E is Hermitian.
     Ec = ops.reshape(-1, d * d).conj().T
     grad = np.zeros((T, Ec.shape[1]))
-    for s, evals, Q, Us, X in parts:
+    for s, evals, Q, F, X in parts:
         z = complex(np.trace(X))
         if abs(z) <= 1e-15:
             continue
-        A = _prefixes(Us).conj().transpose(0, 2, 1) @ Q  # F_t^dag Q_t
+        A = F[:-1].conj().transpose(0, 2, 1) @ Q  # F_t^dag Q_t
         M = (A.conj().transpose(0, 2, 1) @ X @ A) * np.exp(1j * dt * evals)[:, None, :]
         Y = Q @ (M * _gamma(evals, dt)) @ Q.conj().transpose(0, 2, 1)
         dz = s * (Y.reshape(T, d * d) @ Ec)

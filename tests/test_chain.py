@@ -8,6 +8,7 @@ import scipy.linalg
 
 from mirrorchain.chain import (
     DEGENERACY_TOL,
+    MAX_CHAIN_SITES,
     MIRROR_TIME,
     ChainSpec,
     _mirror_check_direct,
@@ -60,6 +61,9 @@ def test_engineered_couplings_values():
     assert got == pytest.approx(want)
     with pytest.raises(ValueError):
         engineered_couplings(1)
+    assert len(engineered_couplings(MAX_CHAIN_SITES)) == MAX_CHAIN_SITES - 1
+    with pytest.raises(ValueError, match="chain-length cap of 2048"):
+        engineered_couplings(MAX_CHAIN_SITES + 1)
 
 
 def test_spec_validation_and_flags():
@@ -67,6 +71,8 @@ def test_spec_validation_and_flags():
         ChainSpec((1.0,), (0.0,))  # field count mismatch
     with pytest.raises(ValueError):
         ChainSpec((float("nan"),), (0.0, 0.0))
+    with pytest.raises(ValueError, match="chain-length cap"):
+        ChainSpec((1.0,) * MAX_CHAIN_SITES, (0.0,) * (MAX_CHAIN_SITES + 1))
     spec = ChainSpec.engineered(4)
     assert spec.n_sites == 4
     assert spec.is_engineered
@@ -177,6 +183,9 @@ def test_propagator_against_expm():
         assert np.allclose(propagator(H, t), scipy.linalg.expm(-1j * t * H), atol=1e-10)
     with pytest.raises(ValueError):
         propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    for t in (math.nan, math.inf, 1e308):  # 1e308 * 2 overflows
+        with pytest.raises(ValueError, match="tau must be finite"):
+            propagator(np.diag([0.0, 2.0]), t)
 
 
 def test_chain_propagator_is_unitary():
@@ -254,7 +263,7 @@ class TestMirrorCondition:
             check_mirror_condition(ChainSpec((1.0, 2.0), (0.0,) * 3), MIRROR_TIME)
         with pytest.raises(ValueError):
             check_mirror_condition(ChainSpec((-1.0,), (0.0, 0.0)), MIRROR_TIME)
-        for tau in (math.nan, math.inf):
+        for tau in (math.nan, math.inf, 1e308):
             with pytest.raises(ValueError, match="tau must be finite"):
                 check_mirror_condition(ChainSpec.engineered(3), tau)
 

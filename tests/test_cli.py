@@ -435,8 +435,8 @@ def test_transfer_single_site_chain_deviation(tmp_path):
     assert report["fidelity"] == pytest.approx(math.cos(0.3 * math.pi / 2), abs=1e-12)
 
 
-def test_transfer_beyond_the_dense_site_count(tmp_path):
-    # transfer works from the N x N one-excitation propagator: no site cap
+def test_transfer_beyond_the_dense_site_count(tmp_path, capsys):
+    # transfer works from the N x N one-excitation propagator: no dense 2^N site cap
     out = tmp_path / "transfer.json"
     assert main(["-q", "transfer", "--engineered", "13", "--site", "1",
                  "--mode", "deviation", "-o", str(out)]) == 0
@@ -450,6 +450,11 @@ def test_transfer_beyond_the_dense_site_count(tmp_path):
     # a single-site deviation output of 2^(N-1) scale is no float past 1024 sites
     assert main(["-q", "transfer", "--engineered", "1025", "--site", "1",
                  "--mode", "deviation", "-o", str(out)]) == 2
+    capsys.readouterr()
+    # past the chain-length cap no N x N array is built
+    for command in (["spectrum"], ["transfer", "--site", "1"]):
+        assert main(["-q", *command, "--engineered", "2049", "-o", str(out)]) == 2
+        assert "2049 sites exceeds the chain-length cap of 2048" in capsys.readouterr().err
 
 
 def test_transfer_rejects_malformed_bell_pair(tmp_path, capsys):
@@ -619,6 +624,8 @@ GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
         (GRAPE_X + ["--seed", "-1"], "--seed"),
         (["selftest", "--seed", "-1"], "--seed"),
         (["selftest", "--trials", "-1"], "--trials"),
+        (["spectrum", "--engineered", "3", "--tau", "1e308"], "tau must be finite"),
+        (["decompose", "--engineered", "3", "--tau", "1e308"], "tau must be finite"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
@@ -693,6 +700,8 @@ BAD_RECORD_CASES = {
                                 "n is missing"),
     "chain-nan-coupling": ("spec", {"n": 2, "couplings": [math.nan], "fields": [0.0, 0.0]},
                            "couplings[0] must be finite"),
+    "chain-past-cap": ("spec", {"n": 2049, "engineered": True},
+                       "2049 sites exceeds the chain-length cap of 2048"),
 }
 
 
@@ -928,12 +937,13 @@ def test_module_entry_grape_outputs_are_byte_identical(tmp_path):
 
 
 def test_thread_count_override(tmp_path):
-    r = run_module(
-        "spectrum", "--engineered", "3", "-o", str(tmp_path / "s.json"),
-        env={"MIRRORCHAIN_THREADS": "abc"},
-    )
-    assert r.returncode == 2
-    assert "MIRRORCHAIN_THREADS" in r.stderr
+    for bad in ("abc", "\u00b2", "\u0663"):  # a superscript two and an Arabic-Indic three
+        r = run_module(
+            "spectrum", "--engineered", "3", "-o", str(tmp_path / "s.json"),
+            env={"MIRRORCHAIN_THREADS": bad},
+        )
+        assert r.returncode == 2, bad
+        assert "MIRRORCHAIN_THREADS" in r.stderr
 
     r = run_module(
         "spectrum", "--engineered", "3", "-o", str(tmp_path / "s.json"),

@@ -202,6 +202,9 @@ class TestPulseSequence:
         for dt in (math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be"):
                 PulseSequence(dt, np.zeros((3, 1, 2)))
+        for dt in (True, "0.5"):
+            with pytest.raises(ValueError, match="dt must be a number"):
+                PulseSequence(dt, np.zeros((3, 1, 2)))
 
     def test_properties(self):
         pulse = PulseSequence(2e-3, np.zeros((25, 2, 2)))
@@ -398,17 +401,25 @@ class TestKernel:
     def test_optimizer_evaluates_each_trial_once_and_differentiates_accepted_ones(
         self, monkeypatch
     ):
-        counts = {"eigh": 0, "value": 0, "gradient": 0}
+        counts = dict.fromkeys(("eigh", "value", "gradient", "prefixes", "prefixes in gradient"), 0)
+        active = []  # the counted calls now running, outermost first
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
-                return fn(*args, **kwargs)
+                if name == "prefixes" and "gradient" in active:
+                    counts["prefixes in gradient"] += 1
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(grape, "_value", counted("value", grape._value))
         monkeypatch.setattr(grape, "_gradient", counted("gradient", grape._gradient))
+        monkeypatch.setattr(grape, "_prefixes", counted("prefixes", grape._prefixes))
         scales = (0.95, 1.0, 1.05)
         cfg = GrapeConfig(steps=20, dt=1e-4, amp_max_hz=2000.0, stop_fidelity=0.9999,
                           seed=5, max_iterations=40, rf_scales=scales)
@@ -416,6 +427,9 @@ class TestKernel:
         assert res.iterations > 0
         # the initial point and every line-search trial
         assert counts["eigh"] == len(scales) * counts["value"]
+        # one step product per scale and value pass; the gradient reads its prefixes
+        assert counts["prefixes"] == len(scales) * counts["value"]
+        assert counts["prefixes in gradient"] == 0
         # rejected trials do occur, and they pay for no gradient
         assert counts["value"] > res.iterations + 1
         assert counts["gradient"] == res.iterations + 1
