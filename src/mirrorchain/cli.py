@@ -14,7 +14,10 @@ result missed a requested expectation, 2 usage, parse, or domain error.
 
 Every command writes a machine-readable JSON file, one line of sorted-key
 JSON (plus a CSV pulse table for `grape`); identical inputs and seed
-produce byte-identical outputs.
+produce byte-identical outputs.  A report or CSV overwrites its file in
+place and is then cut to length, so the file keeps its inode, its mode bits
+and, through a symlink, its target; a target that is not a regular file
+(/dev/null, a pipe) is written without truncation.
 The human-readable summary goes to standard output only.
 
 The environment variable MIRRORCHAIN_THREADS, when set, seeds the usual
@@ -65,9 +68,9 @@ def _write_json(path: str, payload: dict) -> None:
 
     Without `indent` the json module takes its C encoder.
     """
-    text = json.dumps(payload, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    from .pauli import _write_text
+
+    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _finite(text: str) -> float:

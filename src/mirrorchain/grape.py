@@ -41,6 +41,7 @@ costs no gradient.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from .pauli import (
     _json_int,
     _json_key,
     _json_object,
+    _write_text,
     pauli_matrix,
 )
 
@@ -226,13 +228,14 @@ class PulseSequence:
 
     def write_csv(self, path: str) -> None:
         """Rows (step, channel, amp_x_hz, amp_y_hz), both indices 0-based."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "channel", "amp_x_hz", "amp_y_hz"])
-            for t in range(self.n_steps):
-                for c in range(self.n_channels):
-                    x, y = self.amplitudes[t, c]
-                    writer.writerow([t, c, repr(float(x)), repr(float(y))])
+        table = io.StringIO(newline="")
+        writer = csv.writer(table)
+        writer.writerow(["step", "channel", "amp_x_hz", "amp_y_hz"])
+        for t in range(self.n_steps):
+            for c in range(self.n_channels):
+                x, y = self.amplitudes[t, c]
+                writer.writerow([t, c, repr(float(x)), repr(float(y))])
+        _write_text(path, table.getvalue())
 
 
 def _steps(Hd: np.ndarray, ops: np.ndarray, u: np.ndarray, dt: float,

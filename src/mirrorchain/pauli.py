@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator
@@ -110,6 +112,27 @@ def _json_array(value: object, name: str, item: Callable) -> tuple:
     if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
         raise ValueError(f"{name} must be an array, got {value!r}")
     return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 over its old bytes, then cut the file to length.
+
+    Opening with O_TRUNC cuts a file to zero first, and ext4 (auto_da_alloc)
+    starts writeback of a file truncated to zero when it is closed; writing in
+    place and cutting after skips that flush.  The inode, its mode bits and a
+    symlink's target are kept.  Only a regular file is cut: ftruncate fails
+    with EINVAL on /dev/null and pipes.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True, order=True)

@@ -5,9 +5,11 @@ through ``python -m mirrorchain`` in a subprocess where the interpreter
 boundary matters (thread-count environment handling, byte determinism).
 """
 
+import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -597,35 +599,48 @@ GRAPE_X = ["grape", "--system", "{system}", "--target-gate", "X", "--pulse-csv",
 GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
 
 
+# Each case names its id, as pytest first derived it from the row position,
+# so that a row inserted anywhere renames no other case.
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (GRAPE_X + ["--dt", "nan"], "--dt"),
-        (GRAPE_X + ["--stop-fidelity", "nan"], "--stop-fidelity"),
-        (GRAPE_X + ["--min-fidelity", "inf"], "--min-fidelity"),
-        (GRAPE_X + ["--amp-max", "nan"], "--amp-max"),
-        (GRAPE_X + ["--rf-scales", "1.0,nan"], "rf_scales"),
-        (GRAPE_X + ["--target-gate", "X:nan"], "angle"),
-        (GRAPE_X + ["--system", "{nan_system}"], "shifts_hz"),
-        (["transfer", "--engineered", "3", "--site", "1", "--min-fidelity", "nan"],
-         "--min-fidelity"),
-        (["spectrum", "--engineered", "3", "--tau", "nan"], "--tau"),
-        (["decompose", "--unitary", "{nan_unitary}"], "unitary"),
-        (GRAPE_X + ["--rf-scales", "0"], "rf_scales"),
-        (GRAPE_DEC + ["--target-decomposition", "{nan_angle}"], "angle"),
-        (GRAPE_DEC + ["--target-decomposition", "{inf_phase}"], "global_phase"),
-        (["decompose", "--unitary", "{scalar_unitary}"], "unitary"),
-        (["decompose", "--unitary", "{empty_unitary}"], "unitary"),
-        (["decompose", "--unitary", "{one_by_one_unitary}"], "unitary"),
-        (["decompose", "--unitary", "{string_unitary}"], "unitary"),
-        (["decompose", "--unitary", "{object_unitary}"], "unitary"),
-        (GRAPE_X + ["--rf-scales", "1.0,abc"], "--rf-scales"),
-        (GRAPE_X + ["--target-gate", "X:abc"], "angle"),
-        (GRAPE_X + ["--seed", "-1"], "--seed"),
-        (["selftest", "--seed", "-1"], "--seed"),
-        (["selftest", "--trials", "-1"], "--trials"),
-        (["spectrum", "--engineered", "3", "--tau", "1e308"], "tau must be finite"),
-        (["decompose", "--engineered", "3", "--tau", "1e308"], "tau must be finite"),
+        pytest.param(GRAPE_X + ["--dt", "nan"], "--dt", id="argv0---dt"),
+        pytest.param(GRAPE_X + ["--stop-fidelity", "nan"], "--stop-fidelity",
+                     id="argv1---stop-fidelity"),
+        pytest.param(GRAPE_X + ["--min-fidelity", "inf"], "--min-fidelity",
+                     id="argv2---min-fidelity"),
+        pytest.param(GRAPE_X + ["--amp-max", "nan"], "--amp-max", id="argv3---amp-max"),
+        pytest.param(GRAPE_X + ["--rf-scales", "1.0,nan"], "rf_scales", id="argv4-rf_scales"),
+        pytest.param(GRAPE_X + ["--target-gate", "X:nan"], "angle", id="argv5-angle"),
+        pytest.param(GRAPE_X + ["--system", "{nan_system}"], "shifts_hz", id="argv6-shifts_hz"),
+        pytest.param(["transfer", "--engineered", "3", "--site", "1", "--min-fidelity", "nan"],
+                     "--min-fidelity", id="argv7---min-fidelity"),
+        pytest.param(["spectrum", "--engineered", "3", "--tau", "nan"], "--tau", id="argv8---tau"),
+        pytest.param(["decompose", "--unitary", "{nan_unitary}"], "unitary", id="argv9-unitary"),
+        pytest.param(GRAPE_X + ["--rf-scales", "0"], "rf_scales", id="argv10-rf_scales"),
+        pytest.param(GRAPE_DEC + ["--target-decomposition", "{nan_angle}"], "angle",
+                     id="argv11-angle"),
+        pytest.param(GRAPE_DEC + ["--target-decomposition", "{inf_phase}"], "global_phase",
+                     id="argv12-global_phase"),
+        pytest.param(["decompose", "--unitary", "{scalar_unitary}"], "unitary",
+                     id="argv13-unitary"),
+        pytest.param(["decompose", "--unitary", "{empty_unitary}"], "unitary",
+                     id="argv14-unitary"),
+        pytest.param(["decompose", "--unitary", "{one_by_one_unitary}"], "unitary",
+                     id="argv15-unitary"),
+        pytest.param(["decompose", "--unitary", "{string_unitary}"], "unitary",
+                     id="argv16-unitary"),
+        pytest.param(["decompose", "--unitary", "{object_unitary}"], "unitary",
+                     id="argv17-unitary"),
+        pytest.param(GRAPE_X + ["--rf-scales", "1.0,abc"], "--rf-scales", id="argv18---rf-scales"),
+        pytest.param(GRAPE_X + ["--target-gate", "X:abc"], "angle", id="argv19-angle"),
+        pytest.param(GRAPE_X + ["--seed", "-1"], "--seed", id="argv20---seed"),
+        pytest.param(["selftest", "--seed", "-1"], "--seed", id="argv21---seed"),
+        pytest.param(["selftest", "--trials", "-1"], "--trials", id="argv22---trials"),
+        pytest.param(["spectrum", "--engineered", "3", "--tau", "1e308"], "tau must be finite",
+                     id="argv23-tau must be finite"),
+        pytest.param(["decompose", "--engineered", "3", "--tau", "1e308"], "tau must be finite",
+                     id="argv24-tau must be finite"),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
@@ -660,10 +675,13 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, argv, field):
 @pytest.mark.parametrize(
     "record, message",
     [
-        (5, "malformed decomposition record"),
-        (None, "malformed decomposition record"),
-        ({"n": 1, "global_phase": [1.0, 0.0], "factors": [{"word": 7, "angle": 0.5}]},
-         "factors[0].word"),
+        pytest.param(5, "malformed decomposition record",
+                     id="5-malformed decomposition record"),
+        pytest.param(None, "malformed decomposition record",
+                     id="None-malformed decomposition record"),
+        pytest.param({"n": 1, "global_phase": [1.0, 0.0],
+                      "factors": [{"word": 7, "angle": 0.5}]},
+                     "factors[0].word", id="record2-factors[0].word"),
     ],
 )
 def test_grape_malformed_target_decomposition_is_a_usage_error(tmp_path, capsys, record, message):
@@ -865,6 +883,66 @@ def test_every_report_is_one_line_of_sorted_json(tmp_path):
         text = out.read_text(encoding="utf-8")
         assert text.count("\n") == 1 and text.endswith("\n"), name
         assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text, name
+
+
+def output_argv(tmp_path, kind, path):
+    """A run that writes `path`: a spectrum report, or a grape pulse CSV."""
+    if kind == "report":
+        return ["-q", "spectrum", "--engineered", "3", "-o", str(path)]
+    system = write_json(tmp_path / "sys.json", ONE_SPIN)
+    return ["-q", "grape", "--system", system, "--target-gate", "identity", "--init", "zero",
+            "--steps", "5", "--dt", "1e-4", "--amp-max", "100",
+            "-o", str(tmp_path / "grape.json"), "--pulse-csv", str(path)]
+
+
+def fresh_output(tmp_path, kind):
+    path = tmp_path / f"fresh-{kind}"
+    assert main(output_argv(tmp_path, kind, path)) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["report", "pulse-csv"])
+def test_rerun_over_a_longer_or_shorter_file_leaves_exactly_the_new_bytes(tmp_path, kind):
+    expected = fresh_output(tmp_path, kind)
+    out = tmp_path / "out"
+    for old in (b"x" * 10240, b"x" * 10):
+        out.write_bytes(old)
+        assert main(output_argv(tmp_path, kind, out)) == 0
+        assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("kind", ["report", "pulse-csv"])
+def test_output_through_a_symlink_writes_its_target_in_place(tmp_path, kind):
+    expected = fresh_output(tmp_path, kind)
+    target = tmp_path / "target"
+    target.write_bytes(b"x" * 10240)
+    target.chmod(0o640)
+    inode = target.stat().st_ino
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main(output_argv(tmp_path, kind, link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("kind", ["report", "pulse-csv"])
+def test_output_to_the_null_device(tmp_path, kind):
+    # Not a regular file, so it is written but never truncated.
+    assert main(output_argv(tmp_path, kind, os.devnull)) == 0
+
+
+@pytest.mark.parametrize("kind", ["report", "pulse-csv"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, kind, where):
+    path, code = {
+        "directory": (tmp_path, errno.EISDIR),
+        "missing-directory": (tmp_path / "missing" / "out", errno.ENOENT),
+    }[where]
+    assert main(output_argv(tmp_path, kind, path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
 
 
 # -------------------------------------------------- module entry point
