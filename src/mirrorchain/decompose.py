@@ -6,9 +6,9 @@ works level by level: at each level it greedily picks a coset word D and
 an angle theta so that U <- U exp(+i theta D) concentrates as much weight
 as possible inside the child group, repeating until the child holds all
 of it, then descends.  When every level succeeds the residual is a pure
-phase c, which proves
+phase g, which proves
 
-    U = c * exp(-i theta_m D_m) * ... * exp(-i theta_1 D_1),
+    U = g * exp(-i theta_m D_m) * ... * exp(-i theta_1 D_1),
 
 returned with factors in operator order (the first listed factor is the
 leftmost operator, hence the last applied to a state).
@@ -27,15 +27,21 @@ so evaluating its exact stationary point per candidate dominates any
 angle grid).  That fallback handles residuals that are already a phase
 times a single coset word.
 
-All weights are slices of one array per residual, the phase-free traces
+All weights come from the phase-free traces
 ``a[x, z] = Tr(U X^x Z^z) / 2^n`` (``xz_traces(U) / 2^n``), indexed by a
 word's bit masks with site 1 at the most significant bit; a word's
 coefficient differs from its entry only by the phase i^{|x & z|}.  The
-array is the peel's only form of the residual: it is transformed once per
-decomposition, and each factor ``exp(+i theta D)`` moves it in place by one
-row and one column gather (``update_xz_traces``), so no word matrix is
-built and no dense product runs.  The global phase c is the final
-``a[0, 0] = Tr(U_res) / 2^n``.  Only the adaptive fallback, which restarts
+array is transformed once per decomposition and serves the support scan.
+The peel then keeps only the top group G's entries, which hold all of the
+residual's weight: one vector c indexed by each element's echelon
+coordinates (``PauliGroup.coords``).  Coordinates are F2-linear, so a
+factor ``exp(+i theta D)`` with D at coordinates K moves c in place in
+O(|G|), by one gather c[k ^ K] and one sign per entry; no word matrix is
+built and no dense product runs.  Each level maps its parent, child and
+candidates to coordinate arrays once.  At an index-two level every
+candidate lies in the one coset parent - child, so B = weight(parent) - A.
+The identity has coordinates 0, so the global phase g is the final
+``c[0] = Tr(U_res) / 2^n``.  Only the adaptive fallback, which restarts
 from the input, transforms it again.
 """
 
@@ -44,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,16 +60,15 @@ from .pauli import (
     PauliString,
     SubgroupChain,
     _as_unitary,
+    _echelon,
     _json_array,
     _json_float,
     _json_int,
     _json_key,
     _json_object,
-    _signs,
     _support,
     _walsh,
     apply_word_exponential,
-    update_xz_traces,
     xz_traces,
 )
 
@@ -221,10 +226,6 @@ def _traces(U: np.ndarray, n_sites: int) -> np.ndarray:
     return a
 
 
-def _weight(a: np.ndarray, group: PauliGroup) -> float:
-    return float(np.sum(np.abs(a[group.xs, group.zs]) ** 2))
-
-
 def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
     """Pauli coefficients c_w = Tr(w U) / 2^n for every word in the group."""
     a = _traces(U, group.n_sites)
@@ -232,36 +233,119 @@ def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
             for w in group}
 
 
-def _candidates(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Candidate words (xs, zs) with their phases i^{-|x & z|}, for :func:`_weight_terms`."""
-    return xs, zs, np.take(_I_POW, -np.bitwise_count(xs & zs).astype(np.int64) % 4)
+def _coefficients(a: np.ndarray, top: PauliGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the trace array a on the group top, indexed by echelon coordinates.
 
-
-def _weight_terms(
-    a: np.ndarray, candidates: tuple[np.ndarray, ...], child: PauliGroup
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B, W) for every candidate word D, from a normalized phase-free trace array.
-
-    With D = (x1, z1) and child words w = (cx, cz), m = D w has masks
-    (x1 ^ cx, z1 ^ cz).  B sums |a_m|^2 (the weight of the coset D*child)
-    and W sums Im(i^{-|x1 & z1|} (-1)^{|z1 & cx|} a_w conj(a_m)), which is
-    the coefficient form Im(i^-k c_w conj(c_m)) for D w = i^k m with the
-    word phases cancelled.  Candidates, with their phases from
-    :func:`_candidates`, are taken in blocks of about 2^16 candidate-child
-    pairs, so memory stays bounded.
+    Returns (c, xk): c[k] is a's entry at the element with coordinates k, and
+    xk[k] that element's x mask.  The identity has coordinates 0.
     """
-    dx, dz, dphase = candidates
-    cx, cz = child.xs, child.zs
-    a_w = a[cx, cz]
-    B, W = np.empty(len(dx)), np.empty(len(dx))
-    rows = max(1, (1 << 16) // len(cx))
-    for lo in range(0, len(dx), rows):
-        x1, z1 = dx[lo:lo + rows, None], dz[lo:lo + rows, None]
-        a_m = a[x1 ^ cx, z1 ^ cz]
-        phase = dphase[lo:lo + rows, None] * _signs(z1 & cx)
-        B[lo:lo + rows] = np.sum(np.abs(a_m) ** 2, axis=1)
-        W[lo:lo + rows] = np.sum((phase * a_w * a_m.conj()).imag, axis=1)
-    return B, W
+    c = np.empty(len(top), dtype=complex)
+    c[top.coords] = a[top.xs, top.zs]
+    xk = np.empty_like(top.xs)
+    xk[top.coords] = top.xs
+    return c, xk
+
+
+def _coordinates(top: PauliGroup, group: PauliGroup) -> np.ndarray:
+    """Each element's echelon coordinates over top's basis, in group's canonical order.
+
+    Coordinates are F2-linear, so those of group's basis vectors, from one
+    elimination after top's basis, give every element's by XOR doubling.
+    A maximal subgroup keeps a prefix of the basis, and with it the
+    coordinates.  Raises ValueError unless group lies in top.
+    """
+    r = len(top.basis)
+    if group.basis == top.basis[:len(group.basis)]:
+        return group.coords
+    basis, coords = _echelon(top.basis + group.basis)
+    if len(basis) > r:
+        raise ValueError("child must be a strictly smaller subgroup of parent")
+    table = np.zeros(1, dtype=np.int64)
+    for k in coords[r:]:
+        table = np.concatenate([table, table ^ k])
+    return table[group.coords]
+
+
+def _rotate(c: np.ndarray, xk: np.ndarray, K: int, x: int, z: int, angle: float) -> None:
+    """Turn the coefficient vector c of U into that of U exp(-i angle D) in place, in O(|G|).
+
+    D has coordinates K and masks (x, z).  Coordinates are linear, so D times
+    the element at coordinates k ^ K is, up to a phase, the element at k:
+
+        c'[k] = cos(angle) c[k] - i sin(angle) i^{|x & z|} (-1)^{|z & xk[k]|} c[k ^ K].
+    """
+    phase = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
+    moved = c[np.arange(len(c)) ^ K]
+    moved *= np.where(np.bitwise_count(z & xk) & 1, -phase, phase)
+    c *= math.cos(angle)
+    c += moved
+
+
+class _Level:
+    """One peel level's index arrays into the top group's coefficient vector.
+
+    P and C are the top coordinates of the parent's and the child's elements
+    in canonical order, and `size` the vector's length.  The candidates are
+    the parent's elements outside the child, in canonical order: K holds
+    their coordinates and (dx, dz) their masks.  Candidate-child pairs are
+    taken in blocks of about 2^16, so memory stays bounded; when one block
+    holds them all, its tables are built once and kept for every pass.
+    """
+
+    def __init__(self, parent: PauliGroup, P: np.ndarray, child: PauliGroup,
+                 C: np.ndarray, size: int) -> None:
+        inside = np.zeros(size, dtype=bool)
+        inside[C] = True
+        outside = ~inside[P]
+        self.K = P[outside]
+        # C lies in P exactly when the candidates number |P| - |C|.
+        if len(C) >= len(P) or len(self.K) != len(P) - len(C):
+            raise ValueError("child must be a strictly smaller subgroup of parent")
+        self.n, self.P, self.C, self.cx = parent.n_sites, P, C, child.xs
+        self.index2 = 2 * len(C) == len(P)
+        self.dx, self.dz = parent.xs[outside], parent.zs[outside]
+        self.rows = max(1, (1 << 16) // len(C))
+        self.tables = list(self._tables()) if len(self.K) <= self.rows else None
+
+    def _tables(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """Per block: its candidate slice, the coordinates K ^ C of every product
+        D w, and the conjugate pair phase i^{|x1 & z1| + 2 |z1 & cx|}."""
+        power = np.bitwise_count(self.dx & self.dz)
+        for lo in range(0, len(self.K), self.rows):
+            s = slice(lo, lo + self.rows)
+            pair_power = power[s, None] + 2 * np.bitwise_count(self.dz[s, None] & self.cx)
+            yield s, self.K[s, None] ^ self.C, np.take(_I_POW, pair_power & 3)
+
+    def weight(self, c: np.ndarray) -> float:
+        """A, the child's weight."""
+        cw = c[self.C]
+        return float(np.vdot(cw, cw).real)
+
+    def terms(self, c: np.ndarray, A: float) -> tuple[np.ndarray, np.ndarray]:
+        """(B, W) for every candidate D, from the coefficient vector c.
+
+        With D = (x1, z1) and child words w = (cx, cz), m = D w has
+        coordinates K ^ k_w.  B is the weight of the coset D*child: at an
+        index-two level every candidate lies in the one coset parent - child,
+        so B = weight(parent) - A.  W sums Im(i^{-|x1 & z1|} (-1)^{|z1 & cx|}
+        c_w conj(c_m)), which is the coefficient form Im(i^-k c_w conj(c_m))
+        for D w = i^k m with the word phases cancelled.
+        """
+        W = np.empty(len(self.K))
+        if self.index2:
+            cp = c[self.P]
+            B = np.full(len(self.K), np.vdot(cp, cp).real - A)
+        else:
+            B = np.empty(len(self.K))
+        conj_cw = c[self.C].conj()
+        for s, pairs, phase in self.tables or self._tables():
+            c_m = c[pairs]
+            if not self.index2:
+                B[s] = np.sum(c_m.real ** 2 + c_m.imag ** 2, axis=1)
+            # Im(z) = -Im(conj z): sum conj(phase) conj(c_w) c_m over w as one product.
+            c_m *= phase
+            W[s] = -(c_m @ conj_cw).imag
+        return B, W
 
 
 def _sinusoid(A: float, B: float, W: float, t: float) -> float:
@@ -308,37 +392,30 @@ def peel_level(
     in the child's span).
     """
     U = np.array(U, dtype=complex)
-    steps = _peel_level(_traces(U, parent.n_sites), parent, child, level)
+    c, xk = _coefficients(_traces(U, parent.n_sites), parent)
+    lv = _Level(parent, parent.coords, child, _coordinates(parent, child), len(c))
+    steps = _peel_level(c, xk, lv, level)
     for s in steps:
         apply_word_exponential(U, s.word, -s.angle)
     return U, steps
 
 
-def _peel_level(
-    a: np.ndarray, parent: PauliGroup, child: PauliGroup, level: int
-) -> tuple[PeelStep, ...]:
-    """:func:`peel_level` on the residual's normalized trace array a, updated in place.
+def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int) -> tuple[PeelStep, ...]:
+    """:func:`peel_level` on the top group's coefficient vector c, updated in place.
 
-    Each factor moves a in O(d^2), so a keeps matching the residual and is
-    never re-transformed; the steps alone say how to move a dense U.
+    Each factor moves c in O(|G|) (:func:`_rotate`), so c keeps matching
+    the residual on the group that holds all of its weight; the steps alone
+    say how to move a dense U.
     """
-    if not child.is_subgroup_of(parent) or len(child) >= len(parent):
-        raise ValueError("child must be a strictly smaller subgroup of parent")
-    # The parent rows outside the child, in canonical order.  A lookup table
-    # of at most 4^n bools; isin's sort path first costs ~1.5 MB of peak RSS.
-    n = parent.n_sites
-    outside = ~np.isin(parent.xs << n | parent.zs, child.xs << n | child.zs, kind="table")
-    candidates = _candidates(parent.xs[outside], parent.zs[outside])
-    dx, dz, _ = candidates
     steps: list[PeelStep] = []
-    max_passes = 4 * len(parent)
-    A = _weight(a, child)
+    max_passes = 4 * len(lv.P)
+    A = lv.weight(c)
 
     for _ in range(max_passes):
         if 1.0 - A <= PEEL_TOL:
             return tuple(steps)
 
-        Bs, Ws = (v.tolist() for v in _weight_terms(a, candidates, child))
+        Bs, Ws = (v.tolist() for v in lv.terms(c, A))
         best = 0
         for k in range(1, len(Ws)):
             if abs(Ws[k]) > abs(Ws[best]) + STALL_TOL:
@@ -358,11 +435,11 @@ def _peel_level(
                     PeelTrace(tuple(steps)),
                 )
 
-        best_word = PauliString.from_masks(int(dx[best]), int(dz[best]), n)
+        best_word = PauliString.from_masks(int(lv.dx[best]), int(lv.dz[best]), lv.n)
         best_B, best_W = Bs[best], Ws[best]
         theta, predicted = _stationary_angle(A, best_B, best_W)
-        update_xz_traces(a, best_word, -theta)
-        norm_after = _weight(a, child)
+        _rotate(c, xk, int(lv.K[best]), *best_word.masks, -theta)
+        norm_after = lv.weight(c)
         if norm_after < A - 1e-9 or abs(norm_after - predicted) > 1e-8:
             raise DecompositionError(
                 f"level {level} weight bookkeeping diverged: before={A:.12f} "
@@ -388,12 +465,13 @@ def _peel_level(
     )
 
 
-def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
-    """The index-two subgroup retaining the largest weight of the trace array a.
+def _heaviest_maximal_subgroup(weights: np.ndarray, group: PauliGroup) -> PauliGroup:
+    """The index-two subgroup retaining the largest share of the elements' weights,
+    given in canonical order.
 
     Every maximal subgroup is the kernel of a nonzero F2 functional v on
     the group's echelon coordinates c: it keeps the elements with
-    |v & c| even.  Place each element's weight |a_w|^2 at f[c]; the
+    |v & c| even.  Place each element's weight at f[c]; the
     Walsh-Hadamard transform of f is F[v] = kept(v) - dropped(v) for all
     2^r functionals at once, so kept(v) = (F[0] + F[v]) / 2 in O(r 2^r).
     Ties keep the first functional in mask order whose kept weight lies
@@ -401,7 +479,7 @@ def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
     choose between equal weights.
     """
     f = np.zeros(1 << len(group.basis))
-    f[group.coords] = np.abs(a[group.xs, group.zs]) ** 2
+    f[group.coords] = weights
     _walsh(f)
     kept = 0.5 * (f[0] + f[1:])
     best = 1 + int(np.argmax(kept >= kept.max() - STALL_TOL))
@@ -410,31 +488,34 @@ def _heaviest_maximal_subgroup(a: np.ndarray, group: PauliGroup) -> PauliGroup:
 
 
 def _peel_tower(
-    a: np.ndarray,
+    c: np.ndarray,
+    xk: np.ndarray,
     top: PauliGroup,
-    choose_child: Callable[[np.ndarray, PauliGroup], PauliGroup],
+    choose_child: Callable[[np.ndarray, PauliGroup, np.ndarray], PauliGroup],
     strategy: str = "tower",
     dropped: str | None = None,
 ) -> list[PeelStep]:
-    """Peel the trace array a from `top` to the identity; each child is
-    choose_child(a, parent).
+    """Peel top's coefficient vector c (see :func:`_coefficients`) to the
+    identity; each child is choose_child(c, parent, P) for the parent's top
+    coordinates P.
 
-    a follows the residual in place.  A failing level re-raises with every
+    c follows the residual in place.  A failing level re-raises with every
     step taken so far, labelled as in :class:`PeelTrace`.
     """
     steps: list[PeelStep] = []
-    parent = top
+    parent, P = top, top.coords
     level = 1
     while len(parent) > 1:
-        child = choose_child(a, parent)
+        child = choose_child(c, parent, P)
+        C = _coordinates(top, child)
         try:
-            steps.extend(_peel_level(a, parent, child, level))
+            steps.extend(_peel_level(c, xk, _Level(parent, P, child, C, len(c)), level))
         except DecompositionError as exc:
             partial = exc.trace.steps if exc.trace is not None else ()
             raise DecompositionError(
                 str(exc), PeelTrace(tuple(steps) + tuple(partial), strategy, dropped)
             ) from None
-        parent = child
+        parent, P = child, C
         level += 1
     return steps
 
@@ -457,13 +538,15 @@ def decompose(
     if chain is not None and chain.n_sites != n:
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
-    # One transform serves the support scan and the peel.
+    # One transform serves the support scan and the peel, which moves only
+    # the top group's entries.
     a = _traces(U, n)
     top = None
     if chain is None:
         top = _support(a, n)
         chain = SubgroupChain.automatic(top)
-    top_weight = _weight(a, chain.levels[0])
+    c, xk = _coefficients(a, chain.levels[0])
+    top_weight = float(np.vdot(c, c).real)
     if 1.0 - top_weight > PEEL_TOL:
         raise DecompositionError(
             f"input carries weight {1.0 - top_weight:.3e} outside the top group",
@@ -473,17 +556,19 @@ def decompose(
     children = iter(chain.levels[1:])
     strategy, dropped = "tower", None
     try:
-        steps = _peel_tower(a, chain.levels[0], lambda _a, _parent: next(children))
+        steps = _peel_tower(c, xk, chain.levels[0], lambda *_: next(children))
     except DecompositionError as exc:
         if top is None:
             raise
         # Re-choose each child to keep the most of the residual's weight.
         strategy, dropped = "heaviest", str(exc)
-        a = _traces(U, n)
-        steps = _peel_tower(a, top, _heaviest_maximal_subgroup, strategy, dropped)
+        c, xk = _coefficients(_traces(U, n), top)
+        steps = _peel_tower(
+            c, xk, top, lambda c, parent, P: _heaviest_maximal_subgroup(np.abs(c[P]) ** 2, parent),
+            strategy, dropped)
 
-    # a[0, 0] is the identity word's entry: Tr(U_res) / d.
-    phase = complex(a[0, 0])
+    # c[0] is the identity word's entry: Tr(U_res) / d.
+    phase = complex(c[0])
     phase /= abs(phase)
     factors = tuple(
         (s.word, s.angle) for s in reversed(steps) if abs(s.angle) > ZERO_ANGLE_TOL

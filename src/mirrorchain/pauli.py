@@ -22,10 +22,8 @@ A word M = i^{|x & z|} X^x Z^z, so its trace Tr(U M) is the entry at
 
 A word matrix is a signed permutation, so word exponentials are applied,
 never built densely or multiplied: :func:`apply_word_exponential` turns U
-into U exp(-i angle M) = cos(angle) U - i sin(angle) U M in place, from one
-column gather of U and one phase per column, and :func:`update_xz_traces`
-moves the traces of U to those of the product in place, by one row
-gather, one column gather and one phase per row.  Both are O(d^2).
+into U exp(-i angle M) = cos(angle) U - i sin(angle) U M in place, in
+O(d^2), from one column gather of U and one phase per column.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "apply_word_exponential",
     "word_trace",
     "xz_traces",
-    "update_xz_traces",
     "group_closure",
     "support_group",
     "maximal_subgroup",
@@ -290,27 +287,6 @@ def _walsh(a: np.ndarray) -> np.ndarray:
         hi *= -2.0
         hi += lo
     return a
-
-
-def update_xz_traces(a: np.ndarray, word: PauliString, angle: float) -> None:
-    """Turn a = xz_traces(U) into xz_traces(U @ exp(-i angle M)) in place, in O(d^2).
-
-    For the word's masks (x, z), Z^z X^X = (-1)^{|z & X|} X^X Z^z gives
-
-        a'[X, Z] = cos(angle) a[X, Z]
-                   - i sin(angle) i^{|x & z|} (-1)^{|z & X|} a[X ^ x, Z ^ z];
-
-    a is a complex array and may be scaled by any constant.
-    """
-    d = 1 << word.n_sites
-    if a.shape != (d, d):
-        raise ValueError(f"trace array shape {a.shape} does not match {word.n_sites} sites")
-    x, z = word.masks
-    j = np.arange(d)
-    moved = a[np.ix_(j ^ x, j ^ z)]
-    moved *= _factor_phases(word, angle)[:, None]
-    a *= math.cos(angle)
-    a += moved
 
 
 def _echelon(packed: Iterable[int]) -> tuple[list[int], list[int]]:

@@ -5,6 +5,7 @@ its coefficient table, cross weights, peel angles, and residuals are all
 known in closed form, so every stage of the peel can be pinned exactly.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -14,15 +15,17 @@ import pytest
 from mirrorchain import decompose as decompose_module
 from mirrorchain import pauli as pauli_module
 from mirrorchain.chain import MIRROR_TIME, ChainSpec, chain_propagator
+from mirrorchain.cli import main
 from mirrorchain.decompose import (
     STALL_TOL,
     DecompositionError,
     ProductDecomposition,
-    _candidates,
+    _coefficients,
+    _coordinates,
     _heaviest_maximal_subgroup,
+    _Level,
+    _rotate,
     _stationary_angle,
-    _weight,
-    _weight_terms,
     closed_form,
     decompose,
     expand,
@@ -41,6 +44,7 @@ from mirrorchain.pauli import (
     maximal_subgroup,
     pauli_matrix,
     support_group,
+    word_exponential,
     word_trace,
     xz_traces,
 )
@@ -61,10 +65,26 @@ def random_unitary(rng, d: int) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def level_terms(a, top, parent, child):
+    """The peel kernel's (B, W) for every candidate of the level parent > child,
+    on top's coefficient vector of the trace array a."""
+    c, _ = _coefficients(a, top)
+    lv = _Level(parent, _coordinates(top, parent), child, _coordinates(top, child), len(c))
+    return lv.terms(c, lv.weight(c))
+
+
 def weight_terms(a, words, child):
-    """_weight_terms over candidates given as word objects."""
-    xs, zs = (np.array(v, dtype=np.int64) for v in zip(*(w.masks for w in words)))
-    return _weight_terms(a, _candidates(xs, zs), child)
+    """The peel kernel's (B, W) for the candidate words, over the group they span with child."""
+    parent = group_closure(list(words) + list(child.sorted_elements), child.n_sites)
+    B, W = level_terms(a, parent, parent, child)
+    candidates = [D for D in parent if D not in child]
+    pick = [candidates.index(w) for w in words]
+    return B[pick], W[pick]
+
+
+def child_weight(a, group):
+    """The weight of the trace array a on the group's words."""
+    return float(np.sum(np.abs(a[group.xs, group.zs]) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +157,11 @@ class TestWValue:
                             # one level down both survivors tie
                             (g2, {"XZZX": -0.25, "YZZY": -0.25})):
             words = [P(w) for w in want]
-            _, W = weight_terms(a, words, child)
-            for word, got in zip(words, W):
+            # XZZX lies in g1, so it is no candidate there: only the oracle reads it.
+            candidates = [w for w in words if w not in child]
+            for word, got in zip(candidates, weight_terms(a, candidates, child)[1]):
                 assert got == pytest.approx(want[word.letters], abs=1e-12)
+            for word in words:
                 _, _, oracle = weight_terms_oracle(mirror4, word, child)
                 assert oracle == pytest.approx(want[word.letters], abs=1e-12)
 
@@ -179,7 +201,7 @@ class TestOptimalAngle:
             U = random_unitary(rng, 4)
             D = P("ZI")
             a = xz_traces(U) / 4
-            A = _weight(a, child)
+            A = child_weight(a, child)
             (B,), (W,) = weight_terms(a, [D], child)
             if math.hypot(0.5 * (A - B), W) < STALL_TOL:
                 continue
@@ -234,9 +256,9 @@ def test_coefficient_slices_match_the_per_word_oracle(n):
         assert got.keys() == want.keys()
         assert all(abs(got[w] - want[w]) <= 1e-12 for w in want)
         a = xz_traces(U) / U.shape[0]
-        assert _weight(a, parent) == pytest.approx(
+        assert child_weight(a, parent) == pytest.approx(
             sum(abs(c) ** 2 for c in want.values()), abs=1e-12)
-        A_got = _weight(a, child)
+        A_got = child_weight(a, child)
         candidates = [D for D in parent if D not in child]
         for D, B_got, W_got in zip(candidates, *weight_terms(a, candidates, child)):
             A, B, W = weight_terms_oracle(U, D, child)
@@ -265,24 +287,73 @@ def reference_weight_terms(a, words, child):
     return B, W, (popcount(dz & cx) & 1).any()
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_weight_terms_match_the_pair_reference(n):
+    # Levels below a larger top group, as the peel meets them: index-two
+    # children (B = weight(parent) - A), index-four ones (a chain that skips a
+    # rank) and the identity child, whose cosets all differ in B.  The complete
+    # group at n = 5 takes 2^18 pairs per level, so its tables come in blocks.
     rng = np.random.default_rng(80 + n)
-    groups = [PauliGroup.complete(n)] + [
-        group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
-                       for _ in range(n + 2)], n) for _ in range(6)]
+    groups = [group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
+                             for _ in range(n + 2)], n) for _ in range(6)]
+    if n <= 5:
+        groups.insert(0, PauliGroup.complete(n))
+    top = group_closure([w for g in groups for w in g.sorted_elements], n)
     odd = False
     for parent in groups:
         if len(parent) == 1:
             continue
         a = xz_traces(random_unitary(rng, 1 << n)) / (1 << n)
-        for child in (maximal_subgroup(parent), PauliGroup.identity_group(n)):
+        children = [maximal_subgroup(parent), PauliGroup.identity_group(n)]
+        if len(parent) >= 4:
+            children.append(maximal_subgroup(children[0]))
+        for child in children:
             words = [D for D in parent if D not in child]
             B, W, has_odd = reference_weight_terms(a, words, child)
-            got_B, got_W = weight_terms(a, words, child)
+            got_B, got_W = level_terms(a, top, parent, child)
             assert np.abs(got_B - B).max() <= 1e-15 and np.abs(got_W - W).max() <= 1e-15
             odd |= has_odd
     assert odd
+
+
+def test_pair_blocks_stay_within_the_memory_bound():
+    # Candidate-child pairs come in blocks of at most 2^16, and a level keeps
+    # its tables only when one block holds them all.
+    top = PauliGroup.complete(5)
+    c, _ = _coefficients(xz_traces(random_unitary(np.random.default_rng(49), 32)) / 32, top)
+    kept = []
+    for child in (maximal_subgroup(top), maximal_subgroup(maximal_subgroup(top)),
+                  PauliGroup.identity_group(5)):
+        lv = _Level(top, top.coords, child, _coordinates(top, child), len(c))
+        lv.terms(c, lv.weight(c))
+        sizes = [pairs.size for _, pairs, _ in lv._tables()]
+        assert max(sizes) <= 1 << 16 and sum(sizes) == len(lv.K) * len(child)
+        assert (lv.tables is not None) == (len(sizes) == 1)
+        kept.append(lv.tables is not None)
+    assert kept == [False, False, True]
+
+
+def test_coefficient_update_matches_transform_of_the_product():
+    # One factor moves the group's coefficient vector in O(|G|); on the group
+    # it must agree with the transform of the dense product, for every n <= 6.
+    rng = np.random.default_rng(90)
+    for n in range(1, 7):
+        d = 1 << n
+        groups = [group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
+                                 for _ in range(int(rng.integers(1, n + 3)))], n)
+                  for _ in range(6)]
+        if n <= 4:
+            groups.append(PauliGroup.complete(n))
+        for G in groups:
+            U = random_unitary(rng, d)
+            c, xk = _coefficients(xz_traces(U) / d, G)
+            for _ in range(3):
+                i = int(rng.integers(len(G)))
+                word, theta = G.sorted_elements[i], float(rng.uniform(-math.pi, math.pi))
+                _rotate(c, xk, int(G.coords[i]), *word.masks, theta)
+                U = U @ word_exponential(word, theta)
+                want = xz_traces(U)[G.xs, G.zs] / d
+                assert np.abs(c[G.coords] - want).max() <= 1e-12, (G, word)
 
 
 class TestPeelLevel:
@@ -618,6 +689,77 @@ def test_peel_applies_word_exponentials_only_to_reconstruct(monkeypatch, kind, n
     assert calls == list(dec.words)
 
 
+@pytest.mark.parametrize("kind, n, transforms", [
+    ("engineered", 6, 1), ("seeded", 5, 1), ("fallback", 5, 2)])
+def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
+    # One trace transform per peel strategy.  Each factor moves only the top
+    # group's coefficient vector, never a d x d array, and dense word
+    # exponentials run only inside reconstruct(), once per output factor.
+    U = peel_input(kind, n)
+    top = len(support_group(U))
+    counts = dict.fromkeys(
+        ("xz_traces", "rotate", "reconstruct", "exponential", "exponential outside"), 0)
+    moved = []  # (transforms so far, length of the vector moved) per factor
+    active = []  # the counted calls now running, outermost first
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "exponential" and "reconstruct" not in active:
+                counts["exponential outside"] += 1
+            if name == "rotate":
+                moved.append((counts["xz_traces"], len(args[0])))
+            active.append(name)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+        return wrapper
+
+    monkeypatch.setattr(decompose_module, "xz_traces", counted("xz_traces", xz_traces))
+    monkeypatch.setattr(decompose_module, "_rotate", counted("rotate", _rotate))
+    monkeypatch.setattr(decompose_module, "reconstruct", counted("reconstruct", reconstruct))
+    monkeypatch.setattr(decompose_module, "apply_word_exponential",
+                        counted("exponential", apply_word_exponential))
+    dec, trace = decompose(U)
+    assert trace.strategy == ("heaviest" if kind == "fallback" else "tower")
+    assert counts["xz_traces"] == transforms
+    assert counts["exponential"] == len(dec.factors) > 0
+    assert counts["exponential outside"] == 0
+    # the stalled tower's factors, if any, moved the vector of the first transform
+    assert {size for _, size in moved} == {top} and top < len(U) ** 2
+    assert sum(t == transforms for t, _ in moved) == len(trace.steps)
+
+
+@pytest.mark.parametrize("case", ["trivial", "one-site", "skip-rank", "fallback"])
+def test_edge_inputs_reconstruct(tmp_path, mirror4, hand_tower4, case):
+    # Each input reaches a boundary of the coefficient-vector peel; the dense
+    # reconstruction of what it returns must give the input back.
+    if case == "trivial":
+        # At tau = 0 the top group is {identity}: no level runs, and the
+        # phase is the vector's one entry.
+        out = tmp_path / "dec.json"
+        assert main(["-q", "decompose", "--engineered", "3", "--tau", "0", "-o", str(out)]) == 0
+        dec = ProductDecomposition.from_json(json.loads(out.read_text())["decomposition"])
+        U = np.eye(8, dtype=complex)
+        assert dec.factors == () and dec.global_phase == 1.0
+    elif case == "one-site":
+        U = random_unitary(np.random.default_rng(48), 2)
+        dec, _ = decompose(U)
+    elif case == "skip-rank":
+        # The first child has index four, so B is summed per coset.
+        levels = hand_tower4.levels
+        U = mirror4
+        dec, trace = decompose(U, SubgroupChain((levels[0],) + levels[2:]))
+        assert 2 * len(levels[2]) < len(levels[0])
+        assert trace.steps[0].level == 1
+    else:
+        U = peel_input("fallback", 5)
+        dec, trace = decompose(U)
+        assert trace.strategy == "heaviest"
+    assert np.abs(reconstruct(dec) - U).max() <= 1e-9
+
+
 def test_heaviest_maximal_subgroup_against_every_functional():
     # each index-two subgroup of G is the kernel of g -> parity(g & v) for
     # some packed mask v, so scanning all 4^n masks finds the heaviest one
@@ -636,7 +778,7 @@ def test_heaviest_maximal_subgroup_against_every_functional():
             kernel = [w for w in G if not ((w.masks[0] << n | w.masks[1]) & v).bit_count() & 1]
             if len(kernel) < len(G):
                 best = max(best, sum(weight[w] for w in kernel))
-        chosen = _heaviest_maximal_subgroup(xz_traces(U) / d, G)
+        chosen = _heaviest_maximal_subgroup(np.abs(xz_traces(U)[G.xs, G.zs] / d) ** 2, G)
         assert chosen.is_subgroup_of(G) and 2 * len(chosen) == len(G)
         assert sum(weight[w] for w in chosen) == pytest.approx(best, abs=1e-12)
 
@@ -659,13 +801,14 @@ def test_heaviest_maximal_subgroup_breaks_ties_in_mask_order():
     first = min(v for v, k in kept.items() if k >= best - STALL_TOL)
     assert first == 680 and kept[680] == kept[1020] == best
     want = frozenset(w for w, c in zip(G.sorted_elements, coords) if not (first & c).bit_count() & 1)
-    assert _heaviest_maximal_subgroup(a, G).elements == want
+    assert _heaviest_maximal_subgroup(np.abs(a[G.xs, G.zs]) ** 2, G).elements == want
 
     # Within STALL_TOL counts as a tie too: {II, ZZ} is the kernel of the
     # first functional and keeps 5e-13 less than {II, XX}, the second.
     a = np.zeros((4, 4), dtype=complex)
     a[3, 3], a[0, 3], a[3, 0] = math.sqrt(0.2), math.sqrt(0.4), math.sqrt(0.4 + 5e-13)
-    chosen = _heaviest_maximal_subgroup(a, group_closure([P("XX"), P("ZZ")]))
+    G = group_closure([P("XX"), P("ZZ")])
+    chosen = _heaviest_maximal_subgroup(np.abs(a[G.xs, G.zs]) ** 2, G)
     assert set(chosen) == {P("II"), P("ZZ")}
 
 

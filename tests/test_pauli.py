@@ -23,7 +23,6 @@ from mirrorchain.pauli import (
     maximal_subgroup,
     pauli_matrix,
     support_group,
-    update_xz_traces,
     word_exponential,
     word_trace,
     xz_traces,
@@ -283,7 +282,7 @@ class TestWordTrace:
 
 
 class TestWordExponentialKernel:
-    """The O(d^2) signed-permutation kernels against kron-built exponentials."""
+    """The O(d^2) signed-permutation kernel against kron-built exponentials."""
 
     def test_kernel_matches_kron_oracle(self):
         rng = np.random.default_rng(71)
@@ -295,24 +294,11 @@ class TestWordExponentialKernel:
             assert np.abs(U - want).max() <= 1e-12, w
             assert np.abs(word_exponential(w, theta) - kron_exponential(w, theta)).max() <= 1e-12
 
-    def test_trace_update_matches_transform_of_the_product(self):
-        rng = np.random.default_rng(72)
-        phases = {n: word_phases(1 << n) for n in range(1, 7)}
-        for w in kernel_words():
-            theta = float(rng.uniform(-math.pi, math.pi))
-            U = random_matrix(rng, 1 << w.n_sites)
-            a = xz_traces(U)
-            update_xz_traces(a, w, theta)
-            want = pauli_coefficients(U @ kron_exponential(w, theta))
-            assert np.abs(a * phases[w.n_sites] - want).max() <= 1e-12, w
-
     def test_kernels_reject_mismatched_sizes(self):
         w = PauliString("XZ")
         for bad in (np.eye(8), np.eye(2), np.ones(4)):
             with pytest.raises(ValueError):
                 apply_word_exponential(bad, w, 0.3)
-            with pytest.raises(ValueError):
-                update_xz_traces(bad, w, 0.3)
 
 
 class TestGroups:
