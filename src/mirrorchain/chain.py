@@ -232,14 +232,6 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(H)
     _check_phases(evals, float(t))
-    if evecs.dtype.kind == "f":
-        # A real symmetric H has real eigenvectors V, and two real products
-        # V cos V^T and V sin V^T cost about half of one complex product.
-        phases = -float(t) * evals
-        u = np.empty(evecs.shape, dtype=complex)
-        u.real = (evecs * np.cos(phases)) @ evecs.T
-        u.imag = (evecs * np.sin(phases)) @ evecs.T
-        return u
     phases = np.exp(-1j * float(t) * evals)
     return (evecs * phases) @ evecs.conj().T
 

@@ -254,6 +254,8 @@ def _coordinates(top: PauliGroup, group: PauliGroup) -> np.ndarray:
     A maximal subgroup keeps a prefix of the basis, and with it the
     coordinates.  Raises ValueError unless group lies in top.
     """
+    if group.n_sites != top.n_sites:
+        raise ValueError("child must be a strictly smaller subgroup of parent")
     r = len(top.basis)
     if group.basis == top.basis[:len(group.basis)]:
         return group.coords
@@ -288,8 +290,7 @@ class _Level:
     in canonical order, and `size` the vector's length.  The candidates are
     the parent's elements outside the child, in canonical order: K holds
     their coordinates and (dx, dz) their masks.  Candidate-child pairs are
-    taken in blocks of about 2^16, so memory stays bounded; when one block
-    holds them all, its tables are built once and kept for every pass.
+    taken in blocks of about 2^16, so memory stays bounded.
     """
 
     def __init__(self, parent: PauliGroup, P: np.ndarray, child: PauliGroup,
@@ -305,7 +306,6 @@ class _Level:
         self.index2 = 2 * len(C) == len(P)
         self.dx, self.dz = parent.xs[outside], parent.zs[outside]
         self.rows = max(1, (1 << 16) // len(C))
-        self.tables = list(self._tables()) if len(self.K) <= self.rows else None
 
     def _tables(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
         """Per block: its candidate slice, the coordinates K ^ C of every product
@@ -338,7 +338,7 @@ class _Level:
         else:
             B = np.empty(len(self.K))
         conj_cw = c[self.C].conj()
-        for s, pairs, phase in self.tables or self._tables():
+        for s, pairs, phase in self._tables():
             c_m = c[pairs]
             if not self.index2:
                 B[s] = np.sum(c_m.real ** 2 + c_m.imag ** 2, axis=1)

@@ -174,7 +174,7 @@ def test_field_offset_keeps_vacuum_static():
 
 
 def test_propagator_against_expm():
-    # complex Hermitian input, then real symmetric input, which takes real products
+    # complex Hermitian input, then real symmetric input
     rng = np.random.default_rng(32)
     for k in range(40):
         d = int(rng.integers(2, 9))

@@ -317,20 +317,18 @@ def test_weight_terms_match_the_pair_reference(n):
 
 
 def test_pair_blocks_stay_within_the_memory_bound():
-    # Candidate-child pairs come in blocks of at most 2^16, and a level keeps
-    # its tables only when one block holds them all.
+    # Candidate-child pairs come in blocks of at most 2^16.
     top = PauliGroup.complete(5)
     c, _ = _coefficients(xz_traces(random_unitary(np.random.default_rng(49), 32)) / 32, top)
-    kept = []
+    blocks = []
     for child in (maximal_subgroup(top), maximal_subgroup(maximal_subgroup(top)),
                   PauliGroup.identity_group(5)):
         lv = _Level(top, top.coords, child, _coordinates(top, child), len(c))
         lv.terms(c, lv.weight(c))
         sizes = [pairs.size for _, pairs, _ in lv._tables()]
         assert max(sizes) <= 1 << 16 and sum(sizes) == len(lv.K) * len(child)
-        assert (lv.tables is not None) == (len(sizes) == 1)
-        kept.append(lv.tables is not None)
-    assert kept == [False, False, True]
+        blocks.append(len(sizes))
+    assert blocks[0] > 1 and blocks[1] > 1 and blocks[2] == 1
 
 
 def test_coefficient_update_matches_transform_of_the_product():
@@ -409,6 +407,10 @@ class TestPeelLevel:
         with pytest.raises(ValueError):
             peel_level(np.eye(4, dtype=complex),
                        group_closure([P("XX")]), group_closure([P("ZZ")]))
+        # A one-site X packs like a two-site ZI: the site counts must match.
+        with pytest.raises(ValueError):
+            peel_level(np.eye(4, dtype=complex),
+                       PauliGroup.complete(2), group_closure([P("X")]))
 
 
 class TestDecomposeMirror4:
