@@ -232,8 +232,12 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("matrix is not Hermitian")
     evals, evecs = np.linalg.eigh(H)
     _check_phases(evals, float(t))
-    phases = np.exp(-1j * float(t) * evals)
-    return (evecs * phases) @ evecs.conj().T
+    return _evolve(evals, evecs, float(t))
+
+
+def _evolve(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) from H's eigenvalues and eigenvector columns."""
+    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
 
 
 def chain_propagator(spec: ChainSpec, tau: float) -> np.ndarray:
@@ -347,7 +351,7 @@ def _mirror_check_direct(
     tau: float, evals: np.ndarray, evecs: np.ndarray
 ) -> SpectralReport:
     """Degenerate fallback: test the propagator itself with :func:`_mirror_phase`."""
-    w = _mirror_phase((evecs * np.exp(-1j * float(tau) * evals)) @ evecs.conj().T)
+    w = _mirror_phase(_evolve(evals, evecs, float(tau)))
     return SpectralReport(
         mirror_time=float(tau),
         eigenvalues=tuple(float(e) for e in evals),

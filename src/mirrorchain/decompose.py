@@ -41,8 +41,7 @@ built and no dense product runs.  Each level maps its parent, child and
 candidates to coordinate arrays once.  At an index-two level every
 candidate lies in the one coset parent - child, so B = weight(parent) - A.
 The identity has coordinates 0, so the global phase g is the final
-``c[0] = Tr(U_res) / 2^n``.  Only the adaptive fallback, which restarts
-from the input, transforms it again.
+``c[0] = Tr(U_res) / 2^n``.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from .pauli import (
     _json_object,
     _support,
     _walsh,
+    _xor_span,
     apply_word_exponential,
     xz_traces,
 )
@@ -85,8 +85,8 @@ __all__ = [
     "gate_fidelity",
 ]
 
-#: Maximum tolerated weight leakage (1 - child-group norm) after a level.
-PEEL_TOL = 1e-9
+#: Maximum weight a level leaves outside its child (input weight - child norm).
+PEEL_TOL = 1e-12
 #: Below this, cross terms / gains count as exactly zero.
 STALL_TOL = 1e-12
 #: Required overlap between the reassembled product and the input.
@@ -254,18 +254,13 @@ def _coordinates(top: PauliGroup, group: PauliGroup) -> np.ndarray:
     A maximal subgroup keeps a prefix of the basis, and with it the
     coordinates.  Raises ValueError unless group lies in top.
     """
-    if group.n_sites != top.n_sites:
-        raise ValueError("child must be a strictly smaller subgroup of parent")
     r = len(top.basis)
-    if group.basis == top.basis[:len(group.basis)]:
+    if group.n_sites == top.n_sites and group.basis == top.basis[:len(group.basis)]:
         return group.coords
     basis, coords = _echelon(top.basis + group.basis)
-    if len(basis) > r:
+    if group.n_sites != top.n_sites or len(basis) > r:
         raise ValueError("child must be a strictly smaller subgroup of parent")
-    table = np.zeros(1, dtype=np.int64)
-    for k in coords[r:]:
-        table = np.concatenate([table, table ^ k])
-    return table[group.coords]
+    return _xor_span(coords[r:])[group.coords]
 
 
 def _rotate(c: np.ndarray, xk: np.ndarray, K: int, x: int, z: int, angle: float) -> None:
@@ -392,15 +387,16 @@ def peel_level(
     in the child's span).
     """
     U = np.array(U, dtype=complex)
-    c, xk = _coefficients(_traces(U, parent.n_sites), parent)
+    c, xk = _coefficients(a := _traces(U, parent.n_sites), parent)
     lv = _Level(parent, parent.coords, child, _coordinates(parent, child), len(c))
-    steps = _peel_level(c, xk, lv, level)
+    steps = _peel_level(c, xk, lv, level, float(np.vdot(a, a).real))
     for s in steps:
         apply_word_exponential(U, s.word, -s.angle)
     return U, steps
 
 
-def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int) -> tuple[PeelStep, ...]:
+def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int,
+                weight: float) -> tuple[PeelStep, ...]:
     """:func:`peel_level` on the top group's coefficient vector c, updated in place.
 
     Each factor moves c in O(|G|) (:func:`_rotate`), so c keeps matching
@@ -412,7 +408,7 @@ def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int) -> tuple[
     A = lv.weight(c)
 
     for _ in range(max_passes):
-        if 1.0 - A <= PEEL_TOL:
+        if weight - A <= PEEL_TOL:
             return tuple(steps)
 
         Bs, Ws = (v.tolist() for v in lv.terms(c, A))
@@ -491,6 +487,7 @@ def _peel_tower(
     c: np.ndarray,
     xk: np.ndarray,
     top: PauliGroup,
+    weight: float,
     choose_child: Callable[[np.ndarray, PauliGroup, np.ndarray], PauliGroup],
     strategy: str = "tower",
     dropped: str | None = None,
@@ -509,7 +506,7 @@ def _peel_tower(
         child = choose_child(c, parent, P)
         C = _coordinates(top, child)
         try:
-            steps.extend(_peel_level(c, xk, _Level(parent, P, child, C, len(c)), level))
+            steps.extend(_peel_level(c, xk, _Level(parent, P, child, C, len(c)), level, weight))
         except DecompositionError as exc:
             partial = exc.trace.steps if exc.trace is not None else ()
             raise DecompositionError(
@@ -538,34 +535,34 @@ def decompose(
     if chain is not None and chain.n_sites != n:
         raise ValueError(f"chain is over {chain.n_sites} sites, matrix over {n}")
 
-    # One transform serves the support scan and the peel, which moves only
-    # the top group's entries.
+    # One transform serves the support scan and both peel strategies, which
+    # move copies of the top group's entries and leave a as it is.
     a = _traces(U, n)
+    weight = float(np.vdot(a, a).real)  # ||U||^2 / d: 1 to within the unitarity check
     top = None
     if chain is None:
         top = _support(a, n)
         chain = SubgroupChain.automatic(top)
     c, xk = _coefficients(a, chain.levels[0])
     top_weight = float(np.vdot(c, c).real)
-    if 1.0 - top_weight > PEEL_TOL:
+    if weight - top_weight > PEEL_TOL:
         raise DecompositionError(
-            f"input carries weight {1.0 - top_weight:.3e} outside the top group",
+            f"input carries weight {weight - top_weight:.3e} outside the top group",
             PeelTrace(()),
         )
 
     children = iter(chain.levels[1:])
     strategy, dropped = "tower", None
     try:
-        steps = _peel_tower(c, xk, chain.levels[0], lambda *_: next(children))
+        steps = _peel_tower(c, xk, chain.levels[0], weight, lambda *_: next(children))
     except DecompositionError as exc:
         if top is None:
             raise
         # Re-choose each child to keep the most of the residual's weight.
         strategy, dropped = "heaviest", str(exc)
-        c, xk = _coefficients(_traces(U, n), top)
-        steps = _peel_tower(
-            c, xk, top, lambda c, parent, P: _heaviest_maximal_subgroup(np.abs(c[P]) ** 2, parent),
-            strategy, dropped)
+        c, xk = _coefficients(a, top)
+        steps = _peel_tower(c, xk, top, weight, lambda c, parent, P: _heaviest_maximal_subgroup(
+            np.abs(c[P]) ** 2, parent), strategy, dropped)
 
     # c[0] is the identity word's entry: Tr(U_res) / d.
     phase = complex(c[0])

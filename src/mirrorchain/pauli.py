@@ -9,11 +9,12 @@ is kept.
 Internally a word is also viewed as a pair of bit masks (x, z) with site 1
 at the most significant bit, so that phase-free multiplication is XOR and
 every group generated by words is an F2-linear span.  A :class:`PauliGroup`
-is mask arrays in canonical order, the reduced basis of one elimination
-(:func:`_echelon`) and each element's coordinates over it.  Closures span a
-basis by XOR doubling; a maximal subgroup keeps the rows whose coordinates
-lack the last basis vector, with the basis prefix, so a whole tower is
-eliminated once.
+is mask arrays in canonical order, a reduced basis (:func:`_echelon`) and
+each element's coordinates over it.  Canonical order sorts on letter codes
+(z, x ^ z) linear in the masks, so the element at position i is the product
+of those at positions 2^j for the bits j of i: the basis is read off those r
+elements, whose coordinates XOR-double to every element's.  A maximal
+subgroup is the first half of its parent's arrays, so a tower is views of its top.
 
 :func:`xz_traces` is the one all-words transform: the phase-free traces
 Tr(U X^x Z^z) of a matrix U as one array indexed ``[x, z]`` by those masks.
@@ -328,42 +329,34 @@ def _canonical_order(xs: np.ndarray, zs: np.ndarray, n_sites: int) -> np.ndarray
 class PauliGroup:
     """A set of words closed under phase-free multiplication, held as arrays:
     ``xs`` and ``zs`` are the elements' masks in canonical order, ``basis``
-    is :func:`_echelon`'s reduced basis of the packed elements x << n | z in
-    that order and ``coords`` their coordinates over it.  The word views
-    ``sorted_elements`` and ``elements`` are built only when asked for."""
+    is the reduced basis that eliminating the packed elements x << n | z in
+    that order gives and ``coords`` their coordinates over it.  The word
+    views ``sorted_elements`` and ``elements`` are built only when asked for."""
 
     def __init__(self, n_sites: int, elements: Iterable[PauliString]) -> None:
         words = frozenset(elements)
-        if not words:
-            raise ValueError("a group needs at least the identity")
-        if any(e.n_sites != n_sites for e in words):
-            raise ValueError("mixed site counts in group elements")
-        self._fill(n_sites, *np.array([e.masks for e in words], dtype=_mask_dtype(n_sites)).T)
-        if self.xs[0] | self.zs[0]:  # the identity sorts first
-            raise ValueError("group is missing the identity word")
-        if len(words) != 1 << len(self.basis):
-            raise ValueError(
-                f"{len(words)} elements do not form a closed group "
-                f"(span has {1 << len(self.basis)})"
-            )
+        span = group_closure(words, n_sites)
+        # The words lie in their span, so they are all of it when the sizes agree.
+        if len(words) != len(span):
+            raise ValueError(f"{len(words)} words are not a closed group (span has {len(span)})")
+        self.__dict__.update(vars(span))
 
     @classmethod
-    def _of(cls, *arrays) -> "PauliGroup":
-        """The group of the words (xs, zs), unchecked; see :meth:`_fill`."""
-        return cls.__new__(cls)._fill(*arrays)
-
-    def _fill(self, n_sites: int, xs: np.ndarray, zs: np.ndarray,
-              basis: tuple[int, ...] | None = None,
-              coords: np.ndarray | None = None) -> "PauliGroup":
-        """Sort the words into canonical order and eliminate them once, unless
-        basis and coords are given, for words already in canonical order."""
+    def _of(cls, n_sites: int, xs: np.ndarray, zs: np.ndarray,
+            basis: tuple[int, ...] | None = None,
+            coords: np.ndarray | None = None) -> "PauliGroup":
+        """The group of the words (xs, zs), unchecked: sorted into canonical
+        order, with its basis read off the words at positions 2^j, unless basis
+        and coords are given, for words already in order."""
         if basis is None:
             order = _canonical_order(xs, zs, n_sites)
             xs, zs = xs[order], zs[order]
-            basis, coords = _echelon(x << n_sites | z for x, z in zip(xs.tolist(), zs.tolist()))
-        coords = np.asarray(coords, dtype=np.int64)
+            at = [1 << j for j in range(len(xs).bit_length() - 1)]
+            basis, coords = _echelon((xs[at].astype(object) << n_sites | zs[at]).tolist())
+            coords = _xor_span(coords)
         for v in (xs, zs, coords):
             v.flags.writeable = False
+        self = cls.__new__(cls)
         self.__dict__.update(n_sites=n_sites, xs=xs, zs=zs, basis=tuple(basis), coords=coords)
         return self
 
@@ -421,14 +414,20 @@ class PauliGroup:
         return _span(n_sites, (1 << b for b in range(2 * n_sites)))
 
 
+def _xor_span(gens: Iterable[int], dtype: type = np.int64) -> np.ndarray:
+    """The XOR of every subset of gens: entry i combines gens[j] for the bits j of i."""
+    out = np.zeros(1, dtype=dtype)
+    for g in gens:
+        out = np.concatenate([out, out ^ g])
+    return out
+
+
 def _span(n_sites: int, packed: Iterable[int]) -> PauliGroup:
-    """The group of every product of the packed words x << n | z: their
-    echelon basis, spanned by XOR doubling of the mask arrays."""
-    xs = zs = np.zeros(1, dtype=_mask_dtype(n_sites))
-    low = (1 << n_sites) - 1
-    for v in _echelon(packed)[0]:
-        xs, zs = np.concatenate([xs, xs ^ (v >> n_sites)]), np.concatenate([zs, zs ^ (v & low)])
-    return PauliGroup._of(n_sites, xs, zs)
+    """The group of every product of the packed words x << n | z: the XOR
+    span of their echelon basis."""
+    basis, dtype, low = _echelon(packed)[0], _mask_dtype(n_sites), (1 << n_sites) - 1
+    return PauliGroup._of(n_sites, _xor_span((v >> n_sites for v in basis), dtype),
+                          _xor_span((v & low for v in basis), dtype))
 
 
 def group_closure(
@@ -488,14 +487,14 @@ def maximal_subgroup(G: PauliGroup) -> PauliGroup:
     """A proper subgroup of G of index two.
 
     The choice is deterministic: it is spanned by the first rank(G) - 1
-    independent elements in canonical string order, i.e. it holds the
-    elements whose echelon coordinates lack the last basis vector.
+    independent elements in canonical string order.  Those are the first
+    half of G's elements, with the basis prefix and the same coordinates,
+    so the subgroup is views of G's arrays and a tower shares its top's.
     """
     if len(G) == 1:
         raise ValueError("the identity group has no proper subgroup")
-    r = len(G.basis) - 1
-    keep = G.coords < 1 << r
-    return PauliGroup._of(G.n_sites, G.xs[keep], G.zs[keep], G.basis[:r], G.coords[keep])
+    half = len(G) // 2
+    return PauliGroup._of(G.n_sites, G.xs[:half], G.zs[:half], G.basis[:-1], G.coords[:half])
 
 
 @dataclass(frozen=True)

@@ -620,10 +620,10 @@ def test_peel_builds_words_only_for_its_factors(monkeypatch):
     assert len(built) <= len(trace.steps) + len(dec.factors)
 
 
-@pytest.mark.parametrize("source, transforms", [("engineered", 1), ("fallback", 2)])
+@pytest.mark.parametrize("source, transforms", [("engineered", 1), ("fallback", 1)])
 def test_boundary_work_runs_once(monkeypatch, mirror4, source, transforms):
     # One unitarity check and one trace transform serve the support scan and
-    # the peel; only the fallback, which restarts from the input, transforms again.
+    # the peel; the fallback restarts from the same trace array.
     if source == "engineered":
         U = mirror4
     else:
@@ -639,6 +639,53 @@ def test_boundary_work_runs_once(monkeypatch, mirror4, source, transforms):
             monkeypatch.setattr(module, name, counted)
     decompose(U)
     assert calls == {"_as_unitary": 1, "xz_traces": transforms}
+
+
+@pytest.mark.parametrize("source", ["engineered-5", "unitary-4"])
+def test_only_the_support_scan_eliminates_long_inputs(monkeypatch, source):
+    # Groups read their basis off rank-many sorted words and a tower's levels
+    # are prefixes of its top, so the one elimination handed more than
+    # 2 rank vectors is the span of the scanned support words.
+    if source == "engineered-5":
+        spec = ChainSpec.engineered(5)
+    else:
+        spec = ChainSpec(tuple(np.random.default_rng(4).uniform(0.5, 1.5, 3)), (0.0,) * 4)
+    U = chain_propagator(spec, MIRROR_TIME)
+    scanned = int(np.count_nonzero(np.abs(xz_traces(U) / len(U)) > 1e-10))
+    rank = len(support_group(U).basis)
+    sizes = []
+
+    def counted(vectors, _original=pauli_module._echelon):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return _original(vectors)
+
+    for module in (pauli_module, decompose_module):
+        monkeypatch.setattr(module, "_echelon", counted)
+    decompose(U)
+    assert scanned > 2 * rank
+    assert [size for size in sizes if size > 2 * rank] == [scanned]
+
+
+def test_random_chain_reconstructs_to_rounding():
+    # Each level stops within PEEL_TOL = 1e-12 of the input's weight, so a
+    # random chain away from any mirror time reconstructs to rounding.
+    rng = np.random.default_rng(3)
+    U = chain_propagator(ChainSpec(tuple(rng.uniform(0.5, 1.5, 6)), (0.0,) * 7), 0.7)
+    dec, trace = decompose(U)
+    assert 1.0 - trace.fidelity <= 1e-12
+    assert 1.0 - gate_fidelity(reconstruct(dec), U) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1 - 4e-11, 1 + 4e-11])
+def test_inputs_within_the_unitarity_tolerance_decompose(scale):
+    # The unitarity check admits ||U||^2 / d about 1e-10 away from 1, more
+    # than PEEL_TOL, so the peel measures against the input's own weight.
+    U = chain_propagator(ChainSpec.engineered(5), MIRROR_TIME)
+    want, _ = decompose(U)
+    dec, trace = decompose(scale * U)
+    assert trace.strategy == "tower" and dec.words == want.words
+    assert np.allclose([a for _, a in dec.factors], [a for _, a in want.factors], atol=1e-9)
 
 
 PEEL_CASES = ([("engineered", n) for n in range(2, 9)]
@@ -692,16 +739,18 @@ def test_peel_applies_word_exponentials_only_to_reconstruct(monkeypatch, kind, n
 
 
 @pytest.mark.parametrize("kind, n, transforms", [
-    ("engineered", 6, 1), ("seeded", 5, 1), ("fallback", 5, 2)])
+    ("engineered", 6, 1), ("seeded", 5, 1), ("fallback", 5, 1)])
 def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
-    # One trace transform per peel strategy.  Each factor moves only the top
-    # group's coefficient vector, never a d x d array, and dense word
-    # exponentials run only inside reconstruct(), once per output factor.
+    # One trace transform, and one gather of its top-group entries per peel
+    # strategy.  Each factor moves only the top group's coefficient vector,
+    # never a d x d array, and dense word exponentials run only inside
+    # reconstruct(), once per output factor.
     U = peel_input(kind, n)
     top = len(support_group(U))
     counts = dict.fromkeys(
-        ("xz_traces", "rotate", "reconstruct", "exponential", "exponential outside"), 0)
-    moved = []  # (transforms so far, length of the vector moved) per factor
+        ("xz_traces", "coefficients", "rotate", "reconstruct", "exponential",
+         "exponential outside"), 0)
+    moved = []  # (gathers so far, length of the vector moved) per factor
     active = []  # the counted calls now running, outermost first
 
     def counted(name, fn):
@@ -710,7 +759,7 @@ def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
             if name == "exponential" and "reconstruct" not in active:
                 counts["exponential outside"] += 1
             if name == "rotate":
-                moved.append((counts["xz_traces"], len(args[0])))
+                moved.append((counts["coefficients"], len(args[0])))
             active.append(name)
             try:
                 return fn(*args)
@@ -719,6 +768,8 @@ def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
         return wrapper
 
     monkeypatch.setattr(decompose_module, "xz_traces", counted("xz_traces", xz_traces))
+    monkeypatch.setattr(decompose_module, "_coefficients",
+                        counted("coefficients", decompose_module._coefficients))
     monkeypatch.setattr(decompose_module, "_rotate", counted("rotate", _rotate))
     monkeypatch.setattr(decompose_module, "reconstruct", counted("reconstruct", reconstruct))
     monkeypatch.setattr(decompose_module, "apply_word_exponential",
@@ -726,11 +777,13 @@ def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
     dec, trace = decompose(U)
     assert trace.strategy == ("heaviest" if kind == "fallback" else "tower")
     assert counts["xz_traces"] == transforms
+    strategies = 2 if kind == "fallback" else 1
+    assert counts["coefficients"] == strategies
     assert counts["exponential"] == len(dec.factors) > 0
     assert counts["exponential outside"] == 0
-    # the stalled tower's factors, if any, moved the vector of the first transform
+    # the stalled tower's factors, if any, moved the vector of the first gather
     assert {size for _, size in moved} == {top} and top < len(U) ** 2
-    assert sum(t == transforms for t, _ in moved) == len(trace.steps)
+    assert sum(t == strategies for t, _ in moved) == len(trace.steps)
 
 
 @pytest.mark.parametrize("case", ["trivial", "one-site", "skip-rank", "fallback"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from mirrorchain.decompose import _heaviest_maximal_subgroup
 from mirrorchain.pauli import (
     LETTERS,
     PauliGroup,
@@ -533,3 +534,57 @@ class TestPackedGroups:
             g.xs[0] = 1
         assert hash(g) == hashed and g.elements == PauliGroup(2, g.elements).elements
         assert repr(g) == f"PauliGroup(n_sites=2, size=4, basis={g.basis})"
+
+
+def eliminate_every_element(G: PauliGroup) -> tuple[tuple[int, ...], list[int]]:
+    """The oracle for the basis read-off: one elimination over every element
+    of G in canonical (string) order, giving the basis and each element's
+    coordinates."""
+    basis, coords = _echelon(packed(w) for w in sorted(G.elements))
+    return tuple(basis), coords
+
+
+def assert_matches_elimination(G: PauliGroup) -> None:
+    basis, coords = eliminate_every_element(G)
+    assert G.basis == basis
+    assert G.coords.tolist() == coords
+    assert list(zip(G.xs.tolist(), G.zs.tolist())) == [w.masks for w in sorted(G.elements)]
+
+
+def assert_read_off_matches_oracle(G: PauliGroup, rng) -> None:
+    """G, every level of its automatic tower and a heaviest maximal subgroup
+    against the per-element elimination; each tower level is the first half
+    of its parent's arrays, as views of the top group's."""
+    assert_matches_elimination(G)
+    assert_matches_elimination(PauliGroup(G.n_sites, G.elements))
+    chain = SubgroupChain.automatic(G)
+    for parent, level in zip(chain.levels, chain.levels[1:]):
+        half = len(parent) // 2
+        assert level.basis == parent.basis[:-1]
+        for name in ("xs", "zs", "coords"):
+            view = getattr(level, name)
+            assert np.array_equal(view, getattr(parent, name)[:half])
+            assert np.shares_memory(view, getattr(G, name))
+        assert_matches_elimination(level)
+    if len(G) > 1:
+        assert_matches_elimination(_heaviest_maximal_subgroup(rng.random(len(G)), G))
+
+
+class TestBasisReadOff:
+    """Groups read their basis off the words at positions 2^j."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_group_of_up_to_three_words(self, n):
+        words = [PauliString("".join(t)) for t in itertools.product(LETTERS, repeat=n)]
+        rng = np.random.default_rng(19)
+        for k in range(4):
+            for seeds in itertools.combinations(words, k):
+                assert_read_off_matches_oracle(group_closure(seeds, n_sites=n), rng)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.text(alphabet=LETTERS, min_size=n, max_size=n), max_size=8))))
+    def test_drawn_generating_sets(self, drawn):
+        n, letters = drawn
+        G = group_closure([PauliString(w) for w in letters], n_sites=n)
+        assert_read_off_matches_oracle(G, np.random.default_rng(len(G)))
