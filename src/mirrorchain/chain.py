@@ -7,12 +7,14 @@ The chain Hamiltonian is
 
 which conserves the number k of '1' labels, so it is block diagonal over
 the N+1 excitation sectors, sector k holding the C(N, k) basis states
-with k excitations.  Each block is built by bit-flip indexing: the hopping
-term maps a basis state to the one with sites i and i+1 exchanged, with
-amplitude J_i, wherever the two sites differ, and the field adds h_i on
-every excited site.  `chain_propagator` exponentiates each block on its
-own, so its cost is sum_k C(N, k)^3 rather than (2^N)^3, and assembles
-the dense 2^N unitary for `decompose` and the demos.
+with k excitations.  `build_hamiltonian` fills the dense 2^N matrix once
+by bit-flip indexing over all basis indices: the hopping term maps a
+basis state to the one with sites i and i+1 exchanged, with amplitude
+J_i, wherever the two sites differ, and the field adds h_i on every
+excited site.  H is zero outside its sector blocks, so `chain_propagator`
+overwrites each block of a complex copy of H with its exponential: the
+cost is sum_k C(N, k)^3 rather than (2^N)^3, and the result is the dense
+2^N unitary for `decompose` and the demos.
 
 The chain is a free-fermion model, so the N x N one-excitation block
 alone fixes the whole evolution: sector block k holds the k x k minors of
@@ -49,7 +51,6 @@ __all__ = [
     "ChainSpec",
     "engineered_couplings",
     "excitation_sectors",
-    "sector_hamiltonians",
     "build_hamiltonian",
     "single_excitation_matrix",
     "propagator",
@@ -178,42 +179,24 @@ def excitation_sectors(n_sites: int) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(k == m) for m in range(n_sites + 1))
 
 
-def sector_hamiltonians(spec: ChainSpec) -> tuple[np.ndarray, ...]:
-    """The real symmetric block of H on each excitation sector.
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense 2^N x 2^N chain Hamiltonian (real, symmetric).
 
-    Block k is indexed by `excitation_sectors(N)[k]`.  Site i sits at bit
-    N-i of a basis index, and a 0 bit is an excited ('1') site.  A hop
-    keeps the sector, so its target is found in the same sorted indices.
+    Site i sits at bit N-i of a basis index, and a 0 bit is an excited
+    ('1') site: one array pass over the indices per coupling and per field.
     """
     n = spec.n_sites
     if n > MAX_DENSE_SITES:
         raise ValueError(f"{n} sites exceeds the dense cap of {MAX_DENSE_SITES}")
-    blocks = []
-    for idx in excitation_sectors(n):
-        H = np.zeros((len(idx), len(idx)))
-        cols = np.arange(len(idx))
-        for i, J in enumerate(spec.couplings, start=1):
-            hop = ((idx >> (n - i)) ^ (idx >> (n - i - 1))) & 1 == 1
-            H[np.searchsorted(idx, idx[hop] ^ (3 << (n - i - 1))), cols[hop]] += J
-        for i, h in enumerate(spec.fields, start=1):
-            excited = cols[(idx >> (n - i)) & 1 == 0]
-            H[excited, excited] += h
-        blocks.append(H)
-    return tuple(blocks)
-
-
-def _assemble(sectors: tuple[np.ndarray, ...], blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The dense 2^N matrix with the given block on each sector."""
-    d = sum(len(idx) for idx in sectors)
-    M = np.zeros((d, d), dtype=np.result_type(*blocks))
-    for idx, B in zip(sectors, blocks):
-        M[np.ix_(idx, idx)] = B
-    return M
-
-
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Dense 2^N x 2^N chain Hamiltonian (real, symmetric)."""
-    return _assemble(excitation_sectors(spec.n_sites), sector_hamiltonians(spec))
+    j = np.arange(1 << n)
+    H = np.zeros((1 << n, 1 << n))
+    for i, J in enumerate(spec.couplings, start=1):
+        hop = j[((j >> (n - i)) ^ (j >> (n - i - 1))) & 1 == 1]
+        H[hop ^ (3 << (n - i - 1)), hop] += J
+    for i, h in enumerate(spec.fields, start=1):
+        excited = j[(j >> (n - i)) & 1 == 0]
+        H[excited, excited] += h
+    return H
 
 
 def single_excitation_matrix(spec: ChainSpec) -> np.ndarray:
@@ -242,10 +225,11 @@ def _evolve(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
 
 def chain_propagator(spec: ChainSpec, tau: float) -> np.ndarray:
     """Dense 2^N exp(-i H tau) of the chain, one `propagator` call per sector."""
-    return _assemble(
-        excitation_sectors(spec.n_sites),
-        tuple(propagator(H, tau) for H in sector_hamiltonians(spec)),
-    )
+    U = build_hamiltonian(spec).astype(complex)
+    for idx in excitation_sectors(spec.n_sites):
+        block = np.ix_(idx, idx)
+        U[block] = propagator(U[block].real, tau)
+    return U
 
 
 @dataclass(frozen=True)

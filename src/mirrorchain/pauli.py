@@ -400,7 +400,9 @@ class PauliGroup:
         return len(_echelon(self.basis + packed)[0]) == len(self.basis)
 
     def is_subgroup_of(self, other: "PauliGroup") -> bool:
-        return self.n_sites == other.n_sites and other._spans(*self.basis)
+        # A basis prefix, as `maximal_subgroup` gives, spans a subgroup.
+        return self.n_sites == other.n_sites and (
+            self.basis == other.basis[:len(self.basis)] or other._spans(*self.basis))
 
     @classmethod
     def identity_group(cls, n_sites: int) -> "PauliGroup":

@@ -168,11 +168,8 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_sites: int) -> np.nd
         # Kept sites become rows, the rest columns: rho_keep = M M^dag.
         M = rho[P]
         return M @ M.conj().T
-    tensor = rho.reshape((2,) * (2 * n_sites))
-    # Trace out highest-numbered sites first so remaining axis numbers stay valid.
-    for ax in (s - 1 for s in range(n_sites, 0, -1) if s not in keep):
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
-    return tensor.reshape((len(P), len(P)))
+    # rho_keep[l, m] = sum_r rho[P[l, r], P[m, r]].
+    return rho[P[:, None, :], P[None, :, :]].sum(-1)
 
 
 _STATE_KINDS = ("pure", "mixed", "deviation")
@@ -190,6 +187,8 @@ class QuantumState:
             raise ValueError(f"kind must be one of {_STATE_KINDS}, got {self.kind!r}")
         arr = np.asarray(self.data, dtype=complex)
         object.__setattr__(self, "data", arr)
+        if not np.isfinite(arr).all():
+            raise ValueError("state data must be finite")
         if self.kind == "pure":
             if arr.ndim != 1:
                 raise ValueError("pure state data must be a 1-d ket")

@@ -170,7 +170,9 @@ def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} vs {b.shape}")
-    for m in (a, b):
+    for name, m in (("rho_th", a), ("rho_ex", b)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"metric input {name} must be finite")
         if np.abs(m - m.conj().T).max() > 1e-8:
             raise ValueError("metric inputs must be Hermitian")
     # Tr(a b) = sum_ij conj(a_ij) b_ij for Hermitian a: O(d^2), no product.
@@ -268,7 +270,10 @@ def transfer_single(
                          f"exceeds the float range above {sys.float_info.max_exp} sites")
     data = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
     if mode == "pure":
-        data = data / np.linalg.norm(data)
+        norm = np.linalg.norm(data)  # nan or inf for non-finite entries
+        if not 0.0 < norm < math.inf:
+            raise ValueError("state must be a ket of finite, nonzero norm")
+        data = data / norm
     return _transfer(n_sites, (site,), QuantumState(mode, data).data, mode, spec)
 
 

@@ -132,7 +132,7 @@ def test_single_excitation_block_matches_dense():
 
 def test_sector_hamiltonians_match_kron_oracle():
     rng = np.random.default_rng(34)
-    for n in range(2, 9):
+    for n in range(2, 11):
         for spec in oracle_chains(n, rng):
             assert np.abs(build_hamiltonian(spec) - kron_hamiltonian(spec)).max() <= 1e-12
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from mirrorchain import pauli as pauli_module
 from mirrorchain.decompose import _heaviest_maximal_subgroup
 from mirrorchain.pauli import (
     LETTERS,
@@ -459,6 +460,34 @@ class TestSubgroupChain:
         b = group_closure([PauliString("ZZ")])
         with pytest.raises(ValueError):
             SubgroupChain((a, b))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_automatic_tower_needs_no_elimination(self, monkeypatch, n):
+        # maximal_subgroup keeps a basis prefix, which is_subgroup_of accepts
+        # without eliminating again
+        top = group_closure([PauliString("X" * k + "I" * (n - k)) for k in range(1, n + 1)]
+                            + [PauliString("Z" * n)])
+        assert len(top.basis) >= 4
+        calls = []
+
+        def counted(vectors, _original=_echelon):
+            calls.append(1)
+            return _original(vectors)
+
+        monkeypatch.setattr(pauli_module, "_echelon", counted)
+        chain = SubgroupChain.automatic(top)
+        assert len(chain) == len(top.basis) + 1 and calls == []
+
+    def test_is_subgroup_of_without_a_basis_prefix(self):
+        # subgroups spanned by other words still go through elimination
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            g = random_group(rng, n)
+            h = group_closure([random_word(rng, n) for _ in range(int(rng.integers(0, 3)))],
+                              n_sites=n)
+            for a, b in ((g, h), (h, g)):
+                assert a.is_subgroup_of(b) == (a.elements <= b.elements)
 
 
 def mask_arrays(words) -> tuple[np.ndarray, np.ndarray]:

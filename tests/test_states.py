@@ -239,6 +239,16 @@ def test_quantum_state_validation():
     assert st.n_sites == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("kind, data", [
+    ("pure", KET_ONE), ("mixed", np.eye(2) / 2), ("deviation", np.diag([0.5, -0.5]))])
+def test_quantum_state_refuses_non_finite_data(kind, data, bad):
+    data = np.array(data, dtype=complex)
+    data.flat[0] = bad
+    with pytest.raises(ValueError, match="state data must be finite"):
+        QuantumState(kind, data)
+
+
 def test_quantum_state_evolution_kinds():
     rng = np.random.default_rng(25)
     H = rng.standard_normal((4, 4))

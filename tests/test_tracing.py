@@ -50,6 +50,10 @@ def test_tracer_attaches_to_transfer_and_decompose(tmp_path):
     assert not [name for name in summary if name.endswith(".failed")]
     # transfer builds only the one-excitation propagator; decompose the sectors
     assert summary["chain.chain_propagator.calls"] == 1
+    assert summary["chain.build_hamiltonian.calls"] == 1
+    # one eigh per sector: the 4 x 4 one-excitation block, then 1, 3, 3, 1
+    assert summary["numpy.eigh.calls"] == 5
+    assert summary["numpy.eigh.d3_sum"] == 4**3 + 1 + 27 + 27 + 1
     assert summary["transfer.transfer_single.calls"] == 1
     assert summary["decompose.decompose.calls"] == 1
     # The distinct-propagator hook reads (spec, tau) from positional args.

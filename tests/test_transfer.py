@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -401,7 +402,7 @@ def test_deviation_transfer_forms_no_register_operator(monkeypatch):
             raise AssertionError(f"{name} was called")
         return raiser
 
-    for module, name in ((chain, "chain_propagator"), (chain, "sector_hamiltonians"),
+    for module, name in ((chain, "chain_propagator"), (chain, "build_hamiltonian"),
                          (states, "embed_operator"), (states, "partial_trace")):
         monkeypatch.setattr(module, name, refuse(name))
         monkeypatch.setattr(transfer, name, refuse(name), raising=False)
@@ -556,6 +557,26 @@ def test_metric_validation():
         fidelity_metric(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         fidelity_metric(rho, np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("metric", [fidelity_metric, attenuated_correlation])
+def test_metrics_refuse_non_finite_input(metric, bad):
+    rho = np.eye(2) / 2
+    odd = rho.copy()
+    odd[0, 0] = bad
+    with pytest.raises(ValueError, match="rho_ex must be finite"):
+        metric(rho, odd)
+    with pytest.raises(ValueError, match="rho_th must be finite"):
+        metric(odd, rho)
+
+
+@pytest.mark.parametrize("ket", [[0.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf]])
+def test_transfer_refuses_non_finite_or_zero_kets(ket):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="state must be a ket of finite, nonzero norm"):
+            transfer_single(4, 1, np.array(ket))
 
 
 def test_six_state_design():
