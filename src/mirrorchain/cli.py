@@ -7,7 +7,6 @@ decompose   peel a propagator into Pauli-exponential factors (or emit the
             closed-form product for an engineered chain)
 transfer    simulate state transfer to the mirror site(s) and report fidelity
 grape       compile a target gate into a piecewise-constant pulse
-selftest    seeded randomized property checks
 
 Exit codes: 0 success (and any requested expectation met), 1 a computed
 result missed a requested expectation, 2 usage, parse, or domain error.
@@ -332,81 +331,6 @@ def cmd_grape(args: argparse.Namespace) -> int:
     return 0 if result.fidelity >= args.min_fidelity else 1
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .decompose import decompose, gate_fidelity, reconstruct
-    from .pauli import (
-        LETTERS,
-        PauliString,
-        apply_word_exponential,
-        commutes,
-        group_closure,
-        pauli_matrix,
-        xz_traces,
-    )
-
-    rng = np.random.default_rng(args.seed)
-    trials = args.trials
-
-    def random_word(n: int, allow_identity: bool = False) -> PauliString:
-        while True:
-            w = PauliString("".join(LETTERS[k] for k in rng.integers(0, 4, n)))
-            if allow_identity or not w.is_identity:
-                return w
-
-    def parseval() -> bool:
-        n = int(rng.integers(1, 4))
-        d = 1 << n
-        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        Q, _ = np.linalg.qr(M)
-        return abs(np.sum(np.abs(xz_traces(Q)) ** 2) / d**2 - 1.0) <= 1e-10
-
-    def closure_power_of_two() -> bool:
-        n = int(rng.integers(1, 5))
-        seeds = [random_word(n, allow_identity=True) for _ in range(int(rng.integers(1, 4)))]
-        size = len(group_closure(seeds, n_sites=n))
-        return size & (size - 1) == 0
-
-    def commutation() -> bool:
-        n = int(rng.integers(1, 5))
-        a, b = random_word(n, True), random_word(n, True)
-        A, B = pauli_matrix(a), pauli_matrix(b)
-        return commutes(a, b) == np.allclose(A @ B, B @ A)
-
-    def peel_roundtrip() -> bool:
-        n = int(rng.integers(1, 4))
-        U = np.eye(1 << n, dtype=complex)
-        for _ in range(int(rng.integers(1, 5))):
-            apply_word_exponential(U, random_word(n), float(rng.uniform(-1.4, 1.4)))
-        dec, trace = decompose(U)
-        return gate_fidelity(reconstruct(dec), U) >= 1.0 - 1e-9 and all(
-            step.norm_after >= step.norm_before - 1e-9 for step in trace.steps
-        )
-
-    # Each suite draws all its trials before the next one starts.  The checks
-    # return numpy bools, whose sum json cannot encode, so it is cast.
-    suites = [
-        {"name": name, "trials": trials, "passed": int(sum(check() for _ in range(trials)))}
-        for name, check in (
-            ("parseval", parseval),
-            ("closure-power-of-two", closure_power_of_two),
-            ("commutation", commutation),
-            ("peel-roundtrip", peel_roundtrip),
-        )
-    ]
-
-    all_passed = all(s["passed"] == s["trials"] for s in suites)
-    _write_json(
-        args.output,
-        {"seed": args.seed, "suites": suites, "all_passed": all_passed},
-    )
-    for s in suites:
-        _say(args, f"{s['name']}: {s['passed']}/{s['trials']} passed")
-    _say(args, f"report written to {args.output}")
-    return 0 if all_passed else 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use."""
@@ -501,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse-csv", default="pulse.csv", metavar="FILE")
     p.add_argument("-o", "--output", default="grape.json", metavar="FILE")
     p.set_defaults(func=cmd_grape)
-
-    p = sub.add_parser("selftest", help="seeded randomized property checks")
-    add_quiet(p)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--trials", type=_int_at_least(1), default=20)
-    p.add_argument("-o", "--output", default="selftest.json", metavar="FILE")
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -68,7 +68,6 @@ __all__ = [
     "GrapeResult",
     "drift_hamiltonian",
     "control_operators",
-    "equilibrium_deviation",
     "propagate",
     "fidelity_hs",
     "mean_fidelity_and_gradient",
@@ -185,17 +184,6 @@ def control_operators(spec: NmrSystemSpec) -> np.ndarray:
     ])
 
 
-def equilibrium_deviation(spec: NmrSystemSpec) -> np.ndarray:
-    """High-temperature equilibrium deviation sum_channels weight * sum Z_i."""
-    n = spec.n_spins
-    z = _z_diagonals(n)
-    diag = np.zeros(1 << n)
-    for ch, w in zip(spec.channels, spec.weights):
-        for s in ch:
-            diag += w * z[s - 1]
-    return np.diag(diag.astype(complex))
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     """A piecewise-constant pulse: amplitudes[step, channel] = (x_hz, y_hz)."""
@@ -277,8 +265,8 @@ def _target_adjoint(target: np.ndarray, d: int) -> np.ndarray:
 
 def _rf_scales(values) -> tuple[float, ...]:
     """The RF scale factors as floats: at least one, each positive and finite."""
-    scales = tuple(float(s) for s in values)
-    if not scales or not all(math.isfinite(s) and s > 0.0 for s in scales):
+    scales = _json_array(values, "rf_scales", _json_float)
+    if not scales or not all(s > 0.0 for s in scales):
         raise ValueError(f"rf_scales must be nonempty, positive and finite, got {scales!r}")
     return scales
 
@@ -388,7 +376,7 @@ class GrapeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rf_scales", _rf_scales(self.rf_scales))
-        for name, low in (("steps", 1), ("max_iterations", 0)):
+        for name, low in (("steps", 1), ("max_iterations", 0), ("seed", 0)):
             object.__setattr__(self, name, value := _json_int(getattr(self, name), name))
             if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

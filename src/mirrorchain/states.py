@@ -215,12 +215,6 @@ class QuantumState:
     def n_sites(self) -> int:
         return int(self.data.shape[0]).bit_length() - 1
 
-    def density(self) -> np.ndarray:
-        """The matrix form: |psi><psi| for kets, data itself otherwise."""
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return self.data
-
     def evolved(self, U: np.ndarray) -> "QuantumState":
         """The state after the dense unitary U.
 

@@ -50,7 +50,7 @@ from .chain import (
     propagator,
     single_excitation_matrix,
 )
-from .pauli import _I_POW, PauliString, _walsh, pauli_matrix, xz_traces
+from .pauli import _I_POW, _walsh, xz_traces
 from .states import (
     BELL_KINDS,
     QuantumState,
@@ -68,7 +68,6 @@ __all__ = [
     "transfer_entangled",
     "fidelity_metric",
     "attenuated_correlation",
-    "six_state_design",
 ]
 
 SECTOR_TOL = 1e-9
@@ -188,16 +187,6 @@ def _scores(t: float, na: float, nb: float) -> dict[str, float]:
     return {"fidelity": _fidelity(t, na, nb), "attenuated_correlation": _attenuated(t, na, nb)}
 
 
-def six_state_design() -> dict[str, np.ndarray]:
-    """The +-X, +-Y, +-Z eigenstate kets, keyed by axis and sign."""
-    design: dict[str, np.ndarray] = {}
-    for axis in "xyz":
-        evals, evecs = np.linalg.eigh(pauli_matrix(PauliString(axis.upper())))
-        for val, vec in zip(evals, evecs.T):
-            design[f"{'+' if val > 0 else '-'}{axis}"] = vec.astype(complex)
-    return design
-
-
 @dataclass(frozen=True, eq=False)
 class TransferReport:
     """Outcome of one transfer experiment on the chain."""
@@ -252,7 +241,7 @@ def _phase_table(u: np.ndarray) -> SectorPhaseTable | None:
 def transfer_single(
     n_sites: int,
     site: int,
-    state: np.ndarray | QuantumState,
+    state: np.ndarray,
     mode: str = "pure",
     spec: ChainSpec | None = None,
 ) -> TransferReport:
@@ -268,7 +257,7 @@ def transfer_single(
     if mode == "deviation" and n_sites > sys.float_info.max_exp:
         raise ValueError(f"a single-site deviation output scales as 2^(N-1), which "
                          f"exceeds the float range above {sys.float_info.max_exp} sites")
-    data = state.data if isinstance(state, QuantumState) else np.asarray(state, complex)
+    data = np.asarray(state, complex)
     if mode == "pure":
         norm = np.linalg.norm(data)  # nan or inf for non-finite entries
         if not 0.0 < norm < math.inf:

@@ -635,8 +635,6 @@ GRAPE_DEC = ["grape", "--system", "{system}", "--pulse-csv", "{csv}"]
         pytest.param(GRAPE_X + ["--rf-scales", "1.0,abc"], "--rf-scales", id="argv18---rf-scales"),
         pytest.param(GRAPE_X + ["--target-gate", "X:abc"], "angle", id="argv19-angle"),
         pytest.param(GRAPE_X + ["--seed", "-1"], "--seed", id="argv20---seed"),
-        pytest.param(["selftest", "--seed", "-1"], "--seed", id="argv21---seed"),
-        pytest.param(["selftest", "--trials", "-1"], "--trials", id="argv22---trials"),
         pytest.param(["spectrum", "--engineered", "3", "--tau", "1e308"], "tau must be finite",
                      id="argv23-tau must be finite"),
         pytest.param(["decompose", "--engineered", "3", "--tau", "1e308"], "tau must be finite",
@@ -763,20 +761,23 @@ def test_grape_rejects_decomposition_size_mismatch(tmp_path, capsys):
     assert "2 sites" in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------- selftest
+# ------------------------------------------------------- subcommands
 
-def test_selftest_reports_all_suites(tmp_path, capsys):
-    out = tmp_path / "selftest.json"
-    assert main(["selftest", "--seed", "60", "--trials", "4", "-o", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "parseval: 4/4 passed" in text
-    rec = load(out)
-    assert rec["seed"] == 60
-    assert rec["all_passed"] is True
-    assert [s["name"] for s in rec["suites"]] == [
-        "parseval", "closure-power-of-two", "commutation", "peel-roundtrip",
-    ]
-    assert all(s["passed"] == s["trials"] == 4 for s in rec["suites"])
+def test_selftest_is_not_a_subcommand(capsys):
+    assert main(["selftest"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_docstring_lists_the_parser_subcommands():
+    import argparse
+
+    import mirrorchain.cli as cli
+
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    table = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
+    # A row starts at column 0; continuation lines are indented.
+    listed = [line.split()[0] for line in table.splitlines() if line[:1].strip()]
+    assert listed == list(sub.choices)
 
 
 # ------------------------------------------------- repeated main() calls
@@ -805,7 +806,6 @@ def test_parser_is_built_once_across_calls(tmp_path, parsers_built, capsys):
         (["decompose", "--engineered", "2", "-o", str(tmp_path / "d.json")], 0),
         (["decompose", "-o", str(tmp_path / "d.json")], 2),
         (["transfer", "--engineered", "3", "--site", "1", "-o", str(tmp_path / "t.json")], 0),
-        (["selftest", "--trials", "1", "-o", str(tmp_path / "st.json")], 0),
         (["spectrum", "--engineered", "4", "-o", str(tmp_path / "s.json")], 0),
     ]
     assert parsers_built == []
@@ -875,7 +875,6 @@ def test_every_report_is_one_line_of_sorted_json(tmp_path):
         "grape": ["grape", "--system", system, "--target-gate", "X", "--steps", "4",
                   "--max-iterations", "3", "--min-fidelity", "0",
                   "--pulse-csv", str(tmp_path / "p.csv")],
-        "selftest": ["selftest", "--trials", "2"],
     }
     for name, argv in runs.items():
         out = tmp_path / f"{name}.json"

@@ -19,7 +19,6 @@ from mirrorchain.grape import (
     PulseSequence,
     control_operators,
     drift_hamiltonian,
-    equilibrium_deviation,
     fidelity_hs,
     grape_optimize,
     mean_fidelity_and_gradient,
@@ -181,14 +180,6 @@ class TestHamiltonians:
         assert np.allclose(ops[0][0], want_x)
         want_y3 = math.pi * 0.94 * pauli_matrix(P("IIY"))
         assert np.allclose(ops[1][1], want_y3)
-
-    def test_equilibrium_deviation_weights(self):
-        spec = NmrSystemSpec(
-            (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), ((1,), (2,)), (0.94, 1.0)
-        )
-        want = 0.94 * pauli_matrix(P("ZI")) + 1.0 * pauli_matrix(P("IZ"))
-        assert np.allclose(equilibrium_deviation(spec), want)
-        assert abs(np.trace(equilibrium_deviation(spec))) == 0.0
 
 
 class TestPulseSequence:
@@ -449,7 +440,6 @@ class TestOptimizer:
             dict(dt=math.nan),
             dict(amp_max_hz=math.inf),
             dict(stop_fidelity=math.nan),
-            dict(rf_scales=(1.0, math.nan)),
         ):
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be .*finite"):
@@ -457,7 +447,17 @@ class TestOptimizer:
         for scales in ((0.0,), (1.0, -0.5)):
             with pytest.raises(ValueError, match="rf_scales must be .*positive"):
                 GrapeConfig(steps=5, dt=1e-4, amp_max_hz=100.0, rf_scales=scales)
-        for bad in (dict(steps=2.5), dict(max_iterations=-3)):
+        # Each scale is read by field, so a bad element is named with its index.
+        for scales, message in (
+            ((1.0, math.nan), r"rf_scales\[1\] must be finite"),
+            ((True,), r"rf_scales\[0\] must be a number"),
+            ((1.0, "2"), r"rf_scales\[1\] must be a number"),
+            ((s for s in (1.0,)), "rf_scales must be an array"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GrapeConfig(steps=5, dt=1e-4, amp_max_hz=100.0, rf_scales=scales)
+        for bad in (dict(steps=2.5), dict(max_iterations=-3), dict(seed=True),
+                    dict(seed=2.0), dict(seed="3"), dict(seed=-1)):
             kwargs = {**dict(steps=5, dt=1e-4, amp_max_hz=100.0), **bad}
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
                 GrapeConfig(**kwargs)

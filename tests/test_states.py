@@ -261,11 +261,3 @@ def test_quantum_state_evolution_kinds():
     got = dev.evolved(U).data
     assert np.allclose(got, U @ pauli_matrix(PauliString("ZI")) @ U.conj().T)
     assert abs(np.trace(got)) < 1e-12
-
-
-def test_density_of_pure_state():
-    st = QuantumState("pure", bell_state("phi+"))
-    rho = st.density()
-    assert np.allclose(rho, rho.conj().T)
-    assert np.trace(rho) == pytest.approx(1.0)
-    assert np.allclose(rho @ rho, rho, atol=1e-12)

@@ -40,7 +40,6 @@ from mirrorchain.transfer import (
     attenuated_correlation,
     fidelity_metric,
     sector_phases,
-    six_state_design,
     transfer_entangled,
     transfer_single,
 )
@@ -579,13 +578,23 @@ def test_transfer_refuses_non_finite_or_zero_kets(ket):
             transfer_single(4, 1, np.array(ket))
 
 
-def test_six_state_design():
-    design = six_state_design()
-    assert set(design) == {"+x", "-x", "+y", "-y", "+z", "-z"}
+@pytest.fixture
+def six_state_design() -> dict[str, np.ndarray]:
+    """The +-X, +-Y, +-Z eigenstate kets, keyed by axis and sign."""
+    design: dict[str, np.ndarray] = {}
+    for axis in "xyz":
+        evals, evecs = np.linalg.eigh(pauli_matrix(P(axis.upper())))
+        for val, vec in zip(evals, evecs.T):
+            design[f"{'+' if val > 0 else '-'}{axis}"] = vec.astype(complex)
+    return design
+
+
+def test_six_state_design(six_state_design):
+    assert set(six_state_design) == {"+x", "-x", "+y", "-y", "+z", "-z"}
     for axis in "xyz":
         sigma = pauli_matrix(P(axis.upper()))
         for sign in "+-":
-            vec = design[f"{sign}{axis}"]
+            vec = six_state_design[f"{sign}{axis}"]
             val = 1.0 if sign == "+" else -1.0
             assert np.allclose(sigma @ vec, val * vec, atol=1e-12)
 
@@ -603,11 +612,10 @@ def test_pure_transfer_site_one_to_five():
     assert rep.sector_phases is not None
 
 
-def test_pure_transfer_all_sites_and_states():
-    design = six_state_design()
+def test_pure_transfer_all_sites_and_states(six_state_design):
     for n in (4, 5, 6):
         for site in range(1, n + 1):
-            for ket in design.values():
+            for ket in six_state_design.values():
                 rep = transfer_single(n, site, ket, mode="pure")
                 assert rep.fidelity >= 1 - 1e-9, (n, site)
 
