@@ -38,13 +38,20 @@ of the eigenvector.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import MAX_DENSE_SITES, _json_array, _json_float, _json_int, _json_key, _json_object
+from .pauli import (
+    MAX_DENSE_SITES,
+    _json_array,
+    _json_float,
+    _json_int,
+    _json_key,
+    _json_object,
+    _read_json,
+)
 from .states import excitation_numbers
 
 __all__ = [
@@ -169,8 +176,7 @@ class ChainSpec:
 
     @classmethod
     def load(cls, path: str) -> "ChainSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
 
 
 def excitation_sectors(n_sites: int) -> tuple[np.ndarray, ...]:

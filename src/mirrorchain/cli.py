@@ -288,11 +288,11 @@ def _parse_gate(text: str, n_spins: int):
 def cmd_grape(args: argparse.Namespace) -> int:
     from .decompose import ProductDecomposition, reconstruct
     from .grape import GrapeConfig, NmrSystemSpec, grape_optimize
+    from .pauli import _read_json
 
     system = NmrSystemSpec.load(args.system)
     if args.target_decomposition is not None:
-        with open(args.target_decomposition, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+        record = _read_json(args.target_decomposition)
         if isinstance(record, dict) and "decomposition" in record:
             record = record["decomposition"]
         dec = ProductDecomposition.from_json(record)

@@ -33,15 +33,15 @@ word's bit masks with site 1 at the most significant bit; a word's
 coefficient differs from its entry only by the phase i^{|x & z|}.  The
 array is transformed once per decomposition and serves the support scan.
 The peel then keeps only the top group G's entries, which hold all of the
-residual's weight: one vector c indexed by each element's echelon
-coordinates (``PauliGroup.coords``).  Coordinates are F2-linear, so a
-factor ``exp(+i theta D)`` with D at coordinates K moves c in place in
-O(|G|), by one gather c[k ^ K] and one sign per entry; no word matrix is
-built and no dense product runs.  Each level maps its parent, child and
-candidates to coordinate arrays once.  At an index-two level every
-candidate lies in the one coset parent - child, so B = weight(parent) - A.
-The identity has coordinates 0, so the global phase g is the final
-``c[0] = Tr(U_res) / 2^n``.
+residual's weight: one vector c in G's canonical order.  Canonical order
+is F2-linear (the element at position k is the product of those at the
+positions 2^j for the bits j of k), so a factor ``exp(+i theta D)`` with
+D at position K moves c in place in O(|G|), by one gather c[k ^ K] and
+one sign per entry; no word matrix is built and no dense product runs.
+Each level maps its parent, child and candidates to positions in G once.
+At an index-two level every candidate lies in the one coset parent -
+child, so B = weight(parent) - A.  The identity sits at position 0, so
+the global phase g is the final ``c[0] = Tr(U_res) / 2^n``.
 """
 
 from __future__ import annotations
@@ -234,40 +234,38 @@ def expand(U: np.ndarray, group: PauliGroup) -> dict[PauliString, complex]:
 
 
 def _coefficients(a: np.ndarray, top: PauliGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of the trace array a on the group top, indexed by echelon coordinates.
+    """The entries of the trace array a on the group top, in canonical order.
 
-    Returns (c, xk): c[k] is a's entry at the element with coordinates k, and
-    xk[k] that element's x mask.  The identity has coordinates 0.
+    Returns (c, xk): c[k] is a's entry at the element at position k, and
+    xk[k] that element's x mask.  The identity sits at position 0.
     """
-    c = np.empty(len(top), dtype=complex)
-    c[top.coords] = a[top.xs, top.zs]
-    xk = np.empty_like(top.xs)
-    xk[top.coords] = top.xs
-    return c, xk
+    return a[top.xs, top.zs], top.xs
 
 
 def _coordinates(top: PauliGroup, group: PauliGroup) -> np.ndarray:
-    """Each element's echelon coordinates over top's basis, in group's canonical order.
+    """Each element's position in top's canonical order, in group's canonical order.
 
-    Coordinates are F2-linear, so those of group's basis vectors, from one
-    elimination after top's basis, give every element's by XOR doubling.
-    A maximal subgroup keeps a prefix of the basis, and with it the
-    coordinates.  Raises ValueError unless group lies in top.
+    A maximal subgroup keeps a prefix of the basis, and with it the first
+    positions.  Otherwise each packed word x << n | z is looked up among
+    top's.  Raises ValueError unless group lies in top.
     """
-    r = len(top.basis)
-    if group.n_sites == top.n_sites and group.basis == top.basis[:len(group.basis)]:
-        return group.coords
-    basis, coords = _echelon(top.basis + group.basis)
-    if group.n_sites != top.n_sites or len(basis) > r:
+    n = top.n_sites
+    if group.n_sites == n and group.basis == top.basis[:len(group.basis)]:
+        return np.arange(len(group))
+    # Words of at most MAX_DENSE_SITES sites pack into int64.
+    keys, want = top.xs << n | top.zs, group.xs << n | group.zs
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, want, sorter=order) % len(top)]
+    if group.n_sites != n or not np.array_equal(keys[at], want):
         raise ValueError("child must be a strictly smaller subgroup of parent")
-    return _xor_span(coords[r:])[group.coords]
+    return at
 
 
 def _rotate(c: np.ndarray, xk: np.ndarray, K: int, x: int, z: int, angle: float) -> None:
     """Turn the coefficient vector c of U into that of U exp(-i angle D) in place, in O(|G|).
 
-    D has coordinates K and masks (x, z).  Coordinates are linear, so D times
-    the element at coordinates k ^ K is, up to a phase, the element at k:
+    D sits at position K and has masks (x, z).  Positions are linear, so D
+    times the element at position k ^ K is, up to a phase, the element at k:
 
         c'[k] = cos(angle) c[k] - i sin(angle) i^{|x & z|} (-1)^{|z & xk[k]|} c[k ^ K].
     """
@@ -281,10 +279,10 @@ def _rotate(c: np.ndarray, xk: np.ndarray, K: int, x: int, z: int, angle: float)
 class _Level:
     """One peel level's index arrays into the top group's coefficient vector.
 
-    P and C are the top coordinates of the parent's and the child's elements
+    P and C are the top positions of the parent's and the child's elements
     in canonical order, and `size` the vector's length.  The candidates are
     the parent's elements outside the child, in canonical order: K holds
-    their coordinates and (dx, dz) their masks.  Candidate-child pairs are
+    their positions and (dx, dz) their masks.  Candidate-child pairs are
     taken in blocks of about 2^16, so memory stays bounded.
     """
 
@@ -303,7 +301,7 @@ class _Level:
         self.rows = max(1, (1 << 16) // len(C))
 
     def _tables(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Per block: its candidate slice, the coordinates K ^ C of every product
+        """Per block: its candidate slice, the positions K ^ C of every product
         D w, and the conjugate pair phase i^{|x1 & z1| + 2 |z1 & cx|}."""
         power = np.bitwise_count(self.dx & self.dz)
         for lo in range(0, len(self.K), self.rows):
@@ -319,8 +317,8 @@ class _Level:
     def terms(self, c: np.ndarray, A: float) -> tuple[np.ndarray, np.ndarray]:
         """(B, W) for every candidate D, from the coefficient vector c.
 
-        With D = (x1, z1) and child words w = (cx, cz), m = D w has
-        coordinates K ^ k_w.  B is the weight of the coset D*child: at an
+        With D = (x1, z1) and child words w = (cx, cz), m = D w sits at
+        position K ^ k_w.  B is the weight of the coset D*child: at an
         index-two level every candidate lies in the one coset parent - child,
         so B = weight(parent) - A.  W sums Im(i^{-|x1 & z1|} (-1)^{|z1 & cx|}
         c_w conj(c_m)), which is the coefficient form Im(i^-k c_w conj(c_m))
@@ -388,7 +386,7 @@ def peel_level(
     """
     U = np.array(U, dtype=complex)
     c, xk = _coefficients(a := _traces(U, parent.n_sites), parent)
-    lv = _Level(parent, parent.coords, child, _coordinates(parent, child), len(c))
+    lv = _Level(parent, np.arange(len(c)), child, _coordinates(parent, child), len(c))
     steps = _peel_level(c, xk, lv, level, float(np.vdot(a, a).real))
     for s in steps:
         apply_word_exponential(U, s.word, -s.angle)
@@ -466,20 +464,22 @@ def _heaviest_maximal_subgroup(weights: np.ndarray, group: PauliGroup) -> PauliG
     given in canonical order.
 
     Every maximal subgroup is the kernel of a nonzero F2 functional v on
-    the group's echelon coordinates c: it keeps the elements with
-    |v & c| even.  Place each element's weight at f[c]; the
-    Walsh-Hadamard transform of f is F[v] = kept(v) - dropped(v) for all
-    2^r functionals at once, so kept(v) = (F[0] + F[v]) / 2 in O(r 2^r).
-    Ties keep the first functional in mask order whose kept weight lies
-    within STALL_TOL of the best, so rounding in the transform cannot
-    choose between equal weights.
+    the elements' echelon coordinates c (those of the r basis words,
+    XOR-doubled): it keeps the elements with |v & c| even.  Place each
+    element's weight at f[c]; the Walsh-Hadamard transform of f is
+    F[v] = kept(v) - dropped(v) for all 2^r functionals at once, so
+    kept(v) = (F[0] + F[v]) / 2 in O(r 2^r).  Ties keep the first
+    functional in mask order whose kept weight lies within STALL_TOL of
+    the best, so rounding in the transform cannot choose between equal
+    weights.
     """
-    f = np.zeros(1 << len(group.basis))
-    f[group.coords] = weights
+    coords = _xor_span(_echelon(group.basis)[1])
+    f = np.zeros(len(group))
+    f[coords] = weights
     _walsh(f)
     kept = 0.5 * (f[0] + f[1:])
     best = 1 + int(np.argmax(kept >= kept.max() - STALL_TOL))
-    keep = (np.bitwise_count(group.coords & best) & 1) == 0
+    keep = (np.bitwise_count(coords & best) & 1) == 0
     return PauliGroup._of(group.n_sites, group.xs[keep], group.zs[keep])
 
 
@@ -494,13 +494,13 @@ def _peel_tower(
 ) -> list[PeelStep]:
     """Peel top's coefficient vector c (see :func:`_coefficients`) to the
     identity; each child is choose_child(c, parent, P) for the parent's top
-    coordinates P.
+    positions P.
 
     c follows the residual in place.  A failing level re-raises with every
     step taken so far, labelled as in :class:`PeelTrace`.
     """
     steps: list[PeelStep] = []
-    parent, P = top, top.coords
+    parent, P = top, np.arange(len(top))
     level = 1
     while len(parent) > 1:
         child = choose_child(c, parent, P)
@@ -592,8 +592,8 @@ def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:
 
 def gate_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """|Tr(U^dag V)| / d, the phase-insensitive overlap of two unitaries."""
-    if U.shape != V.shape:
-        raise ValueError("shape mismatch")
+    if U.ndim != 2 or U.shape != V.shape or U.shape[0] != U.shape[1]:
+        raise ValueError(f"expected two equal square matrices, got {U.shape} vs {V.shape}")
     # Tr(U^dag V) = sum_ij conj(U_ij) V_ij: O(d^2), no product.
     return float(abs(np.vdot(U, V))) / U.shape[0]
 

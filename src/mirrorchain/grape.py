@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -52,11 +51,13 @@ import numpy as np
 from .decompose import gate_fidelity as fidelity_hs
 from .pauli import (
     PauliString,
+    _as_unitary,
     _json_array,
     _json_float,
     _json_int,
     _json_key,
     _json_object,
+    _read_json,
     _write_text,
     pauli_matrix,
 )
@@ -149,8 +150,7 @@ class NmrSystemSpec:
 
     @classmethod
     def load(cls, path: str) -> "NmrSystemSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
 
 
 def _z_diagonals(n: int) -> np.ndarray:
@@ -254,12 +254,13 @@ def _plant(spec: NmrSystemSpec, pulse: PulseSequence) -> tuple[np.ndarray, np.nd
 
 
 def _target_adjoint(target: np.ndarray, d: int) -> np.ndarray:
-    """V^dag of a finite d x d target."""
-    V = np.asarray(target, dtype=complex)
+    """V^dag of a finite d x d unitary target."""
+    try:
+        V, _ = _as_unitary(target)
+    except ValueError as exc:
+        raise ValueError(f"target: {exc}") from None
     if V.shape != (d, d):
         raise ValueError(f"target shape {V.shape} does not match dimension {d}")
-    if not np.isfinite(V).all():
-        raise ValueError("target must be finite")
     return V.conj().T
 
 

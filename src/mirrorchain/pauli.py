@@ -9,12 +9,11 @@ is kept.
 Internally a word is also viewed as a pair of bit masks (x, z) with site 1
 at the most significant bit, so that phase-free multiplication is XOR and
 every group generated by words is an F2-linear span.  A :class:`PauliGroup`
-is mask arrays in canonical order, a reduced basis (:func:`_echelon`) and
-each element's coordinates over it.  Canonical order sorts on letter codes
+is mask arrays in canonical order.  Canonical order sorts on letter codes
 (z, x ^ z) linear in the masks, so the element at position i is the product
-of those at positions 2^j for the bits j of i: the basis is read off those r
-elements, whose coordinates XOR-double to every element's.  A maximal
-subgroup is the first half of its parent's arrays, so a tower is views of its top.
+of those at positions 2^j for the bits j of i: a word's position is its
+coordinates over the basis of those r elements.  A maximal subgroup is the
+first half of its parent's arrays, so a tower is views of its top.
 
 :func:`xz_traces` is the one all-words transform: the phase-free traces
 Tr(U X^x Z^z) of a matrix U as one array indexed ``[x, z]`` by those masks.
@@ -29,6 +28,7 @@ O(d^2), from one column gather of U and one phase per column.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -110,6 +110,16 @@ def _json_array(value: object, name: str, item: Callable) -> tuple:
     if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
         raise ValueError(f"{name} must be an array, got {value!r}")
     return tuple(item(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _read_json(path: str) -> object:
+    """The JSON value in the UTF-8 file at `path`; a file that is not UTF-8
+    JSON is refused with its path in the message."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"file {path!r} is not UTF-8 JSON: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -328,9 +338,9 @@ def _canonical_order(xs: np.ndarray, zs: np.ndarray, n_sites: int) -> np.ndarray
 
 class PauliGroup:
     """A set of words closed under phase-free multiplication, held as arrays:
-    ``xs`` and ``zs`` are the elements' masks in canonical order, ``basis``
-    is the reduced basis that eliminating the packed elements x << n | z in
-    that order gives and ``coords`` their coordinates over it.  The word
+    ``xs`` and ``zs`` are the elements' masks in canonical order, and
+    ``basis`` the packed words x << n | z at positions 2^j, so the element at
+    position i is the product of the basis words at the bits of i.  The word
     views ``sorted_elements`` and ``elements`` are built only when asked for."""
 
     def __init__(self, n_sites: int, elements: Iterable[PauliString]) -> None:
@@ -342,22 +352,16 @@ class PauliGroup:
         self.__dict__.update(vars(span))
 
     @classmethod
-    def _of(cls, n_sites: int, xs: np.ndarray, zs: np.ndarray,
-            basis: tuple[int, ...] | None = None,
-            coords: np.ndarray | None = None) -> "PauliGroup":
-        """The group of the words (xs, zs), unchecked: sorted into canonical
-        order, with its basis read off the words at positions 2^j, unless basis
-        and coords are given, for words already in order."""
-        if basis is None:
-            order = _canonical_order(xs, zs, n_sites)
-            xs, zs = xs[order], zs[order]
-            at = [1 << j for j in range(len(xs).bit_length() - 1)]
-            basis, coords = _echelon((xs[at].astype(object) << n_sites | zs[at]).tolist())
-            coords = _xor_span(coords)
-        for v in (xs, zs, coords):
+    def _of(cls, n_sites: int, xs: np.ndarray, zs: np.ndarray) -> "PauliGroup":
+        """The group of the words (xs, zs), unchecked and already in canonical
+        order, with its basis read off the words at positions 2^j."""
+        at = (1 << j for j in range(len(xs).bit_length() - 1))
+        # Python ints: a packed word outgrows int64 from 32 sites on.
+        basis = tuple(xs.item(k) << n_sites | zs.item(k) for k in at)
+        for v in (xs, zs):
             v.flags.writeable = False
         self = cls.__new__(cls)
-        self.__dict__.update(n_sites=n_sites, xs=xs, zs=zs, basis=tuple(basis), coords=coords)
+        self.__dict__.update(n_sites=n_sites, xs=xs, zs=zs, basis=basis)
         return self
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -426,10 +430,12 @@ def _xor_span(gens: Iterable[int], dtype: type = np.int64) -> np.ndarray:
 
 def _span(n_sites: int, packed: Iterable[int]) -> PauliGroup:
     """The group of every product of the packed words x << n | z: the XOR
-    span of their echelon basis."""
+    span of their echelon basis, sorted into canonical order."""
     basis, dtype, low = _echelon(packed)[0], _mask_dtype(n_sites), (1 << n_sites) - 1
-    return PauliGroup._of(n_sites, _xor_span((v >> n_sites for v in basis), dtype),
-                          _xor_span((v & low for v in basis), dtype))
+    xs = _xor_span((v >> n_sites for v in basis), dtype)
+    zs = _xor_span((v & low for v in basis), dtype)
+    order = _canonical_order(xs, zs, n_sites)
+    return PauliGroup._of(n_sites, xs[order], zs[order])
 
 
 def group_closure(
@@ -490,13 +496,13 @@ def maximal_subgroup(G: PauliGroup) -> PauliGroup:
 
     The choice is deterministic: it is spanned by the first rank(G) - 1
     independent elements in canonical string order.  Those are the first
-    half of G's elements, with the basis prefix and the same coordinates,
+    half of G's elements, at the same positions and with the basis prefix,
     so the subgroup is views of G's arrays and a tower shares its top's.
     """
     if len(G) == 1:
         raise ValueError("the identity group has no proper subgroup")
     half = len(G) // 2
-    return PauliGroup._of(G.n_sites, G.xs[:half], G.zs[:half], G.basis[:-1], G.coords[:half])
+    return PauliGroup._of(G.n_sites, G.xs[:half], G.zs[:half])
 
 
 @dataclass(frozen=True)

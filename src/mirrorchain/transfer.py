@@ -50,7 +50,7 @@ from .chain import (
     propagator,
     single_excitation_matrix,
 )
-from .pauli import _I_POW, _walsh, xz_traces
+from .pauli import _I_POW, _json_array, _json_int, _walsh, xz_traces
 from .states import (
     BELL_KINDS,
     QuantumState,
@@ -252,12 +252,15 @@ def transfer_single(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    if not 1 <= site <= n_sites:
+    if not 1 <= (site := _json_int(site, "site")) <= n_sites:
         raise ValueError(f"site {site} out of range 1..{n_sites}")
     if mode == "deviation" and n_sites > sys.float_info.max_exp:
         raise ValueError(f"a single-site deviation output scales as 2^(N-1), which "
                          f"exceeds the float range above {sys.float_info.max_exp} sites")
     data = np.asarray(state, complex)
+    shape = (2,) if mode == "pure" else (2, 2)
+    if data.shape != shape:
+        raise ValueError(f"state must have shape {shape} in {mode} mode, got {data.shape}")
     if mode == "pure":
         norm = np.linalg.norm(data)  # nan or inf for non-finite entries
         if not 0.0 < norm < math.inf:
@@ -284,7 +287,7 @@ def transfer_entangled(
         raise ValueError(f"mode must be one of {_MODES}")
     if bell_kind not in BELL_KINDS:
         raise ValueError(f"unknown Bell kind {bell_kind!r}; expected one of {BELL_KINDS}")
-    i, j = sites
+    i, j = _json_array(sites, "sites", _json_int)
     if not (1 <= i < j <= n_sites):
         raise ValueError(f"sites {sites!r} must satisfy 1 <= i < j <= {n_sites}")
     return _transfer(n_sites, (i, j), bell_state(bell_kind), mode, spec)

@@ -693,6 +693,22 @@ def test_grape_malformed_target_decomposition_is_a_usage_error(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"], ids=["text", "binary"])
+@pytest.mark.parametrize("kind", ["spec", "system", "decomposition"])
+def test_input_file_that_is_not_json_is_named(tmp_path, capsys, kind, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    system = write_json(tmp_path / "sys.json", ONE_SPIN)
+    grape = ["grape", "--pulse-csv", str(tmp_path / "p.csv")]
+    argv = {
+        "spec": ["spectrum", "--spec", str(path)],
+        "system": [*grape, "--system", str(path), "--target-gate", "X"],
+        "decomposition": [*grape, "--system", system, "--target-decomposition", str(path)],
+    }[kind]
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == 2
+    assert f"file {str(path)!r} is not UTF-8 JSON: " in capsys.readouterr().err
+
+
 BAD_RECORD_CASES = {
     "bad-letter": ("decomposition", {"n": 1, "global_phase": [1.0, 0.0],
                                      "factors": [{"word": "Q", "angle": 0.5}]},

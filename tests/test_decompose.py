@@ -5,6 +5,7 @@ its coefficient table, cross weights, peel angles, and residuals are all
 known in closed form, so every stage of the peel can be pinned exactly.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -316,6 +317,25 @@ def test_weight_terms_match_the_pair_reference(n):
     assert odd
 
 
+def test_coordinates_are_positions_in_the_top_group():
+    # Any subgroup, prefix or not, maps to its words' positions in top;
+    # a group with a word outside top, or over other sites, is refused.
+    rng = np.random.default_rng(50)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        top = group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
+                             for _ in range(int(rng.integers(1, 5)))], n)
+        for sub in (maximal_subgroup(top) if len(top) > 1 else top,
+                    group_closure(rng.permutation(top.sorted_elements)[:2], n)):
+            want = [top.sorted_elements.index(w) for w in sub.sorted_elements]
+            assert _coordinates(top, sub).tolist() == want
+        words = (P("".join(t)) for t in itertools.product("IXYZ", repeat=n))
+        for bad in [PauliGroup.identity_group(n + 1)] + [
+                group_closure([w], n) for w in words if w not in top]:
+            with pytest.raises(ValueError, match="strictly smaller subgroup"):
+                _coordinates(top, bad)
+
+
 def test_pair_blocks_stay_within_the_memory_bound():
     # Candidate-child pairs come in blocks of at most 2^16.
     top = PauliGroup.complete(5)
@@ -323,7 +343,7 @@ def test_pair_blocks_stay_within_the_memory_bound():
     blocks = []
     for child in (maximal_subgroup(top), maximal_subgroup(maximal_subgroup(top)),
                   PauliGroup.identity_group(5)):
-        lv = _Level(top, top.coords, child, _coordinates(top, child), len(c))
+        lv = _Level(top, np.arange(len(top)), child, _coordinates(top, child), len(c))
         lv.terms(c, lv.weight(c))
         sizes = [pairs.size for _, pairs, _ in lv._tables()]
         assert max(sizes) <= 1 << 16 and sum(sizes) == len(lv.K) * len(child)
@@ -348,10 +368,10 @@ def test_coefficient_update_matches_transform_of_the_product():
             for _ in range(3):
                 i = int(rng.integers(len(G)))
                 word, theta = G.sorted_elements[i], float(rng.uniform(-math.pi, math.pi))
-                _rotate(c, xk, int(G.coords[i]), *word.masks, theta)
+                _rotate(c, xk, i, *word.masks, theta)
                 U = U @ word_exponential(word, theta)
                 want = xz_traces(U)[G.xs, G.zs] / d
-                assert np.abs(c[G.coords] - want).max() <= 1e-12, (G, word)
+                assert np.abs(c - want).max() <= 1e-12, (G, word)
 
 
 class TestPeelLevel:
@@ -665,6 +685,29 @@ def test_only_the_support_scan_eliminates_long_inputs(monkeypatch, source):
     decompose(U)
     assert scanned > 2 * rank
     assert [size for size in sizes if size > 2 * rank] == [scanned]
+
+
+@pytest.mark.parametrize("source", ["engineered-5", "engineered-8", "unitary-4"])
+def test_decompose_eliminates_once(monkeypatch, source):
+    # A word's canonical position is its coordinates, so neither the groups
+    # nor the peel eliminate: the support scan's span is the one elimination.
+    if source == "unitary-4":
+        spec = ChainSpec(tuple(np.random.default_rng(4).uniform(0.5, 1.5, 3)), (0.0,) * 4)
+    else:
+        spec = ChainSpec.engineered(int(source.split("-")[1]))
+    U = chain_propagator(spec, MIRROR_TIME)
+    scanned = int(np.count_nonzero(np.abs(xz_traces(U) / len(U)) > 1e-10))
+    sizes = []
+
+    def counted(vectors, _original=pauli_module._echelon):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return _original(vectors)
+
+    for module in (pauli_module, decompose_module):
+        monkeypatch.setattr(module, "_echelon", counted)
+    _, trace = decompose(U)
+    assert trace.strategy == "tower" and sizes == [scanned]
 
 
 def test_random_chain_reconstructs_to_rounding():
@@ -1047,3 +1090,9 @@ def test_gate_fidelity_properties():
     with pytest.raises(ValueError):
         gate_fidelity(U, np.eye(4))
     assert fidelity_hs is gate_fidelity
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 2)])
+def test_gate_fidelity_refuses_non_square_inputs(shape):
+    with pytest.raises(ValueError, match="expected two equal square matrices"):
+        gate_fidelity(np.ones(shape), np.ones(shape))

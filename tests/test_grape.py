@@ -462,6 +462,15 @@ class TestOptimizer:
             with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
                 GrapeConfig(**kwargs)
 
+    @pytest.mark.parametrize("target", [3.0 * np.eye(2), np.full((2, 2), 0.5)])
+    def test_target_must_be_unitary(self, target):
+        # a scaled identity used to report fidelity 2.98 and converged
+        cfg = GrapeConfig(steps=3, dt=1e-4, amp_max_hz=100.0, stop_fidelity=0.5)
+        with pytest.raises(ValueError, match=r"^target: input matrix is not a finite unitary"):
+            grape_optimize(SINGLE_SPIN, target, cfg)
+        with pytest.raises(ValueError, match=r"^target"):
+            mean_fidelity_and_gradient(SINGLE_SPIN, target, np.zeros((3, 1, 2)), 1e-4, (1.0,))
+
     @pytest.mark.parametrize(
         "scales, iterations, fidelity",
         [((1.0,), 66, 0.9950200784844977), ((0.95, 1.0, 1.05), 127, 0.9950048758627309)],

@@ -578,6 +578,30 @@ def test_transfer_refuses_non_finite_or_zero_kets(ket):
             transfer_single(4, 1, np.array(ket))
 
 
+@pytest.mark.parametrize("mode, state", [
+    ("pure", [1.0]),
+    ("pure", [1.0, 0.0, 0.0, 0.0]),
+    ("pure", np.eye(2)),
+    ("deviation", np.diag([1.0, -1.0, 1.0, -1.0])),
+    ("deviation", [1.0, -1.0]),
+])
+def test_transfer_refuses_a_state_that_is_not_one_qubit(mode, state):
+    with pytest.raises(ValueError, match=r"^state must have shape"):
+        transfer_single(4, 1, np.array(state), mode=mode)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: transfer_single(4, 1.5, single_qubit_state(1, 0)), "site"),
+    (lambda: transfer_single(4, True, single_qubit_state(1, 0)), "site"),
+    (lambda: transfer_single(4, 1.0, pauli_matrix(P("Z")), mode="deviation"), "site"),
+    (lambda: transfer_entangled(4, (1.0, 2.0), "phi+"), r"sites\[0\]"),
+    (lambda: transfer_entangled(4, (1, True), "phi+"), r"sites\[1\]"),
+], ids=["float", "bool", "deviation-float", "pair-float", "pair-bool"])
+def test_transfer_sites_must_be_integers(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        call()
+
+
 @pytest.fixture
 def six_state_design() -> dict[str, np.ndarray]:
     """The +-X, +-Y, +-Z eigenstate kets, keyed by axis and sign."""
