@@ -95,7 +95,7 @@ def _check_phases(evals: np.ndarray, tau: float) -> None:
 
 def engineered_couplings(n_sites: int) -> tuple[float, ...]:
     """J_i = sqrt(i (N - i)) for i = 1 .. N-1."""
-    if n_sites < 2:
+    if (n_sites := _json_int(n_sites, "n_sites")) < 2:
         raise ValueError("engineered couplings need at least 2 sites")
     _check_chain_length(n_sites)
     return tuple(math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
@@ -219,9 +219,10 @@ def propagator(H: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if np.abs(H - H.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
+    t = _json_float(t, "tau")
     evals, evecs = np.linalg.eigh(H)
-    _check_phases(evals, float(t))
-    return _evolve(evals, evecs, float(t))
+    _check_phases(evals, t)
+    return _evolve(evals, evecs, t)
 
 
 def _evolve(evals: np.ndarray, evecs: np.ndarray, t: float) -> np.ndarray:
@@ -287,6 +288,7 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     2 pi lattice.  phi0 carries the only phase freedom and is fixed by the
     bottom level, then reduced to (-pi, pi].
     """
+    tau = _json_float(tau, "tau")
     if not spec.mirror_symmetric:
         raise ValueError("mirror condition requires a mirror-symmetric chain")
     if any(j <= 0.0 for j in spec.couplings):
@@ -327,7 +329,7 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
         witnesses.append(int(n))
 
     return SpectralReport(
-        mirror_time=float(tau),
+        mirror_time=tau,
         eigenvalues=tuple(float(e) for e in evals),
         parities=tuple(parities),
         satisfied=ok,
@@ -341,9 +343,9 @@ def _mirror_check_direct(
     tau: float, evals: np.ndarray, evecs: np.ndarray
 ) -> SpectralReport:
     """Degenerate fallback: test the propagator itself with :func:`_mirror_phase`."""
-    w = _mirror_phase(_evolve(evals, evecs, float(tau)))
+    w = _mirror_phase(_evolve(evals, evecs, tau))
     return SpectralReport(
-        mirror_time=float(tau),
+        mirror_time=tau,
         eigenvalues=tuple(float(e) for e in evals),
         parities=(),
         satisfied=w is not None,

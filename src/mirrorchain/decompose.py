@@ -592,6 +592,7 @@ def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:
 
 def gate_fidelity(U: np.ndarray, V: np.ndarray) -> float:
     """|Tr(U^dag V)| / d, the phase-insensitive overlap of two unitaries."""
+    U, V = np.asarray(U), np.asarray(V)
     if U.ndim != 2 or U.shape != V.shape or U.shape[0] != U.shape[1]:
         raise ValueError(f"expected two equal square matrices, got {U.shape} vs {V.shape}")
     # Tr(U^dag V) = sum_ij conj(U_ij) V_ij: O(d^2), no product.
@@ -612,7 +613,7 @@ def closed_form(n_sites: int) -> ProductDecomposition:
     rightmost (applied first) and the product closes with phase -i times
     an alternating sign.
     """
-    if n_sites < 2:
+    if (n_sites := _json_int(n_sites, "n_sites")) < 2:
         raise ValueError("the product form needs at least 2 sites")
     sign = -1.0 if (n_sites // 2) % 2 else 1.0
     quarter = -sign * math.pi / 4.0

@@ -71,7 +71,6 @@ __all__ = [
     "control_operators",
     "propagate",
     "fidelity_hs",
-    "mean_fidelity_and_gradient",
     "grape_optimize",
 ]
 
@@ -244,15 +243,6 @@ def _prefixes(Us: np.ndarray) -> np.ndarray:
     return F
 
 
-def _plant(spec: NmrSystemSpec, pulse: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and control generators of `spec`, once the pulse's channels match them."""
-    if pulse.n_channels != spec.n_channels:
-        raise ValueError(
-            f"pulse amplitudes drive {pulse.n_channels} channels, system has {spec.n_channels}"
-        )
-    return drift_hamiltonian(spec), control_operators(spec)
-
-
 def _target_adjoint(target: np.ndarray, d: int) -> np.ndarray:
     """V^dag of a finite d x d unitary target."""
     try:
@@ -274,7 +264,11 @@ def _rf_scales(values) -> tuple[float, ...]:
 
 def propagate(spec: NmrSystemSpec, pulse: PulseSequence) -> np.ndarray:
     """Time-ordered product of the per-step exponentials (step 0 first)."""
-    Hd, ops = _plant(spec, pulse)
+    if pulse.n_channels != spec.n_channels:
+        raise ValueError(
+            f"pulse amplitudes drive {pulse.n_channels} channels, system has {spec.n_channels}"
+        )
+    Hd, ops = drift_hamiltonian(spec), control_operators(spec)
     return _prefixes(_steps(Hd, ops, pulse.amplitudes, pulse.dt, 1.0)[2])[-1]
 
 
@@ -288,27 +282,6 @@ def _gamma(evals: np.ndarray, dt: float) -> np.ndarray:
     h = np.exp(-0.5j * dt * evals)
     x = 0.5 * dt * (evals[..., :, None] - evals[..., None, :])
     return -1j * dt * h[..., :, None] * h[..., None, :] * np.sinc(x / np.pi)
-
-
-def mean_fidelity_and_gradient(
-    spec: NmrSystemSpec,
-    target: np.ndarray,
-    amplitudes: np.ndarray,
-    dt: float,
-    rf_scales: tuple[float, ...] = (1.0,),
-) -> tuple[float, np.ndarray]:
-    """Mean HS fidelity over RF scales and its exact amplitude gradient.
-
-    The scale-s term propagates with all control amplitudes multiplied by
-    s; with rf_scales=(1.0,) this is exactly the plain objective.  Raises
-    ValueError naming the field when amplitudes, dt, rf_scales or target
-    are malformed or non-finite.
-    """
-    pulse = PulseSequence(dt, amplitudes)
-    scales = _rf_scales(rf_scales)
-    Hd, ops = _plant(spec, pulse)
-    Vh = _target_adjoint(target, Hd.shape[0])
-    return _phi_and_grad(Hd, ops, Vh, pulse.amplitudes, pulse.dt, scales)
 
 
 def _value(

@@ -188,10 +188,6 @@ class PauliString:
             out.append(_BITS_LETTER[((x >> bit) & 1, (z >> bit) & 1)])
         return PauliString("".join(out))
 
-    @staticmethod
-    def identity(n_sites: int) -> "PauliString":
-        return PauliString("I" * n_sites)
-
     def __str__(self) -> str:
         return self.letters
 
@@ -247,6 +243,7 @@ def apply_word_exponential(U: np.ndarray, word: PauliString, angle: float) -> No
     d = 1 << word.n_sites
     if U.ndim != 2 or U.shape[1] != d:
         raise ValueError(f"matrix shape {U.shape} does not match {word.n_sites} sites")
+    angle = _json_float(angle, "angle")
     moved = U[:, np.arange(d) ^ word.masks[0]]
     moved *= _factor_phases(word, angle)
     U *= math.cos(angle)
@@ -407,17 +404,6 @@ class PauliGroup:
         # A basis prefix, as `maximal_subgroup` gives, spans a subgroup.
         return self.n_sites == other.n_sites and (
             self.basis == other.basis[:len(self.basis)] or other._spans(*self.basis))
-
-    @classmethod
-    def identity_group(cls, n_sites: int) -> "PauliGroup":
-        return _span(n_sites, ())
-
-    @classmethod
-    def complete(cls, n_sites: int) -> "PauliGroup":
-        """The full 4^n-element word group (small n only)."""
-        if n_sites > 6:
-            raise ValueError("complete group is too large beyond 6 sites")
-        return _span(n_sites, (1 << b for b in range(2 * n_sites)))
 
 
 def _xor_span(gens: Iterable[int], dtype: type = np.int64) -> np.ndarray:

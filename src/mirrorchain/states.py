@@ -12,10 +12,10 @@ operators are scattered into, and kets gathered from, those indices, with
 no Kronecker product and no loop over bit labels.  These dense 2^N forms
 serve `QuantumState` and the tests; state transfer never builds them.
 
-Density matrices come in three flavors, tagged on :class:`QuantumState`:
-"pure" (a ket), "mixed" (a unit-trace PSD matrix), and "deviation" (the
-traceless high-temperature deviation from the maximally mixed background,
-as prepared in liquid-state magnetic resonance).
+States come in two kinds, tagged on :class:`QuantumState`: "pure" (a
+ket) and "deviation" (the traceless high-temperature deviation from the
+maximally mixed background, as prepared in liquid-state magnetic
+resonance).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "KET_ONE",
-    "KET_ZERO",
     "basis_index",
     "basis_ket",
     "bit_label",
@@ -34,17 +32,11 @@ __all__ = [
     "mirror_permutation",
     "bell_state",
     "BELL_KINDS",
-    "single_qubit_state",
     "embed_at",
     "embed_operator",
     "partial_trace",
     "QuantumState",
 ]
-
-#: sigma-z = +1 eigenstate, written '1'.
-KET_ONE = np.array([1.0, 0.0], dtype=complex)
-#: sigma-z = -1 eigenstate, written '0'.
-KET_ZERO = np.array([0.0, 1.0], dtype=complex)
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -86,15 +78,6 @@ def mirror_permutation(n_sites: int) -> np.ndarray:
     """
     j = np.arange(1 << n_sites, dtype=np.int64)
     return sum(((j >> b) & 1) << (n_sites - 1 - b) for b in range(n_sites))
-
-
-def single_qubit_state(a0: complex, a1: complex) -> np.ndarray:
-    """Ket a0|0> + a1|1>, normalized; rejects the zero vector."""
-    ket = a0 * KET_ZERO + a1 * KET_ONE
-    norm = np.linalg.norm(ket)
-    if norm < 1e-12:
-        raise ValueError("zero amplitude pair")
-    return ket / norm
 
 
 def bell_state(kind: str) -> np.ndarray:
@@ -172,12 +155,12 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...], n_sites: int) -> np.nd
     return rho[P[:, None, :], P[None, :, :]].sum(-1)
 
 
-_STATE_KINDS = ("pure", "mixed", "deviation")
+_STATE_KINDS = ("pure", "deviation")
 
 
 @dataclass(frozen=True)
 class QuantumState:
-    """A register state: a ket, a density matrix, or a deviation matrix."""
+    """A register state: a ket ("pure") or a traceless Hermitian matrix ("deviation")."""
 
     kind: str
     data: np.ndarray
@@ -199,13 +182,7 @@ class QuantumState:
                 raise ValueError("matrix state data must be square")
             if np.abs(arr - arr.conj().T).max() > 1e-9:
                 raise ValueError("matrix state must be Hermitian")
-            tr = complex(np.trace(arr)).real
-            if self.kind == "mixed":
-                if abs(tr - 1.0) > 1e-9:
-                    raise ValueError("mixed state must have unit trace")
-                if float(np.linalg.eigvalsh(arr).min()) < -1e-10:
-                    raise ValueError("mixed state must be positive semidefinite")
-            if self.kind == "deviation" and abs(tr) > 1e-9:
+            if abs(complex(np.trace(arr)).real) > 1e-9:
                 raise ValueError("deviation state must be traceless")
         n = int(arr.shape[0]).bit_length() - 1
         if arr.shape[0] != 1 << n:

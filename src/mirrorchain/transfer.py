@@ -252,6 +252,7 @@ def transfer_single(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
+    n_sites = _json_int(n_sites, "n_sites")
     if not 1 <= (site := _json_int(site, "site")) <= n_sites:
         raise ValueError(f"site {site} out of range 1..{n_sites}")
     if mode == "deviation" and n_sites > sys.float_info.max_exp:
@@ -287,7 +288,10 @@ def transfer_entangled(
         raise ValueError(f"mode must be one of {_MODES}")
     if bell_kind not in BELL_KINDS:
         raise ValueError(f"unknown Bell kind {bell_kind!r}; expected one of {BELL_KINDS}")
-    i, j = _json_array(sites, "sites", _json_int)
+    n_sites = _json_int(n_sites, "n_sites")
+    if len(pair := _json_array(sites, "sites", _json_int)) != 2:
+        raise ValueError(f"sites must hold two sites, got {sites!r}")
+    i, j = pair
     if not (1 <= i < j <= n_sites):
         raise ValueError(f"sites {sites!r} must satisfy 1 <= i < j <= {n_sites}")
     return _transfer(n_sites, (i, j), bell_state(bell_kind), mode, spec)
@@ -310,6 +314,8 @@ def _transfer(
     """
     if spec is None:
         spec = ChainSpec.engineered(n_sites)
+    elif not isinstance(spec, ChainSpec):
+        raise ValueError(f"spec must be a ChainSpec, got {type(spec).__name__}")
     elif spec.n_sites != n_sites:
         raise ValueError(f"chain has {spec.n_sites} sites, transfer asked for {n_sites}")
     u = propagator(single_excitation_matrix(spec), MIRROR_TIME)

@@ -66,6 +66,21 @@ def test_engineered_couplings_values():
         engineered_couplings(MAX_CHAIN_SITES + 1)
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda: engineered_couplings(2.5), "n_sites must be an integer"),
+    (lambda: ChainSpec.engineered(True), "n_sites must be an integer"),
+    (lambda: propagator(np.diag([0.0, 2.0]), "0.5"), "tau must be a number"),
+    (lambda: propagator(np.diag([0.0, 2.0]), True), "tau must be a number"),
+    (lambda: chain_propagator(ChainSpec.engineered(3), "1"), "tau must be a number"),
+    (lambda: check_mirror_condition(ChainSpec.engineered(3), "a"), "tau must be a number"),
+    (lambda: check_mirror_condition(ChainSpec.engineered(3), 1j), "tau must be a number"),
+], ids=["couplings-float", "spec-bool", "propagator-str", "propagator-bool",
+        "chain-str", "mirror-str", "mirror-complex"])
+def test_site_counts_and_times_are_read_as_numbers(call, field):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        call()
+
+
 def test_spec_validation_and_flags():
     with pytest.raises(ValueError):
         ChainSpec((1.0,), (0.0,))  # field count mismatch

@@ -37,7 +37,6 @@ from mirrorchain.decompose import (
 from mirrorchain.grape import fidelity_hs
 from mirrorchain.pauli import (
     _I_POW,
-    PauliGroup,
     PauliString,
     SubgroupChain,
     apply_word_exponential,
@@ -50,7 +49,7 @@ from mirrorchain.pauli import (
     xz_traces,
 )
 
-from test_pauli import reference_coordinates
+from test_pauli import every_word, reference_coordinates
 
 P = PauliString
 
@@ -102,7 +101,7 @@ def hand_tower4(mirror4):
             group_closure([P("IXXI"), P("IYYI"), P("XIIX"), P("XXXX")]),
             group_closure([P("IXXI"), P("IYYI")]),
             group_closure([P("IXXI")]),
-            PauliGroup.identity_group(4),
+            group_closure([], 4),
         )
     )
 
@@ -114,7 +113,7 @@ class TestExpand:
         for _ in range(30):
             n = int(rng.integers(1, 4))
             U = random_unitary(rng, 1 << n)
-            coeffs = expand(U, PauliGroup.complete(n))
+            coeffs = expand(U, every_word(n))
             assert sum(abs(c) ** 2 for c in coeffs.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_exponential_coefficients(self):
@@ -217,7 +216,7 @@ class TestOptimalAngle:
         # a bare Pauli word carries no weight in the child or its D-coset
         U = pauli_matrix(P("ZZ")).astype(complex)
         with pytest.raises(DecompositionError, match="stalled"):
-            peel_level(U, group_closure([P("XX")]), PauliGroup.identity_group(2))
+            peel_level(U, group_closure([P("XX")]), group_closure([], 2))
 
 
 def expand_oracle(U, group):
@@ -298,14 +297,14 @@ def test_weight_terms_match_the_pair_reference(n):
     groups = [group_closure([P("".join("IXYZ"[k] for k in rng.integers(0, 4, n)))
                              for _ in range(n + 2)], n) for _ in range(6)]
     if n <= 5:
-        groups.insert(0, PauliGroup.complete(n))
+        groups.insert(0, every_word(n))
     top = group_closure([w for g in groups for w in g.sorted_elements], n)
     odd = False
     for parent in groups:
         if len(parent) == 1:
             continue
         a = xz_traces(random_unitary(rng, 1 << n)) / (1 << n)
-        children = [maximal_subgroup(parent), PauliGroup.identity_group(n)]
+        children = [maximal_subgroup(parent), group_closure([], n)]
         if len(parent) >= 4:
             children.append(maximal_subgroup(children[0]))
         for child in children:
@@ -330,7 +329,7 @@ def test_coordinates_are_positions_in_the_top_group():
             want = [top.sorted_elements.index(w) for w in sub.sorted_elements]
             assert _coordinates(top, sub).tolist() == want
         words = (P("".join(t)) for t in itertools.product("IXYZ", repeat=n))
-        for bad in [PauliGroup.identity_group(n + 1)] + [
+        for bad in [group_closure([], n + 1)] + [
                 group_closure([w], n) for w in words if w not in top]:
             with pytest.raises(ValueError, match="strictly smaller subgroup"):
                 _coordinates(top, bad)
@@ -338,11 +337,11 @@ def test_coordinates_are_positions_in_the_top_group():
 
 def test_pair_blocks_stay_within_the_memory_bound():
     # Candidate-child pairs come in blocks of at most 2^16.
-    top = PauliGroup.complete(5)
+    top = every_word(5)
     c, _ = _coefficients(xz_traces(random_unitary(np.random.default_rng(49), 32)) / 32, top)
     blocks = []
     for child in (maximal_subgroup(top), maximal_subgroup(maximal_subgroup(top)),
-                  PauliGroup.identity_group(5)):
+                  group_closure([], 5)):
         lv = _Level(top, np.arange(len(top)), child, _coordinates(top, child), len(c))
         lv.terms(c, lv.weight(c))
         sizes = [pairs.size for _, pairs, _ in lv._tables()]
@@ -361,7 +360,7 @@ def test_coefficient_update_matches_transform_of_the_product():
                                  for _ in range(int(rng.integers(1, n + 3)))], n)
                   for _ in range(6)]
         if n <= 4:
-            groups.append(PauliGroup.complete(n))
+            groups.append(every_word(n))
         for G in groups:
             U = random_unitary(rng, d)
             c, xk = _coefficients(xz_traces(U) / d, G)
@@ -414,7 +413,7 @@ class TestPeelLevel:
             U = np.eye(4, dtype=complex)
             for w in words:
                 U = U @ rotation(w.letters, float(rng.uniform(-1.2, 1.2)))
-            parent = PauliGroup.complete(2)
+            parent = every_word(2)
             child = group_closure([P("YY")])
             try:
                 residual, steps = peel_level(U, parent, child)
@@ -430,7 +429,7 @@ class TestPeelLevel:
         # A one-site X packs like a two-site ZI: the site counts must match.
         with pytest.raises(ValueError):
             peel_level(np.eye(4, dtype=complex),
-                       PauliGroup.complete(2), group_closure([P("X")]))
+                       every_word(2), group_closure([P("X")]))
 
 
 class TestDecomposeMirror4:
@@ -470,7 +469,7 @@ def mirror5():
 def hand_tower5():
     gens = [P("XZZZY"), P("YZZZX"), P("IXZYI"), P("IYZXI"), P("XYIYX")]
     levels = [group_closure(gens[k:]) for k in range(5)]
-    levels.append(PauliGroup.identity_group(5))
+    levels.append(group_closure([], 5))
     assert [len(g) for g in levels] == [32, 16, 8, 4, 2, 1]
     return SubgroupChain(tuple(levels))
 
@@ -529,7 +528,7 @@ class TestDecomposeGeneral:
     def test_weight_outside_chain_top(self):
         U = rotation("XX", 0.5)
         bad = SubgroupChain(
-            (group_closure([P("ZZ")]), PauliGroup.identity_group(2))
+            (group_closure([P("ZZ")]), group_closure([], 2))
         )
         with pytest.raises(DecompositionError) as err:
             decompose(U, chain=bad)
@@ -539,7 +538,7 @@ class TestDecomposeGeneral:
     def test_chain_site_mismatch(self):
         with pytest.raises(ValueError):
             decompose(np.eye(4, dtype=complex),
-                      chain=SubgroupChain.automatic(PauliGroup.complete(1)))
+                      chain=SubgroupChain.automatic(every_word(1)))
 
     def test_identity_needs_no_factors(self):
         dec, trace = decompose(np.eye(8, dtype=complex))
@@ -567,7 +566,7 @@ def test_reconstruct_matches_kron_product_oracle():
     rng = np.random.default_rng(46)
     cases = []
     for n in range(1, 5):
-        words = [w for w in PauliGroup.complete(n) if not w.is_identity]
+        words = [w for w in every_word(n) if not w.is_identity]
         cases.append([words[k] for k in rng.permutation(len(words))])
     for n in (5, 5, 6, 6):
         cases.append([P("".join("XYZ"[k] for k in rng.integers(0, 3, n))) for _ in range(30)])
@@ -1006,6 +1005,11 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form(1)
 
+    @pytest.mark.parametrize("n_sites", [2.5, 4.0, True, "4"])
+    def test_site_count_must_be_an_integer(self, n_sites):
+        with pytest.raises(ValueError, match="^n_sites must be an integer"):
+            closed_form(n_sites)
+
 
 # Factors of the automatic-chain peel, as the per-word implementation of the
 # coefficients produced them: the words, their order and the angles hold.
@@ -1096,3 +1100,10 @@ def test_gate_fidelity_properties():
 def test_gate_fidelity_refuses_non_square_inputs(shape):
     with pytest.raises(ValueError, match="expected two equal square matrices"):
         gate_fidelity(np.ones(shape), np.ones(shape))
+
+
+def test_gate_fidelity_takes_nested_lists():
+    assert gate_fidelity([[1]], [[1]]) == 1.0
+    assert gate_fidelity([[0, 1], [1, 0]], [[0, 1j], [1j, 0]]) == 1.0
+    with pytest.raises(ValueError, match="expected two equal square matrices"):
+        gate_fidelity([1, 0], [1, 0])

@@ -119,6 +119,12 @@ def assert_positions_are_coordinates(G: PauliGroup) -> None:
         assert e == reduce(xor, (b for j, b in enumerate(G.basis) if i >> j & 1), 0)
 
 
+def every_word(n: int) -> PauliGroup:
+    """The group of all 4^n words: the closure of the single-site X and Z words."""
+    return group_closure([PauliString("I" * i + c + "I" * (n - 1 - i))
+                          for i in range(n) for c in "XZ"])
+
+
 def random_group(rng, n: int) -> PauliGroup:
     return group_closure([random_word(rng, n) for _ in range(int(rng.integers(0, 5)))],
                          n_sites=n)
@@ -175,7 +181,7 @@ class TestPauliString:
             assert PauliString.from_masks(x, z, n) == w
 
     def test_identity(self):
-        assert PauliString.identity(3).letters == "III"
+        assert PauliString("I" * 3).letters == "III"
         assert PauliString("III").is_identity
         assert not PauliString("IIX").is_identity
 
@@ -226,7 +232,7 @@ class TestPauliMatrix:
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
-            pauli_matrix(PauliString.identity(13))
+            pauli_matrix(PauliString("I" * 13))
 
     def test_word_exponential(self):
         rng = np.random.default_rng(10)
@@ -314,6 +320,21 @@ class TestWordExponentialKernel:
             with pytest.raises(ValueError):
                 apply_word_exponential(bad, w, 0.3)
 
+    @pytest.mark.parametrize("angle, message", [
+        (math.nan, "angle must be finite"),
+        (-math.inf, "angle must be finite"),
+        ("0.3", "angle must be a number"),
+        (0.3j, "angle must be a number"),
+        (None, "angle must be a number"),
+    ], ids=["nan", "-inf", "str", "complex", "none"])
+    def test_kernel_refuses_a_malformed_angle(self, angle, message):
+        U = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            apply_word_exponential(U, PauliString("XZ"), angle)
+        assert np.array_equal(U, np.eye(4))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            word_exponential(PauliString("XZ"), angle)
+
 
 class TestGroups:
     def test_closure_example(self):
@@ -387,10 +408,8 @@ class TestGroups:
             PauliGroup(2, frozenset({PauliString("XX")}))  # no identity
 
     def test_complete(self):
-        g = PauliGroup.complete(2)
-        assert len(g) == 16
-        with pytest.raises(ValueError):
-            PauliGroup.complete(7)
+        assert len(every_word(2)) == 16
+        assert set(every_word(2)) == {PauliString(a + b) for a in LETTERS for b in LETTERS}
 
 
 class TestSupportGroup:
@@ -444,7 +463,7 @@ class TestMaximalSubgroup:
 
     def test_trivial_group_has_no_proper_subgroup(self):
         with pytest.raises(ValueError):
-            maximal_subgroup(PauliGroup.identity_group(2))
+            maximal_subgroup(group_closure([], 2))
 
 
 class TestSubgroupChain:

@@ -8,8 +8,6 @@ import pytest
 from mirrorchain.pauli import PauliString, pauli_matrix
 from mirrorchain.states import (
     BELL_KINDS,
-    KET_ONE,
-    KET_ZERO,
     QuantumState,
     _site_index,
     basis_index,
@@ -20,15 +18,15 @@ from mirrorchain.states import (
     embed_operator,
     mirror_permutation,
     partial_trace,
-    single_qubit_state,
 )
 
 
 def test_z_eigenstate_convention():
     # '1' is the sigma-z = +1 state and sits first in the kron factor
     Z = pauli_matrix(PauliString("Z"))
-    assert np.allclose(Z @ KET_ONE, KET_ONE)
-    assert np.allclose(Z @ KET_ZERO, -KET_ZERO)
+    assert np.allclose(Z @ basis_ket("1"), basis_ket("1"))
+    assert np.allclose(Z @ basis_ket("0"), -basis_ket("0"))
+    assert np.allclose(basis_ket("1"), [1.0, 0.0])
 
 
 def test_basis_index_examples():
@@ -63,8 +61,9 @@ def test_bad_labels():
 
 
 def test_basis_ket_is_kron_of_single_sites():
-    assert np.allclose(basis_ket("10"), np.kron(KET_ONE, KET_ZERO))
-    assert np.allclose(basis_ket("011"), np.kron(KET_ZERO, np.kron(KET_ONE, KET_ONE)))
+    one, zero = basis_ket("1"), basis_ket("0")
+    assert np.allclose(basis_ket("10"), np.kron(one, zero))
+    assert np.allclose(basis_ket("011"), np.kron(zero, np.kron(one, one)))
 
 
 def test_mirror_permutation_two_sites():
@@ -86,14 +85,6 @@ def test_mirror_permutation_reverses_labels():
         assert bit_label(int(p[j]), n) == bit_label(j, n)[::-1]
 
 
-def test_single_qubit_state_normalizes():
-    ket = single_qubit_state(3.0, 4.0j)
-    assert np.linalg.norm(ket) == pytest.approx(1.0)
-    assert ket[basis_index("0")] == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        single_qubit_state(0.0, 0.0)
-
-
 def test_bell_states():
     root = 1 / np.sqrt(2)
     assert np.allclose(bell_state("phi+"), root * (basis_ket("00") + basis_ket("11")))
@@ -107,9 +98,9 @@ def test_bell_states():
 
 
 def test_embed_at_single_site():
-    plus = single_qubit_state(1.0, 1.0)
+    plus = np.array([1.0, 1.0], complex) / np.sqrt(2)
     full = embed_at(plus, (1,), 3)
-    assert np.allclose(full, np.kron(plus, np.kron(KET_ZERO, KET_ZERO)))
+    assert np.allclose(full, np.kron(plus, basis_ket("00")))
 
 
 def test_embed_at_pair_order_and_padding():
@@ -126,7 +117,7 @@ def test_embed_at_validation():
     with pytest.raises(ValueError):
         embed_at(bell_state("phi+"), (1,), 4)     # dim mismatch
     with pytest.raises(ValueError):
-        embed_at(KET_ONE, (5,), 4)                # out of range
+        embed_at(basis_ket("1"), (5,), 4)         # out of range
 
 
 def test_embed_operator_matches_kron():
@@ -229,11 +220,13 @@ def test_quantum_state_validation():
     with pytest.raises(ValueError):
         QuantumState("pure", np.array([1.0, 1.0]))       # unnormalized
     with pytest.raises(ValueError):
-        QuantumState("mixed", np.array([[0.9, 0.3], [0.1, 0.1]]))  # not Hermitian
+        QuantumState("deviation", np.array([[0.4, 0.3], [0.1, -0.4]]))  # not Hermitian
     with pytest.raises(ValueError):
         QuantumState("deviation", np.eye(2))              # not traceless
     with pytest.raises(ValueError):
         QuantumState("thermal", np.eye(2) / 2)            # unknown kind
+    with pytest.raises(ValueError, match="kind must be one of"):
+        QuantumState("mixed", np.eye(2) / 2)              # density matrices are not a kind
     sx = pauli_matrix(PauliString("X"))
     st = QuantumState("deviation", sx)
     assert st.n_sites == 1
@@ -241,7 +234,7 @@ def test_quantum_state_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("kind, data", [
-    ("pure", KET_ONE), ("mixed", np.eye(2) / 2), ("deviation", np.diag([0.5, -0.5]))])
+    ("pure", basis_ket("1")), ("pure", bell_state("phi+")), ("deviation", np.diag([0.5, -0.5]))])
 def test_quantum_state_refuses_non_finite_data(kind, data, bad):
     data = np.array(data, dtype=complex)
     data.flat[0] = bad

@@ -31,7 +31,6 @@ from mirrorchain.states import (
     excitation_numbers,
     mirror_permutation,
     partial_trace,
-    single_qubit_state,
 )
 from mirrorchain.transfer import (
     SectorPhaseTable,
@@ -194,7 +193,7 @@ def test_transfer_reports_match_dense_oracle():
     # (1, n) and (n - 1, n), whose Majorana sets span the chain
     rng = np.random.default_rng(37)
     signed_rng = np.random.default_rng(43)
-    ket = single_qubit_state(0.6, 0.8j)
+    ket = np.array([0.8j, 0.6])
     sx = pauli_matrix(P("X"))
     for n in range(2, 9):
         sites = range(1, n + 1) if n <= 6 else (1,)
@@ -318,7 +317,7 @@ def test_transfer_phase_table_matches_sector_phases():
     # dense propagator, and so do the phases; the uniform field keeps the
     # mirror but moves w
     rng = np.random.default_rng(45)
-    ket = single_qubit_state(0.6, 0.8j)
+    ket = np.array([0.8j, 0.6])
     for n in range(2, 11):
         engineered_with_field = ChainSpec(engineered_couplings(n), (0.3,) * n)
         chains = oracle_chains(n, rng) + [perturbed_chain(n, rng), engineered_with_field]
@@ -381,7 +380,7 @@ def test_transfer_calls_no_kron(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    ket = single_qubit_state(0.6, 0.8j)
+    ket = np.array([0.8j, 0.6])
     sx = pauli_matrix(P("X"))
     perturbed = perturbed_chain(5, np.random.default_rng(39))
     monkeypatch.setattr(np, "kron", counted)
@@ -410,7 +409,7 @@ def test_deviation_transfer_forms_no_register_operator(monkeypatch):
     for spec in (None, perturbed):
         transfer_single(5, 2, sx, mode="deviation", spec=spec)
         transfer_entangled(5, (1, 3), "psi+", mode="deviation", spec=spec)
-        transfer_single(5, 2, single_qubit_state(0.6, 0.8j), mode="pure", spec=spec)
+        transfer_single(5, 2, np.array([0.8j, 0.6]), mode="pure", spec=spec)
 
 
 def test_deviation_transfer_peak_memory_at_ten_sites():
@@ -591,14 +590,30 @@ def test_transfer_refuses_a_state_that_is_not_one_qubit(mode, state):
 
 
 @pytest.mark.parametrize("call, field", [
-    (lambda: transfer_single(4, 1.5, single_qubit_state(1, 0)), "site"),
-    (lambda: transfer_single(4, True, single_qubit_state(1, 0)), "site"),
+    (lambda: transfer_single(4, 1.5, basis_ket("0")), "site"),
+    (lambda: transfer_single(4, True, basis_ket("0")), "site"),
     (lambda: transfer_single(4, 1.0, pauli_matrix(P("Z")), mode="deviation"), "site"),
     (lambda: transfer_entangled(4, (1.0, 2.0), "phi+"), r"sites\[0\]"),
     (lambda: transfer_entangled(4, (1, True), "phi+"), r"sites\[1\]"),
-], ids=["float", "bool", "deviation-float", "pair-float", "pair-bool"])
+    (lambda: transfer_single(5.5, 1, basis_ket("1")), "n_sites"),
+    (lambda: transfer_single(True, 1, basis_ket("1")), "n_sites"),
+    (lambda: transfer_entangled(5.5, (1, 2), "phi+"), "n_sites"),
+], ids=["float", "bool", "deviation-float", "pair-float", "pair-bool", "n-float", "n-bool",
+        "pair-n-float"])
 def test_transfer_sites_must_be_integers(call, field):
     with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: transfer_entangled(4, (1,), "phi+"), r"sites must hold two sites, got \(1,\)"),
+    (lambda: transfer_entangled(4, (1, 2, 3), "phi+"), "sites must hold two sites"),
+    (lambda: transfer_single(4, 1, basis_ket("1"), spec=5), "spec must be a ChainSpec, got int"),
+    (lambda: transfer_entangled(4, (1, 4), "phi+", spec="chain.json"),
+     "spec must be a ChainSpec, got str"),
+], ids=["one-site", "three-sites", "single-spec", "pair-spec"])
+def test_transfer_refuses_a_malformed_pair_or_chain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         call()
 
 
@@ -628,7 +643,7 @@ def test_six_state_design(six_state_design):
 
 
 def test_pure_transfer_site_one_to_five():
-    ket = single_qubit_state(1.0, 1.0)
+    ket = np.array([1.0, 1.0])  # transfer_single normalizes the ket
     rep = transfer_single(5, 1, ket, mode="pure")
     assert rep.source_sites == (1,)
     assert rep.destination_sites == (5,)
@@ -645,7 +660,7 @@ def test_pure_transfer_all_sites_and_states(six_state_design):
 
 
 def test_center_site_is_fixed_point():
-    rep = transfer_single(5, 3, single_qubit_state(0.6, 0.8j), mode="pure")
+    rep = transfer_single(5, 3, np.array([0.8j, 0.6]), mode="pure")
     assert rep.destination_sites == (3,)
     assert rep.fidelity >= 1 - 1e-12
 
@@ -654,7 +669,7 @@ def test_pure_transfer_phase_matters():
     # the transferred ket is NOT the input when the one-excitation phase
     # is nontrivial: for N=4, w = (-i)^3 = i, so |0>+|1> lands as |0>+i|1>
     # at site 4; the naive unphased target has fidelity 1/2
-    ket = single_qubit_state(1.0, 1.0)
+    ket = np.array([1.0, 1.0]) / np.sqrt(2)
     rep = transfer_single(4, 1, ket, mode="pure")
     assert rep.fidelity >= 1 - 1e-9
     naive = np.outer(ket, ket.conj())
@@ -698,26 +713,26 @@ def test_deviation_z_input_survives_reduction():
 
 def test_transfer_site_range_checked():
     with pytest.raises(ValueError):
-        transfer_single(5, 0, single_qubit_state(1, 0))
+        transfer_single(5, 0, basis_ket("0"))
     with pytest.raises(ValueError):
-        transfer_single(5, 6, single_qubit_state(1, 0))
+        transfer_single(5, 6, basis_ket("0"))
     with pytest.raises(ValueError):
-        transfer_single(5, 1, single_qubit_state(1, 0), mode="heisenberg")
+        transfer_single(5, 1, basis_ket("0"), mode="heisenberg")
 
 
 def test_transfer_with_explicit_spec():
     spec = ChainSpec.engineered(4)
-    rep = transfer_single(4, 1, single_qubit_state(0.0, 1.0), spec=spec)
+    rep = transfer_single(4, 1, basis_ket("1"), spec=spec)
     assert rep.fidelity >= 1 - 1e-9
     with pytest.raises(ValueError):
-        transfer_single(5, 1, single_qubit_state(0.0, 1.0), spec=spec)
+        transfer_single(5, 1, basis_ket("1"), spec=spec)
 
 
 def test_transfer_on_non_mirror_chain_reports_low_fidelity():
     # a uniform chain does not mirror at pi/2; the report should still be
     # produced, with no sector table and imperfect fidelity
     spec = ChainSpec((1.0, 1.0, 1.0), (0.0,) * 4)
-    rep = transfer_single(4, 1, single_qubit_state(1.0, 1.0), spec=spec)
+    rep = transfer_single(4, 1, np.array([1.0, 1.0]), spec=spec)
     assert rep.sector_phases is None
     assert rep.fidelity < 1 - 1e-3
 
