@@ -87,6 +87,12 @@ def _check_chain_length(n_sites: int) -> None:
         raise ValueError(f"{n_sites} sites exceeds the chain-length cap of {MAX_CHAIN_SITES}")
 
 
+def _check_spec(spec: object) -> None:
+    """Refuse a spec that is not a ChainSpec, naming it."""
+    if not isinstance(spec, ChainSpec):
+        raise ValueError(f"spec must be a ChainSpec, got {type(spec).__name__}")
+
+
 def _check_phases(evals: np.ndarray, tau: float) -> None:
     """Refuse a tau that is not finite or whose phases tau * eigenvalue overflow."""
     if not math.isfinite(tau * float(np.abs(evals).max())):
@@ -191,6 +197,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     Site i sits at bit N-i of a basis index, and a 0 bit is an excited
     ('1') site: one array pass over the indices per coupling and per field.
     """
+    _check_spec(spec)
     n = spec.n_sites
     if n > MAX_DENSE_SITES:
         raise ValueError(f"{n} sites exceeds the dense cap of {MAX_DENSE_SITES}")
@@ -207,6 +214,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
 
 def single_excitation_matrix(spec: ChainSpec) -> np.ndarray:
     """Tridiagonal one-excitation block: diag = fields, offdiag = couplings."""
+    _check_spec(spec)
     H1 = np.diag(np.array(spec.fields, dtype=float))
     off = np.array(spec.couplings, dtype=float)
     return H1 + np.diag(off, 1) + np.diag(off, -1)
@@ -288,6 +296,7 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
     2 pi lattice.  phi0 carries the only phase freedom and is fixed by the
     bottom level, then reduced to (-pi, pi].
     """
+    _check_spec(spec)
     tau = _json_float(tau, "tau")
     if not spec.mirror_symmetric:
         raise ValueError("mirror condition requires a mirror-symmetric chain")
@@ -302,13 +311,11 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
         # fires on near-degenerate numerics and checks the operator directly.
         return _mirror_check_direct(tau, evals, evecs)
 
-    parities = []
-    for k in range(len(evals)):
-        v = evecs[:, k]
-        s = float(np.dot(v[::-1], v))
-        if abs(abs(s) - 1.0) > 1e-6:
-            raise AssertionError("eigenvector of a symmetric chain lost its parity")
-        parities.append(1 if s > 0 else -1)
+    # Each eigenvector's overlap with its own reversal is its parity, +-1.
+    overlaps = np.einsum("ij,ij->j", evecs[::-1], evecs)
+    if np.abs(np.abs(overlaps) - 1.0).max() > 1e-6:
+        raise AssertionError("eigenvector of a symmetric chain lost its parity")
+    parities = [1 if s > 0 else -1 for s in overlaps.tolist()]
 
     # The bottom level fixes the only phase freedom: exp(i phi0) must equal
     # exp(-i eps_0 tau) / s_0, i.e. phi0 = -eps_0 tau plus pi when the
@@ -318,15 +325,11 @@ def check_mirror_condition(spec: ChainSpec, tau: float) -> SpectralReport:
         phi0 += math.pi
     phi0 = _principal_angle(phi0)
 
-    witnesses = []
-    ok = True
-    for eps, s in zip(evals, parities):
-        target = float(eps) * tau + phi0 - (0.0 if s > 0 else math.pi)
-        n = round(target / (2.0 * math.pi))
-        if abs(n) > MAX_WITNESS or _phase_distance(target) > PHASE_TOL:
-            ok = False
-            break
-        witnesses.append(int(n))
+    targets = [eps * tau + phi0 - (0.0 if s > 0 else math.pi)
+               for eps, s in zip(evals.tolist(), parities)]
+    witnesses = [round(t / (2.0 * math.pi)) for t in targets]
+    ok = all(abs(n) <= MAX_WITNESS and _phase_distance(t) <= PHASE_TOL
+             for n, t in zip(witnesses, targets))
 
     return SpectralReport(
         mirror_time=tau,

@@ -20,12 +20,13 @@ weight of U, B the weight of the coset D*child, and W the cross weight,
                   = (A+B)/2 + R cos(2 theta - alpha),
 
 where R = hypot((A-B)/2, W) and alpha = atan2(W, (A-B)/2), so the best
-angle is alpha/2 in closed form; no numerical search is involved.  Word
-selection maximizes |W|; when every cross term vanishes, candidates are
-ranked by the weight they can reach instead (the objective is a sinusoid,
-so evaluating its exact stationary point per candidate dominates any
-angle grid).  That fallback handles residuals that are already a phase
-times a single coset word.
+angle is alpha/2 and its weight (A+B)/2 + R, both in closed form; no
+numerical search is involved.  Each pass scores every candidate at once
+by |W|; when every |W| is within STALL_TOL of zero, the score is the
+reachable weight (A+B)/2 + R instead, which handles residuals that are
+already a phase times a single coset word.  The pick is the first
+candidate in canonical order whose score lies within STALL_TOL of the
+largest, so rounding cannot choose between equal scores.
 
 All weights come from the phase-free traces
 ``a[x, z] = Tr(U X^x Z^z) / 2^n`` (``xz_traces(U) / 2^n``), indexed by a
@@ -67,6 +68,7 @@ from .pauli import (
     _json_object,
     _support,
     _walsh,
+    _word_kernel,
     _xor_span,
     apply_word_exponential,
     xz_traces,
@@ -261,21 +263,6 @@ def _coordinates(top: PauliGroup, group: PauliGroup) -> np.ndarray:
     return at
 
 
-def _rotate(c: np.ndarray, xk: np.ndarray, K: int, x: int, z: int, angle: float) -> None:
-    """Turn the coefficient vector c of U into that of U exp(-i angle D) in place, in O(|G|).
-
-    D sits at position K and has masks (x, z).  Positions are linear, so D
-    times the element at position k ^ K is, up to a phase, the element at k:
-
-        c'[k] = cos(angle) c[k] - i sin(angle) i^{|x & z|} (-1)^{|z & xk[k]|} c[k ^ K].
-    """
-    phase = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
-    moved = c[np.arange(len(c)) ^ K]
-    moved *= np.where(np.bitwise_count(z & xk) & 1, -phase, phase)
-    c *= math.cos(angle)
-    c += moved
-
-
 class _Level:
     """One peel level's index arrays into the top group's coefficient vector.
 
@@ -341,31 +328,31 @@ class _Level:
         return B, W
 
 
-def _sinusoid(A: float, B: float, W: float, t: float) -> float:
-    return A * math.cos(t) ** 2 + B * math.sin(t) ** 2 + W * math.sin(2.0 * t)
-
-
 def _stationary_angle(A: float, B: float, W: float) -> tuple[float, float]:
-    """Best angle in [-pi/2, pi/2) for A cos^2 + B sin^2 + W sin(2 theta).
+    """Best angle in [-pi/2, pi/2) for A cos^2 + B sin^2 + W sin(2 theta), and its weight.
 
-    Returns (theta, value).  Both stationary branches are compared on the
-    realized value; exact ties go to the smaller |theta|.  A W within
-    STALL_TOL of zero counts as zero, so a half turn is always -pi/2:
-    +-pi/2 give the same factor up to a global sign, and the sign of a W
-    at rounding level must not choose between them.
+    Returns (alpha / 2, (A+B)/2 + R).  The other stationary branch, a
+    quarter turn away, reaches only (A+B)/2 - R, at least 2 STALL_TOL less
+    once R >= STALL_TOL; below that the objective is flat and theta is 0.
+    A W within STALL_TOL of zero counts as zero, so a half turn is always
+    -pi/2: +-pi/2 give the same factor up to a global sign, and the sign of
+    a W at rounding level must not choose between them.
     """
-    if math.hypot(0.5 * (A - B), W) < STALL_TOL:
-        return 0.0, _sinusoid(A, B, W, 0.0)
-    if abs(W) <= STALL_TOL and A < B:
-        return -math.pi / 2.0, _sinusoid(A, B, W, -math.pi / 2.0)
-    theta = 0.5 * math.atan2(W, 0.5 * (A - B))
-    other = theta - math.pi / 2.0 if theta > 0.0 else theta + math.pi / 2.0
-    cands = [
-        (theta, _sinusoid(A, B, W, theta)),
-        (other, _sinusoid(A, B, W, other)),
-    ]
-    cands.sort(key=lambda tv: (-tv[1], abs(tv[0])))
-    return cands[0]
+    delta = 0.5 * (A - B)
+    R = math.hypot(delta, W)
+    if R < STALL_TOL:
+        theta = 0.0
+    elif abs(W) <= STALL_TOL and A < B:
+        theta = -math.pi / 2.0
+    else:
+        theta = 0.5 * math.atan2(W, delta)
+    return theta, 0.5 * (A + B) + R
+
+
+def _first_near_max(scores: np.ndarray) -> int:
+    """Position of the first score within STALL_TOL of the largest: rounding
+    cannot choose between equal scores, and canonical order breaks ties."""
+    return int(np.argmax(scores >= scores.max() - STALL_TOL))
 
 
 def peel_level(
@@ -373,13 +360,15 @@ def peel_level(
 ) -> tuple[np.ndarray, tuple[PeelStep, ...]]:
     """Strip factors until all of U's weight sits inside the child group.
 
-    Each pass selects the coset word with the largest |W| (ties resolved
-    in canonical word order), applies the closed-form optimal exponential
-    on the right, and repeats.  When every cross term vanishes while
-    weight is still missing, candidates are re-ranked by the exact weight
-    their best angle attains; if even that cannot improve, the peel has
-    stalled and a :class:`DecompositionError` is raised carrying this
-    level's partial trace.
+    Each pass selects the coset word with the largest |W|, applies the
+    closed-form optimal exponential on the right, and repeats; ties go to
+    the first word in canonical order whose |W| lies within STALL_TOL of
+    the largest.  When every |W| is within STALL_TOL of zero while weight
+    is still missing, candidates are ranked the same way by the weight
+    (A+B)/2 + R their best angle reaches; if even that cannot improve by
+    more than STALL_TOL, the peel has stalled and a
+    :class:`DecompositionError` is raised carrying this level's partial
+    trace.
 
     Returns the residual and the steps taken (empty when U already lies
     in the child's span).
@@ -397,9 +386,9 @@ def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int,
                 weight: float) -> tuple[PeelStep, ...]:
     """:func:`peel_level` on the top group's coefficient vector c, updated in place.
 
-    Each factor moves c in O(|G|) (:func:`_rotate`), so c keeps matching
-    the residual on the group that holds all of its weight; the steps alone
-    say how to move a dense U.
+    Each factor moves c in O(|G|) (``pauli._word_kernel``), so c keeps
+    matching the residual on the group that holds all of its weight; the
+    steps alone say how to move a dense U.
     """
     steps: list[PeelStep] = []
     max_passes = 4 * len(lv.P)
@@ -409,30 +398,23 @@ def _peel_level(c: np.ndarray, xk: np.ndarray, lv: _Level, level: int,
         if weight - A <= PEEL_TOL:
             return tuple(steps)
 
-        Bs, Ws = (v.tolist() for v in lv.terms(c, A))
-        best = 0
-        for k in range(1, len(Ws)):
-            if abs(Ws[k]) > abs(Ws[best]) + STALL_TOL:
-                best = k
-
-        if abs(Ws[best]) <= STALL_TOL:
+        Bs, Ws = lv.terms(c, A)
+        scores = np.abs(Ws)
+        if scores.max() <= STALL_TOL:
             # No informative cross term: rank by reachable weight instead.
-            best_gain = -1.0
-            for k in range(len(Ws)):
-                _, reachable = _stationary_angle(A, Bs[k], Ws[k])
-                if reachable > best_gain + STALL_TOL:
-                    best, best_gain = k, reachable
-            if best_gain <= A + STALL_TOL:
+            scores = 0.5 * (A + Bs) + np.hypot(0.5 * (A - Bs), Ws)
+            if scores.max() <= A + STALL_TOL:
                 raise DecompositionError(
                     f"peel stalled at level {level}: no single factor improves "
                     f"the child-group weight beyond {A:.12f}",
                     PeelTrace(tuple(steps)),
                 )
+        best = _first_near_max(scores)
 
         best_word = PauliString.from_masks(int(lv.dx[best]), int(lv.dz[best]), lv.n)
-        best_B, best_W = Bs[best], Ws[best]
+        best_B, best_W = float(Bs[best]), float(Ws[best])
         theta, predicted = _stationary_angle(A, best_B, best_W)
-        _rotate(c, xk, int(lv.K[best]), *best_word.masks, -theta)
+        _word_kernel(c, int(lv.K[best]), xk, *best_word.masks, -theta)
         norm_after = lv.weight(c)
         if norm_after < A - 1e-9 or abs(norm_after - predicted) > 1e-8:
             raise DecompositionError(
@@ -477,8 +459,7 @@ def _heaviest_maximal_subgroup(weights: np.ndarray, group: PauliGroup) -> PauliG
     f = np.zeros(len(group))
     f[coords] = weights
     _walsh(f)
-    kept = 0.5 * (f[0] + f[1:])
-    best = 1 + int(np.argmax(kept >= kept.max() - STALL_TOL))
+    best = 1 + _first_near_max(0.5 * (f[0] + f[1:]))
     keep = (np.bitwise_count(coords & best) & 1) == 0
     return PauliGroup._of(group.n_sites, group.xs[keep], group.zs[keep])
 
@@ -529,6 +510,8 @@ def decompose(
     (with the partial trace attached) when the input is not supported in
     the top group or every descent stalls.
     """
+    if chain is not None and not isinstance(chain, SubgroupChain):
+        raise ValueError(f"chain must be a SubgroupChain, got {type(chain).__name__}")
     # Without a chain the support scan runs, so its site cap is checked first.
     U, n = _as_unitary(U, chain is None)
     d = 1 << n
@@ -583,6 +566,9 @@ def decompose(
 
 def reconstruct(decomposition: ProductDecomposition) -> np.ndarray:
     """Dense matrix global_phase * prod_k exp(-i angle_k word_k)."""
+    if not isinstance(decomposition, ProductDecomposition):
+        raise ValueError(
+            f"decomposition must be a ProductDecomposition, got {type(decomposition).__name__}")
     d = 1 << decomposition.n_sites
     out = decomposition.global_phase * np.eye(d, dtype=complex)
     for word, angle in decomposition.factors:

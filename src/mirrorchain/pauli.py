@@ -21,9 +21,9 @@ A word M = i^{|x & z|} X^x Z^z, so its trace Tr(U M) is the entry at
 ``word.masks`` times the word phase i^{|x & z|}.
 
 A word matrix is a signed permutation, so word exponentials are applied,
-never built densely or multiplied: :func:`apply_word_exponential` turns U
-into U exp(-i angle M) = cos(angle) U - i sin(angle) U M in place, in
-O(d^2), from one column gather of U and one phase per column.
+never built densely or multiplied: one kernel moves U's columns
+(:func:`apply_word_exponential`, O(d^2)) or the peel's coefficient
+positions (O(|G|)) by one gather and one phase per entry.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ def _json_float(value: object, name: str) -> float:
     if not math.isfinite(value := float(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _complex_array(value: object, name: str) -> np.ndarray:
+    """value as a complex array; strings, None and other non-numeric data are malformed."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    return arr.astype(complex, copy=False)
 
 
 def _json_object(value: object, name: str) -> dict:
@@ -211,11 +219,10 @@ def pauli_matrix(word: PauliString) -> np.ndarray:
         raise ValueError(
             f"{word.n_sites} sites exceeds the dense-matrix cap of {MAX_DENSE_SITES}"
         )
-    d = 1 << word.n_sites
-    j = np.arange(d)
-    out = np.zeros((d, d), dtype=complex)
-    # sin(pi/2) is exactly 1.0, so i times the factor phases are the entries.
-    out[j ^ word.masks[0], j] = 1j * _factor_phases(word, math.pi / 2)
+    x, z = word.masks
+    j = np.arange(1 << word.n_sites)
+    out = np.zeros((len(j), len(j)), dtype=complex)
+    out[j ^ x, j] = _I_POW[(x & z).bit_count() % 4] * _signs(j & z)
     return out
 
 
@@ -226,28 +233,32 @@ def word_exponential(word: PauliString, angle: float) -> np.ndarray:
     return out
 
 
-def _factor_phases(word: PauliString, angle: float) -> np.ndarray:
-    """-i sin(angle) i^{|x & z|} (-1)^{|j & z|} for every basis index j."""
-    x, z = word.masks
-    j = np.arange(1 << word.n_sites)
-    scale = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
-    return scale * _signs(j & z)
-
-
 def apply_word_exponential(U: np.ndarray, word: PauliString, angle: float) -> None:
     """Turn the complex array U into U @ exp(-i angle M) in place, in O(d^2).
 
-    Column j of U M is i^{|x & z|} (-1)^{|j & z|} U[:, j ^ x]: one column
-    gather of U and one phase per column, and M is never formed.
+    Column j of U M is i^{|x & z|} (-1)^{|j & z|} U[:, j ^ x]: the word
+    kernel on U's columns, and M is never formed.
     """
     d = 1 << word.n_sites
     if U.ndim != 2 or U.shape[1] != d:
         raise ValueError(f"matrix shape {U.shape} does not match {word.n_sites} sites")
-    angle = _json_float(angle, "angle")
-    moved = U[:, np.arange(d) ^ word.masks[0]]
-    moved *= _factor_phases(word, angle)
-    U *= math.cos(angle)
-    U += moved
+    _word_kernel(U, word.masks[0], np.arange(d), *word.masks, _json_float(angle, "angle"))
+
+
+def _word_kernel(v: np.ndarray, flip: int, bits: np.ndarray, x: int, z: int,
+                 angle: float) -> None:
+    """v[..., k] <- cos(angle) v[..., k] - i sin(angle) i^{|x & z|}
+    (-1)^{|bits[k] & z|} v[..., k ^ flip] in place, for the word (x, z).
+
+    Matrix columns take flip = x and bits[k] = k; a group's coefficient
+    vector takes the word's position and each position's x mask, since the
+    word times the element at k ^ flip is the element at k up to that phase.
+    """
+    phase = -1j * math.sin(angle) * _I_POW[(x & z).bit_count() % 4]
+    moved = v[..., np.arange(v.shape[-1]) ^ flip]
+    moved *= phase * _signs(bits & z)
+    v *= math.cos(angle)
+    v += moved
 
 
 def _signs(v: np.ndarray) -> np.ndarray:
@@ -274,7 +285,7 @@ def xz_traces(U: np.ndarray) -> np.ndarray:
     over i applies the signs (-1)^{|i & z|}: O(n 4^n) work in one array
     (Hantzko, Binkowski, Gupta, arXiv:2310.13421).
     """
-    U = np.asarray(U, dtype=complex)
+    U = _complex_array(U, "U")
     d = U.shape[0] if U.ndim == 2 else 0
     if U.shape != (d, d) or d < 1 or d & (d - 1):
         raise ValueError(f"matrix shape {U.shape} is not 2^n x 2^n")
@@ -445,15 +456,12 @@ def _as_unitary(U: np.ndarray, support_scan: bool = False) -> tuple[np.ndarray, 
     a support scan, n is checked against its cap first, so an oversized
     input is refused before the O(d^3) unitarity product.
     """
-    U = np.asarray(U)
-    if U.dtype.kind not in "biufc":
-        raise ValueError(f"unitary must be a numeric matrix, got dtype {U.dtype}")
+    U = _complex_array(U, "unitary")
     d = U.shape[0] if U.ndim == 2 else 0
     if U.shape != (d, d) or d < 2 or d & (d - 1):
         raise ValueError(f"unitary must be a 2^n x 2^n matrix with n >= 1, got shape {U.shape}")
     if support_scan:
         _check_support_sites(d.bit_length() - 1)
-    U = U.astype(complex, copy=False)
     if not np.isfinite(U).all() or np.abs(U @ U.conj().T - np.eye(d)).max() > UNITARITY_TOL:
         raise ValueError("input matrix is not a finite unitary")
     return U, d.bit_length() - 1

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import _complex_array
+
 __all__ = [
     "basis_index",
     "basis_ket",
@@ -168,7 +170,7 @@ class QuantumState:
     def __post_init__(self) -> None:
         if self.kind not in _STATE_KINDS:
             raise ValueError(f"kind must be one of {_STATE_KINDS}, got {self.kind!r}")
-        arr = np.asarray(self.data, dtype=complex)
+        arr = _complex_array(self.data, "data")
         object.__setattr__(self, "data", arr)
         if not np.isfinite(arr).all():
             raise ValueError("state data must be finite")

@@ -45,12 +45,13 @@ import numpy as np
 from .chain import (
     MIRROR_TIME,
     ChainSpec,
+    _check_spec,
     _mirror_phase,
     excitation_sectors,
     propagator,
     single_excitation_matrix,
 )
-from .pauli import _I_POW, _json_array, _json_int, _walsh, xz_traces
+from .pauli import _I_POW, _complex_array, _json_array, _json_int, _walsh, xz_traces
 from .states import (
     BELL_KINDS,
     QuantumState,
@@ -165,8 +166,7 @@ def _attenuated(t: float, na: float, nb: float) -> float:
 
 def _metric_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """(Tr(ab), Tr(a^2), Tr(b^2)) of Hermitian a and b, each checked once."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _complex_array(a, "rho_th"), _complex_array(b, "rho_ex")
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected equal square matrices, got {a.shape} vs {b.shape}")
     for name, m in (("rho_th", a), ("rho_ex", b)):
@@ -258,7 +258,7 @@ def transfer_single(
     if mode == "deviation" and n_sites > sys.float_info.max_exp:
         raise ValueError(f"a single-site deviation output scales as 2^(N-1), which "
                          f"exceeds the float range above {sys.float_info.max_exp} sites")
-    data = np.asarray(state, complex)
+    data = _complex_array(state, "state")
     shape = (2,) if mode == "pure" else (2, 2)
     if data.shape != shape:
         raise ValueError(f"state must have shape {shape} in {mode} mode, got {data.shape}")
@@ -314,9 +314,8 @@ def _transfer(
     """
     if spec is None:
         spec = ChainSpec.engineered(n_sites)
-    elif not isinstance(spec, ChainSpec):
-        raise ValueError(f"spec must be a ChainSpec, got {type(spec).__name__}")
-    elif spec.n_sites != n_sites:
+    _check_spec(spec)
+    if spec.n_sites != n_sites:
         raise ValueError(f"chain has {spec.n_sites} sites, transfer asked for {n_sites}")
     u = propagator(single_excitation_matrix(spec), MIRROR_TIME)
     table = _phase_table(u)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mirrorchain import chain as chain_module
 from mirrorchain.chain import (
     DEGENERACY_TOL,
     MAX_CHAIN_SITES,
@@ -79,6 +80,30 @@ def test_engineered_couplings_values():
 def test_site_counts_and_times_are_read_as_numbers(call, field):
     with pytest.raises(ValueError, match=f"^{field}"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_hamiltonian(5),
+    lambda: chain_propagator(5, 1.0),
+    lambda: single_excitation_matrix(5),
+    lambda: check_mirror_condition(5, 1.0),
+], ids=["hamiltonian", "chain-propagator", "one-excitation", "mirror"])
+def test_chain_functions_refuse_a_spec_that_is_not_a_chain_spec(call):
+    with pytest.raises(ValueError, match="^spec must be a ChainSpec, got int"):
+        call()
+
+
+def test_witnesses_are_capped(monkeypatch):
+    # Every mirror time pi/2 + 2 pi m realizes the reversal; the witnesses
+    # grow with m, and past MAX_WITNESS the report refuses them.
+    spec = ChainSpec.engineered(5)
+    report = check_mirror_condition(spec, MIRROR_TIME + 20 * math.pi)
+    assert report.satisfied and report.witnesses == (-41, -21, 0, 20, 41)
+    late = MIRROR_TIME + 40 * math.pi
+    assert not check_mirror_condition(spec, late).satisfied
+    # The phases still line up there: the cap alone refuses them.
+    monkeypatch.setattr(chain_module, "MAX_WITNESS", 1000)
+    assert check_mirror_condition(spec, late).satisfied
 
 
 def test_spec_validation_and_flags():

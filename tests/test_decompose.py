@@ -25,7 +25,6 @@ from mirrorchain.decompose import (
     _coordinates,
     _heaviest_maximal_subgroup,
     _Level,
-    _rotate,
     _stationary_angle,
     closed_form,
     decompose,
@@ -39,6 +38,7 @@ from mirrorchain.pauli import (
     _I_POW,
     PauliString,
     SubgroupChain,
+    _word_kernel,
     apply_word_exponential,
     group_closure,
     maximal_subgroup,
@@ -197,20 +197,31 @@ class TestOptimalAngle:
     def test_angle_actually_maximizes(self):
         rng = np.random.default_rng(42)
         child = group_closure([P("XX")])
+        cases = []
         for _ in range(25):
             U = random_unitary(rng, 4)
             D = P("ZI")
             a = xz_traces(U) / 4
             A = child_weight(a, child)
             (B,), (W,) = weight_terms(a, [D], child)
-            if math.hypot(0.5 * (A - B), W) < STALL_TOL:
-                continue
+            if math.hypot(0.5 * (A - B), W) >= STALL_TOL:
+                cases.append((A, B, W, rotated_weight(U, D, child), 1e-9))
+        # Bare terms on the sinusoid itself, the guard cases included.
+        terms = [(*rng.uniform(0, 1, 2), rng.uniform(-0.5, 0.5)) for _ in range(25)]
+        terms += [(0.5, 0.5, 0.0), (0.2, 0.8, 0.0), (0.2, 0.8, 1e-13), (0.8, 0.2, -1e-13),
+                  (0.3, 0.3, 2e-12), (0.3, 0.7, -0.2)]
+        for A, B, W in terms:
+            def f(t, A=A, B=B, W=W):
+                return A * math.cos(t) ** 2 + B * math.sin(t) ** 2 + W * math.sin(2 * t)
+            cases.append((A, B, W, f, 1e-12))
+        for A, B, W, f, tol in cases:
             theta, predicted = _stationary_angle(A, B, W)
-            f = rotated_weight(U, D, child)
             got = f(theta)
-            assert got == pytest.approx(predicted, abs=1e-9)
+            assert got == pytest.approx(predicted, abs=tol)
             for t in np.linspace(-math.pi / 2, math.pi / 2, 61):
-                assert f(float(t)) <= got + 1e-9
+                assert f(float(t)) <= got + tol
+        assert _stationary_angle(0.5, 0.5, 0.0)[0] == 0.0
+        assert _stationary_angle(0.2, 0.8, 1e-13)[0] == -math.pi / 2
 
     def test_stall_when_weight_is_flat(self):
         # a bare Pauli word carries no weight in the child or its D-coset
@@ -367,7 +378,7 @@ def test_coefficient_update_matches_transform_of_the_product():
             for _ in range(3):
                 i = int(rng.integers(len(G)))
                 word, theta = G.sorted_elements[i], float(rng.uniform(-math.pi, math.pi))
-                _rotate(c, xk, i, *word.masks, theta)
+                _word_kernel(c, i, xk, *word.masks, theta)
                 U = U @ word_exponential(word, theta)
                 want = xz_traces(U)[G.xs, G.zs] / d
                 assert np.abs(c - want).max() <= 1e-12, (G, word)
@@ -430,6 +441,53 @@ class TestPeelLevel:
         with pytest.raises(ValueError):
             peel_level(np.eye(4, dtype=complex),
                        every_word(2), group_closure([P("X")]))
+
+
+class _FixedLevel:
+    """A stand-in level with fixed (B, W) per candidate: only the selection runs."""
+
+    n = 1
+
+    def __init__(self, B, W):
+        self.B, self.W = np.array(B, dtype=float), np.array(W, dtype=float)
+        self.P = self.K = np.arange(len(W))
+        self.dx, self.dz = np.ones(len(W), dtype=np.int64), np.zeros(len(W), dtype=np.int64)
+
+    def weight(self, c):
+        return 0.2
+
+    def terms(self, c, A):
+        return self.B, self.W
+
+
+def chosen_position(monkeypatch, B, W):
+    """The position _peel_level's first pass hands the kernel on a fixed level."""
+    class Chosen(Exception):
+        pass
+
+    def stop(v, flip, *rest):
+        raise Chosen(flip)
+
+    monkeypatch.setattr(decompose_module, "_word_kernel", stop)
+    with pytest.raises(Chosen) as info:
+        decompose_module._peel_level(np.zeros(len(W), complex), np.zeros(len(W), np.int64),
+                                     _FixedLevel(B, W), 1, 1.0)
+    return info.value.args[0]
+
+
+def test_selection_takes_the_first_score_near_the_largest(monkeypatch):
+    # |W| spreads over 1.2 STALL_TOL, so the first score within STALL_TOL
+    # of the largest is not the largest itself.
+    W = [1.0, -(1.0 + 0.6 * STALL_TOL), 1.0 + 1.2 * STALL_TOL]
+    assert chosen_position(monkeypatch, [0.0] * 3, W) == 1
+
+
+def test_selection_without_cross_terms_ranks_reachable_weight(monkeypatch):
+    # Every |W| <= STALL_TOL, so the score is (A+B)/2 + hypot((A-B)/2, W)
+    # with A = 0.2: candidates 1 and 2 tie within STALL_TOL, and 1 comes first.
+    B = [0.5, 0.8, 0.8 + 0.5 * STALL_TOL, 0.3]
+    W = [0.1 * STALL_TOL, -STALL_TOL, 0.0, STALL_TOL]
+    assert chosen_position(monkeypatch, B, W) == 1
 
 
 class TestDecomposeMirror4:
@@ -812,7 +870,7 @@ def test_peel_work_per_factor_is_counted(monkeypatch, kind, n, transforms):
     monkeypatch.setattr(decompose_module, "xz_traces", counted("xz_traces", xz_traces))
     monkeypatch.setattr(decompose_module, "_coefficients",
                         counted("coefficients", decompose_module._coefficients))
-    monkeypatch.setattr(decompose_module, "_rotate", counted("rotate", _rotate))
+    monkeypatch.setattr(decompose_module, "_word_kernel", counted("rotate", _word_kernel))
     monkeypatch.setattr(decompose_module, "reconstruct", counted("reconstruct", reconstruct))
     monkeypatch.setattr(decompose_module, "apply_word_exponential",
                         counted("exponential", apply_word_exponential))
@@ -1100,6 +1158,15 @@ def test_gate_fidelity_properties():
 def test_gate_fidelity_refuses_non_square_inputs(shape):
     with pytest.raises(ValueError, match="expected two equal square matrices"):
         gate_fidelity(np.ones(shape), np.ones(shape))
+
+
+def test_synthesis_names_a_malformed_chain_or_decomposition():
+    with pytest.raises(ValueError, match="^chain must be a SubgroupChain, got int"):
+        decompose(np.eye(4), chain=5)
+    with pytest.raises(ValueError, match="^decomposition must be a ProductDecomposition, got str"):
+        reconstruct("x")
+    with pytest.raises(ValueError, match="^unitary must be numeric"):
+        decompose("ab")
 
 
 def test_gate_fidelity_takes_nested_lists():

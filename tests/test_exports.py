@@ -1,11 +1,14 @@
-"""Every exported name resolves, the CLI imports without numpy, and every demo runs.
+"""Every exported name resolves, every private name is used, the CLI imports
+without numpy, and every demo runs.
 
 A deleted or renamed function can leave a stale entry in a module's
-``__all__`` or in a demo script; neither fails any other test.  The
-command-line entry point must load without numpy, so that it can set the
-thread variables first.
+``__all__`` or in a demo script, and a replaced helper can stay behind
+with no caller; none of these fails any other test.  The command-line
+entry point must load without numpy, so that it can set the thread
+variables first.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -29,6 +32,30 @@ def test_submodule_all_resolves(module):
     owner = importlib.import_module(module, "mirrorchain")
     missing = [name for name in owner.__all__ if not hasattr(owner, name)]
     assert not missing
+
+
+def test_every_private_module_name_is_used():
+    # A module-level private function, class or constant must be named in
+    # src/ somewhere outside its own definition: tests alone do not keep it.
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "mirrorchain").glob("*.py"))]
+    loads = [(n, n.id if isinstance(n, ast.Name) else n.attr) for tree in trees
+             for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+             or isinstance(n, ast.Attribute)]
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            inside = set(ast.walk(node))
+            unused += [name for name in names if name.startswith("_")
+                       and not name.startswith("__")
+                       and not any(used == name and n not in inside for n, used in loads)]
+    assert not unused
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -300,6 +300,10 @@ class TestWordTrace:
         with pytest.raises(ValueError):
             pauli_coefficients(np.zeros(shape))
 
+    def test_coefficient_array_names_a_malformed_matrix(self):
+        with pytest.raises(ValueError, match="^U must be numeric"):
+            xz_traces([["a", "b"], ["c", "d"]])
+
 
 class TestWordExponentialKernel:
     """The O(d^2) signed-permutation kernel against kron-built exponentials."""

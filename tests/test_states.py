@@ -227,6 +227,8 @@ def test_quantum_state_validation():
         QuantumState("thermal", np.eye(2) / 2)            # unknown kind
     with pytest.raises(ValueError, match="kind must be one of"):
         QuantumState("mixed", np.eye(2) / 2)              # density matrices are not a kind
+    with pytest.raises(ValueError, match="^data must be numeric"):
+        QuantumState("pure", "ab")
     sx = pauli_matrix(PauliString("X"))
     st = QuantumState("deviation", sx)
     assert st.n_sites == 1

@@ -611,7 +611,11 @@ def test_transfer_sites_must_be_integers(call, field):
     (lambda: transfer_single(4, 1, basis_ket("1"), spec=5), "spec must be a ChainSpec, got int"),
     (lambda: transfer_entangled(4, (1, 4), "phi+", spec="chain.json"),
      "spec must be a ChainSpec, got str"),
-], ids=["one-site", "three-sites", "single-spec", "pair-spec"])
+    (lambda: transfer_single(4, 1, "ab"), "state must be numeric"),
+    (lambda: fidelity_metric("a", "b"), "rho_th must be numeric"),
+    (lambda: attenuated_correlation(np.eye(2), None), "rho_ex must be numeric"),
+], ids=["one-site", "three-sites", "single-spec", "pair-spec", "state-str", "metric-str",
+        "metric-none"])
 def test_transfer_refuses_a_malformed_pair_or_chain(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
